@@ -14,9 +14,6 @@ from .braided import (
     MinpolySplit,
     MinusOneNotSimple,
     NotYangBaxter,
-    check_yang_baxter,
-    e2,
-    e2bar,
     is_categorical,
     lift_to_slot,
     split_minpoly,
@@ -57,7 +54,7 @@ from .envelope import (
     sq_presentation,
     uq_relations,
 )
-from .fields import GF, QQ, CharTwo, DivisionByZero, Field, FieldMismatch, Scalar, arith
+from .fields import GF, QQ, CharTwo, DivisionByZero, Field, FieldMismatch, Scalar
 from .linalg import (
     HypothesisViolated,
     Mat,

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
-from .braided import BraidedSpace, split_minpoly
+from .braided import BraidedSpace, MinusOneNotSimple, split_minpoly
 from .brackets import QuadraticLieAlgebra, solve_linear_bracket_space, verify_lifted
 from .fields import Field
 from .linalg import Mat, Subspace, column_space, kernel
@@ -203,7 +203,7 @@ def _has_minus_one_simple_root(c_rows, field):
     space = BraidedSpace(field, 2, Mat.from_rows(field, c_rows), check=False)
     try:
         return split_minpoly(space) is not None
-    except Exception:
+    except MinusOneNotSimple:
         return False
 
 
@@ -542,7 +542,7 @@ def random_survey(field: Field, seed: int = 0, max_brackets_per_braiding: int = 
         split = None
         try:
             split = split_minpoly(space)
-        except Exception:
+        except MinusOneNotSimple:
             split = None
         basis = solve_linear_bracket_space(space)
         if not basis:

@@ -221,18 +221,6 @@ def h_of_c(space: BraidedSpace, split: MinpolySplit) -> Mat:
     return eval_poly_at(split.h, space.c)
 
 
-def e2(space: BraidedSpace) -> Subspace:
-    return space.e2()
-
-
-def e2bar(space: BraidedSpace) -> Subspace:
-    return space.e2bar()
-
-
-def check_yang_baxter(space: BraidedSpace) -> bool:
-    return space.check_yang_baxter()
-
-
 def _slot_tensor_space(space, left_basis, right_basis, left_len, right_len):
     """Span of {u (x) v} inside V^(x)(left_len+right_len)."""
     n = space.dim

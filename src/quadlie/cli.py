@@ -14,7 +14,7 @@ import sys
 
 from . import appendix, classify, envelope, nichols
 from .braided import MinusOneNotSimple, NotYangBaxter, split_minpoly
-from .brackets import QuadraticLieAlgebra, check_dim1_rigidity, verify_lifted
+from .brackets import BasisMismatch, Inconsistent, QuadraticLieAlgebra, check_dim1_rigidity, verify_lifted
 from .envelope import Unstabilized
 from .fields import CharTwo
 from .jsonio import (
@@ -24,7 +24,9 @@ from .jsonio import (
     scalar_from_json,
     tensor_elem_to_json,
 )
+from .linalg import HypothesisViolated
 from .table import table_emit
+from .tensoralg import DegreeMismatch
 
 DEFAULT_SEED = 12345
 
@@ -310,10 +312,17 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (CharTwo, NotYangBaxter, MinusOneNotSimple, Unstabilized) as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except classify.InternalContradiction as exc:
+    except (
+        CharTwo,
+        NotYangBaxter,
+        MinusOneNotSimple,
+        Unstabilized,
+        HypothesisViolated,
+        BasisMismatch,
+        Inconsistent,
+        DegreeMismatch,
+        classify.InternalContradiction,
+    ) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except (InputError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:

@@ -24,17 +24,56 @@ class CharTwo(ValueError):
     """The operation assumes characteristic different from 2."""
 
 
+#: Miller-Rabin with these witnesses is exact for every n < 2**64.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MAX_MODULUS = 2**64
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin primality test for 0 <= n < MAX_MODULUS."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+def _sqrt_mod(a, p):
+    """A square root of the quadratic residue a modulo the prime p (Tonelli-Shanks)."""
+    if a == 0 or p == 2:
+        return a
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
 
 
 class Field:
@@ -50,6 +89,8 @@ class Field:
         if p in cls._cache:
             return cls._cache[p]
         if p is not None:
+            if isinstance(p, int) and p >= MAX_MODULUS:
+                raise ValueError(f"modulus must be below 2**64, got {p}")
             if not isinstance(p, int) or not _is_prime(p):
                 raise ValueError(f"modulus must be prime, got {p!r}")
         self = object.__new__(cls)
@@ -237,11 +278,11 @@ class Scalar:
                 return None
             f = self.v
             return Scalar(self.field, Fraction(math.isqrt(f.numerator), math.isqrt(f.denominator)))
-        # Desk-scale moduli: a direct scan is simplest and deterministic.
-        for s in range(0, p // 2 + 1):
-            if s * s % p == self.v:
-                return Scalar(self.field, s)
-        return None
+        if not self.is_square():
+            return None
+        # of the two roots +-r, return the one in [0, p/2]
+        r = _sqrt_mod(self.v, p)
+        return Scalar(self.field, min(r, p - r))
 
     def __repr__(self):
         return f"{self}"
@@ -250,16 +291,3 @@ class Scalar:
         if self.field.p is None and self.v.denominator != 1:
             return f"{self.v.numerator}/{self.v.denominator}"
         return str(int(self.v) if self.field.p is not None else self.v.numerator)
-
-
-def arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Exact field arithmetic dispatch: op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")

@@ -1,20 +1,20 @@
 """Nichols-algebra probes at bounded degree.
 
 Degree-n dimensions of the Nichols algebra are ranks of quantum
-symmetrizers (sums of braid lifts over all permutations via reduced
-words, well-defined by Matsumoto's theorem); primitivity of quotient
-cosets is decided by reducing both coproduct legs to canonical normal
-forms.  Includes Gaussian binomials and the closed-form power
-coproducts of the diagonal-type and unipotent-type canonical braidings.
+symmetrizers: sums of the braid lifts of all permutations (well-defined
+by Matsumoto's theorem), built from O(n^2) products by the Woronowicz
+factorisation.  Primitivity of quotient cosets is decided by reducing
+both coproduct legs to canonical normal forms.  Includes Gaussian
+binomials and the closed-form power coproducts of the diagonal-type and
+unipotent-type canonical braidings.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
-from .braided import BraidedSpace
+from .braided import BraidedSpace, mat_tensor
 from .envelope import IdealTruncation, Presentation, ideal_truncation, sq_presentation
 from .fields import Scalar
 from .linalg import Mat, Subspace
@@ -49,13 +49,25 @@ def braid_lift(space: BraidedSpace, word, total: int) -> Mat:
     return out
 
 
-def quantum_symmetrizer(space: BraidedSpace, n: int, leftmost=True) -> Mat:
-    """Sum of the braid lifts of all permutations of n tensor factors."""
+def quantum_symmetrizer(space: BraidedSpace, n: int) -> Mat:
+    """Sum of the braid lifts of all permutations of n tensor factors.
+
+    Built by the Woronowicz factorisation S_k = (S_(k-1) (x) id) T_k with
+    T_k = id + c_(k-1) + c_(k-1) c_(k-2) + ... + c_(k-1) ... c_1: every
+    permutation is h tau with h fixing the last factor and tau one of the
+    minimal coset representatives s_(k-1) ... s_j, whose lengths add.
+    """
     if n < 0:
         raise ValueError("negative degree")
-    total = Mat.zero(space.field, space.dim**n, space.dim**n)
-    for perm in permutations(range(n)):
-        total = total + braid_lift(space, _reduced_word(perm, leftmost), n)
+    field = space.field
+    eye_v = Mat.identity(field, space.dim)
+    total = Mat.identity(field, 1)
+    for k in range(1, n + 1):
+        eye = Mat.identity(field, space.dim**k)
+        t = eye
+        for i in range(1, k):
+            t = eye + space.braiding_at(i, k) @ t
+        total = mat_tensor(field, total, eye_v) @ t
     return total
 
 

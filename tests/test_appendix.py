@@ -1,6 +1,8 @@
 import pytest
 
+from quadlie import appendix
 from quadlie.appendix import (
+    _has_minus_one_simple_root,
     _intersect,
     case_families,
     random_survey,
@@ -163,3 +165,27 @@ def test_rejects_rationals():
         rank2_case_families(QQ)
     with pytest.raises(ValueError):
         random_survey(QQ)
+
+
+def test_minus_one_root_classification():
+    F = GF(5)
+    flip = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+    ident = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+    jordan = [[-1, 1, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    assert _has_minus_one_simple_root(flip, F)
+    assert not _has_minus_one_simple_root(ident, F)  # -1 is not a root
+    assert not _has_minus_one_simple_root(jordan, F)  # -1 is a double root
+
+
+def test_split_failures_other_than_double_root_propagate(monkeypatch):
+    # only MinusOneNotSimple means "outside the hypothesis"; any other
+    # error is a fault and must not be swallowed
+    def broken(space):
+        raise RuntimeError("broken split")
+
+    monkeypatch.setattr(appendix, "split_minpoly", broken)
+    flip = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+    with pytest.raises(RuntimeError):
+        _has_minus_one_simple_root(flip, GF(3))
+    with pytest.raises(RuntimeError):
+        random_survey(GF(3), seed=0, max_brackets_per_braiding=5)

@@ -1,25 +1,26 @@
 import random
+import time
 
 import pytest
 
-from quadlie.fields import GF, QQ, CharTwo, DivisionByZero, FieldMismatch, arith
+from quadlie.fields import GF, QQ, CharTwo, DivisionByZero, Field, FieldMismatch, _is_prime
 
 
 def test_rational_arithmetic_examples():
     assert QQ(1) / QQ(2) + QQ(1) / QQ(3) == QQ(5) / QQ(6)
-    assert arith(QQ(1) / QQ(2), QQ(1) / QQ(3), "add") == QQ(5) / QQ(6)
+    assert QQ(5) / QQ(6) - QQ(1) / QQ(3) == QQ(1) / QQ(2)
     assert str(QQ(5) / QQ(6)) == "5/6"
 
 
 def test_prime_field_inverse():
     F5 = GF(5)
     assert F5(2).inverse() == F5(3)
-    assert arith(F5(1), F5(2), "div") == F5(3)
+    assert F5(1) / F5(2) == F5(3)
 
 
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
-        arith(QQ(1), QQ(0), "div")
+        QQ(1) / QQ(0)
     with pytest.raises(DivisionByZero):
         GF(7)(0).inverse()
 
@@ -41,6 +42,31 @@ def test_field_interning():
     assert QQ is not GF(5)
     with pytest.raises(ValueError):
         GF(6)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division_below_1000():
+    for n in range(1000):
+        assert _is_prime(n) == _trial_division(n), n
+
+
+def test_large_prime_modulus_is_fast():
+    start = time.perf_counter()
+    F = Field(10**18 + 3)
+    assert time.perf_counter() - start < 1.0
+    assert F(-1).v == 10**18 + 2
+    assert F(123456789).inverse() * F(123456789) == F.one
+    assert (F(987654321) ** 2).sqrt() == F(987654321)
+
+
+def test_composite_and_oversized_moduli_rejected():
+    with pytest.raises(ValueError, match="prime"):
+        Field(10**18 + 1)  # divisible by 101
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        Field(2**64 + 13)
 
 
 def test_require_odd_char():
@@ -97,6 +123,19 @@ def test_sqrt():
     s = GF(7)(2).sqrt()
     assert s is not None and s * s == GF(7)(2)
     assert GF(7)(3).sqrt() is None
+
+
+def test_sqrt_prime_field_returns_root_in_lower_half():
+    # p = 17 and 41 are 1 mod 8, the slowest case of the root finder
+    for p in (3, 5, 13, 17, 41, 97):
+        F = GF(p)
+        for a in range(p):
+            roots = [s for s in range(p) if s * s % p == a]
+            got = F(a).sqrt()
+            if roots:
+                assert got is not None and got.v == min(roots), (p, a)
+            else:
+                assert got is None, (p, a)
 
 
 def test_pow():

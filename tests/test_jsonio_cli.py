@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from quadlie.brackets import verify_lifted
+from quadlie import cli
+from quadlie.brackets import BasisMismatch, Inconsistent, verify_lifted
 from quadlie.classify import canonical_form
 from quadlie.cli import main
 from quadlie.fields import GF, QQ
@@ -19,7 +20,9 @@ from quadlie.jsonio import (
     scalar_to_json,
     validate_input,
 )
+from quadlie.linalg import HypothesisViolated
 from quadlie.table import default_gamma, row_instance
+from quadlie.tensoralg import DegreeMismatch
 
 
 def test_scalar_roundtrip():
@@ -218,6 +221,35 @@ def test_cli_bad_input_exit_2(capsys):
     assert "input error" in err
     code, _, err = _run(capsys, ["verify", "--input", "/nonexistent.json"])
     assert code == 2
+
+
+def test_cli_oversized_modulus_exit_2(capsys):
+    code, _, err = _run(capsys, ["table", "--field", f"GF({2**64 + 13})"])
+    assert code == 2
+    assert "input error" in err and "2**64" in err
+
+
+@pytest.mark.parametrize(
+    "exc, code, label",
+    [
+        (HypothesisViolated, 1, "check failed"),
+        (BasisMismatch, 1, "check failed"),
+        (Inconsistent, 1, "check failed"),
+        (DegreeMismatch, 1, "check failed"),
+        (ValueError, 2, "input error"),
+        (InputError, 2, "input error"),
+    ],
+)
+def test_cli_exit_code_of_raised_error(capsys, monkeypatch, exc, code, label):
+    # mathematical failures exit 1; only bad input exits 2
+    def raising(field, gamma):
+        raise exc("raised inside the command")
+
+    monkeypatch.setattr(cli, "table_emit", raising)
+    got, out, err = _run(capsys, ["table"])
+    assert got == code
+    assert out == ""
+    assert err == f"{label}: raised inside the command\n"
 
 
 def test_cli_text_format(capsys):

@@ -1,6 +1,10 @@
+import random
+from itertools import permutations
+
 import pytest
 
 from quadlie.braided import split_minpoly
+from quadlie.classify import conjugate
 from quadlie.envelope import ideal_truncation, sq_graded_dims, sq_presentation, uq_relations
 from quadlie.fields import GF, QQ
 from quadlie.linalg import Mat
@@ -19,6 +23,45 @@ from quadlie.nichols import (
 )
 from quadlie.table import default_gamma, row_instance
 from quadlie.tensoralg import TensorElem, coproduct
+
+
+def _permutation_sum(space, n):
+    """The quantum symmetrizer by definition: the n! braid lifts, summed."""
+    total = Mat.zero(space.field, space.dim**n, space.dim**n)
+    for perm in permutations(range(n)):
+        total = total + braid_lift(space, _reduced_word(perm), n)
+    return total
+
+
+def test_symmetrizer_matches_permutation_sum_all_rows():
+    for field in (QQ, GF(3), GF(5), GF(7)):
+        for row in range(1, 9):
+            sp = row_instance(row, field, default_gamma(row, field)).space
+            for n in range(5):
+                assert quantum_symmetrizer(sp, n) == _permutation_sum(sp, n), (field, row, n)
+
+
+def test_symmetrizer_matches_permutation_sum_degree_five():
+    sp = row_instance(2, QQ, default_gamma(2, QQ)).space
+    assert quantum_symmetrizer(sp, 5) == _permutation_sum(sp, 5)
+
+
+def _random_basis_change(rng, field):
+    while True:
+        a = [[rng.choice((-1, 0, 1)) for _ in range(2)] for _ in range(2)]
+        if a[0][0] * a[1][1] - a[0][1] * a[1][0] in (1, -1):
+            return Mat.from_rows(field, a)
+
+
+def test_symmetrizer_matches_permutation_sum_on_conjugates():
+    # dense braidings: seeded basis changes with entries in {-1, 0, 1}, det +-1
+    rng = random.Random(7)
+    for field in (QQ, GF(5)):
+        for row in range(1, 9):
+            q = row_instance(row, field, default_gamma(row, field))
+            sp = conjugate(q, _random_basis_change(rng, field)).space
+            for n in (3, 4):
+                assert quantum_symmetrizer(sp, n) == _permutation_sum(sp, n), (field, row, n)
 
 
 def test_symmetrizer_degree_two():
@@ -41,8 +84,6 @@ def test_symmetrizer_row4_degree2():
 def test_matsumoto_independence():
     # two different reduced-word schedules produce the same lift per
     # permutation, hence the same symmetrizer
-    from itertools import permutations
-
     for row in (1, 4, 8):
         sp = row_instance(row, QQ, default_gamma(row, QQ)).space
         for n in (3, 4):

@@ -8,7 +8,7 @@ Nichols-algebra probes through quantum symmetrizer ranks, and the
 exhaustive small-field eliminations.
 """
 
-from .appendix import appendix_checks, case_families, random_survey, udu_check
+from .appendix import case_families, random_survey, udu_check
 from .braided import (
     BraidedSpace,
     MinpolySplit,

@@ -24,15 +24,43 @@ from .linalg import Mat, Subspace, column_space, kernel
 from .table import GAMMA_RULES, gamma_allowed, row_instance
 
 
+#: Largest p accepted by the exhaustive case families (p^8 braiding shapes;
+#: 5.8 million at GF(7)).
+CASE_FAMILIES_MAX_P = 7
+
+#: Largest p accepted by the survey (p^6 corner shapes and p^4 diagonal
+#: braidings, each diagonal one solved for its linear bracket space).
+SURVEY_MAX_P = 11
+
+
+def _require_enumerable(field, max_p, what):
+    """Reject Q, GF(2) and primes above max_p for a p-element enumeration."""
+    field.require_odd_char()
+    if field.is_rationals:
+        raise ValueError(f"{what} need a prime field")
+    if field.p > max_p:
+        raise ValueError(f"{what}: GF({field.p}) exceeds the limit GF({max_p}) of the p-element enumeration")
+
+
 # ---------------------------------------------------------------------------
 # integer (mod p) kernels for the enumeration hot paths
 # ---------------------------------------------------------------------------
 
 def _matmul(a, b, p):
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt) for row in a
-    )
+    """a @ b mod p, accumulating each left row over the nonzeros of b's rows."""
+    if a and len(a[0]) != len(b):
+        raise ValueError(f"shape mismatch: {len(a[0])} columns @ {len(b)} rows")
+    width = len(b[0]) if b else 0
+    nonzeros = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, nz in zip(row, nonzeros):
+            if x:
+                for j, y in nz:
+                    acc[j] += x * y
+        out.append(tuple([v % p for v in acc]))
+    return tuple(out)
 
 
 def _madd(a, b, p):
@@ -152,14 +180,48 @@ def _int_kernel(rows, p):
 
 
 def _int_yang_baxter(c, p):
-    c1, c2 = _slot_braidings(c, p)
-    return _matmul(_matmul(c1, c2, p), c1, p) == _matmul(_matmul(c2, c1, p), c2, p)
+    """(c (x) Id)(Id (x) c)(c (x) Id) == (Id (x) c)(c (x) Id)(Id (x) c) mod p.
+
+    Both sides are applied to one basis vector of V^{(x)3} at a time, as
+    sparse {index: residue} dicts built from the nonzero columns of c, and
+    the test stops at the first basis vector whose images differ.  The
+    basis index of x_a (x) x_b (x) x_c is a + 2b + 4c, as in _slot_braidings.
+    """
+    cols = [[(o, v) for o in range(4) if (v := c[o][i] % p)] for i in range(4)]
+
+    def apply1(vec):  # c (x) Id: index i + 4j -> o + 4j
+        out = {}
+        for k, x in vec.items():
+            off = k & 4
+            for o, v in cols[k & 3]:
+                o += off
+                out[o] = out.get(o, 0) + x * v
+        return {o: y % p for o, y in out.items() if y % p}
+
+    def apply2(vec):  # Id (x) c: index j + 2i -> j + 2o
+        out = {}
+        for k, x in vec.items():
+            off = k & 1
+            for o, v in cols[k >> 1]:
+                o = off + 2 * o
+                out[o] = out.get(o, 0) + x * v
+        return {o: y % p for o, y in out.items() if y % p}
+
+    for k in range(8):
+        e = {k: 1}
+        if apply1(apply2(apply1(e))) != apply2(apply1(apply2(e))):
+            return False
+    return True
 
 
 class _IntBraiding:
     """Precomputed integer data for one braiding candidate."""
 
     __slots__ = ("c", "p", "c1", "c2", "c12", "c21", "e2bar", "ck1")
+
+    #: The enumerations filter a bare shape through this name before they
+    #: build its _IntBraiding; bench/tracing.py counts the survivors here.
+    yang_baxter = staticmethod(_int_yang_baxter)
 
     def __init__(self, c, p):
         self.c = c
@@ -173,12 +235,6 @@ class _IntBraiding:
         ]
         self.e2bar = _int_kernel(stacked, p)
         self.ck1 = _madd(c, _meye(4), p)  # c + Id
-
-    def yang_baxter(self):
-        p = self.p
-        return _matmul(_matmul(self.c1, self.c2, p), self.c1, p) == _matmul(
-            _matmul(self.c2, self.c1, p), self.c2, p
-        )
 
     def axioms(self, beta):
         """antisym + both bracket identities + jacobi, over integers."""
@@ -277,17 +333,15 @@ def rank2_case_families(field: Field, shard: int = 0, nshards: int = 1) -> dict:
     five branch sweeps jointly prove the dim Im(c+Id) = 1 sub-case has no
     verified structure at all over this field.
     """
-    field.require_odd_char()
-    if field.is_rationals:
-        raise ValueError("exhaustive case families need a prime field")
+    _require_enumerable(field, CASE_FAMILIES_MAX_P, "exhaustive case families")
     p = field.p
     reports = {name: BranchReport(name) for name in _RANK2_BRANCHES}
     for c in _rank2_case_shapes(p, shard, nshards):
         if _rank(_madd(c, _meye(4), p), p) != 1:
             continue
-        data = _IntBraiding(c, p)
-        if not data.yang_baxter():
+        if not _IntBraiding.yang_baxter(c, p):
             continue
+        data = _IntBraiding(c, p)
         lk = _left_kernel(data.ck1, p)
         if not lk:
             continue
@@ -340,9 +394,7 @@ def rank1_eliminated_branches(field: Field, shard: int = 0, nshards: int = 1) ->
     """The classification proof's eliminated rank-one branches over GF(p):
     zero corner entry with either a moved diagonal, or the antisymmetric
     bracket pair coinciding with a unit diagonal entry."""
-    field.require_odd_char()
-    if field.is_rationals:
-        raise ValueError("exhaustive case families need a prime field")
+    _require_enumerable(field, CASE_FAMILIES_MAX_P, "exhaustive case families")
     p = field.p
     reports = {
         "case_2_1_1": BranchReport("case_2_1_1"),
@@ -350,9 +402,9 @@ def rank1_eliminated_branches(field: Field, shard: int = 0, nshards: int = 1) ->
         "case_2_2_1_1": BranchReport("case_2_2_1_1"),
     }
     for c in _rank1_case_shapes(p, 0, shard, nshards):
-        data = _IntBraiding(c, p)
-        if not data.yang_baxter():
+        if not _IntBraiding.yang_baxter(c, p):
             continue
+        data = _IntBraiding(c, p)
         c33 = c[3][3]
         betas = {name: [] for name in reports}
         if c33 != 1:
@@ -408,6 +460,7 @@ def case_families(field: Field, jobs: int = 1) -> dict:
     Candidate braidings partition across workers by index stride and the
     shard reports merge in shard order, so output is job-count invariant.
     """
+    _require_enumerable(field, CASE_FAMILIES_MAX_P, "exhaustive case families")
     args2 = [(field.p, s, jobs) for s in range(jobs)]
     if jobs <= 1:
         parts2 = [rank2_case_families(field)]
@@ -421,28 +474,6 @@ def case_families(field: Field, jobs: int = 1) -> dict:
     out = _merge_reports(parts2)
     out.update(_merge_reports(parts1))
     return out
-
-
-def appendix_checks(field: Field, scope: str, *, seed: int = 0, samples: int = 100, jobs: int = 1):
-    """Dispatch the appendix-grade checks by scope.
-
-    udu: the all-ones trace identity on random diagonals; case_families:
-    exhaustive emptiness of every eliminated branch; random_survey: harvest
-    verified brackets and test the rank-two conclusions.
-    """
-    if scope == "udu":
-        return {"scope": "udu", "ok": udu_check(field, count=samples, seed=seed)}
-    if scope == "case_families":
-        reports = case_families(field, jobs=jobs)
-        return {
-            "scope": "case_families",
-            "branches": reports,
-            "ok": all(not rep.solutions for rep in reports.values()),
-        }
-    if scope == "random_survey":
-        rep = random_survey(field, seed=seed, max_brackets_per_braiding=samples)
-        return {"scope": "random_survey", "report": rep, "ok": rep.rank2_conclusions_hold}
-    raise ValueError(f"unknown scope {scope!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +539,7 @@ def random_survey(field: Field, seed: int = 0, max_brackets_per_braiding: int = 
     """Sweep structured braiding families, harvest verified brackets, and
     check the rank-two conclusions (dim Im(c+Id) = 2 and the kernel
     decomposition through Im(c+Id) and Im h(c)) on every rank-two find."""
-    field.require_odd_char()
-    if field.is_rationals:
-        raise ValueError("the survey enumerates prime-field families")
+    _require_enumerable(field, SURVEY_MAX_P, "the survey's braiding families")
     rng = random.Random(seed)
     report = SurveyReport()
 

@@ -365,6 +365,10 @@ def dim1_instance(field: Field, gamma, lam) -> QuadraticLieAlgebra:
     return QuadraticLieAlgebra(space, Mat.from_rows(field, [[lam]]))
 
 
+#: Largest p accepted by check_dim1_rigidity (p^2 candidate brackets).
+DIM1_RIGIDITY_MAX_P = 257
+
+
 def check_dim1_rigidity(field: Field, exhaustive: bool = True) -> bool:
     """Every verified one-dimensional bracket is zero (char != 2).
 
@@ -373,6 +377,10 @@ def check_dim1_rigidity(field: Field, exhaustive: bool = True) -> bool:
     field.require_odd_char()
     if not exhaustive or field.is_rationals:
         raise ValueError("exhaustive rigidity check needs a prime field")
+    if field.p > DIM1_RIGIDITY_MAX_P:
+        raise ValueError(
+            f"the rigidity check: GF({field.p}) exceeds the limit GF({DIM1_RIGIDITY_MAX_P}) of the p^2 enumeration"
+        )
     for gamma in field.elements():
         for lam in field.elements():
             q = dim1_instance(field, gamma, lam)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import appendix, classify, envelope, nichols
@@ -210,6 +211,9 @@ def cmd_table(args):
 
 def cmd_search(args):
     field = field_from_json(args.field)
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise InputError(f"--jobs must lie between 1 and the CPU count {cpus}, got {args.jobs}")
     if args.scope == "udu":
         ok = appendix.udu_check(field, count=args.samples, seed=args.seed)
         _emit({"scope": "udu", "samples": args.samples, "ok": ok}, args.format)

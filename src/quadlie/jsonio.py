@@ -32,6 +32,8 @@ def scalar_to_json(s: Scalar):
 
 def scalar_from_json(field: Field, obj) -> Scalar:
     if isinstance(obj, int):
+        if not field.is_rationals and not 0 <= obj < field.p:
+            raise InputError(f"prime-field scalars must lie in [0, {field.p}), got {obj}")
         return field(obj)
     if isinstance(obj, str):
         if not field.is_rationals:

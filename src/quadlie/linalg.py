@@ -7,7 +7,7 @@ subspace equality a representation equality.
 
 from __future__ import annotations
 
-from .fields import Scalar
+from .fields import FieldMismatch, Scalar
 
 
 class HypothesisViolated(ValueError):
@@ -71,12 +71,24 @@ class Mat:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        z = self.field.zero
-        bt = list(zip(*other.a))
+        field = self.field
+        if other.field is not field:
+            raise FieldMismatch(f"operands over {field!r} and {other.field!r}")
+        # accumulate each row of self over the nonzeros of other's rows, on
+        # the exact values (Fractions or integers), reducing mod p once
+        p = field.p
+        z = field.zero.v
+        nonzeros = [[(j, y.v) for j, y in enumerate(row) if y.v] for row in other.a]
         out = []
         for r in self.a:
-            out.append([sum((x * y for x, y in zip(r, c) if x and y), z) for c in bt])
-        return Mat(self.field, out)
+            acc = [z] * other.cols
+            for x, nz in zip(r, nonzeros):
+                x = x.v
+                if x:
+                    for j, y in nz:
+                        acc[j] += x * y
+            out.append([Scalar(field, v if p is None else v % p) for v in acc])
+        return Mat(field, out)
 
     def apply(self, vec):
         """Matrix times column vector (tuple of scalars)."""

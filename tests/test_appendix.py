@@ -1,9 +1,16 @@
+import json
+import random
+
 import pytest
 
-from quadlie import appendix
+from quadlie import appendix, cli
 from quadlie.appendix import (
     _has_minus_one_simple_root,
+    _int_yang_baxter,
     _intersect,
+    _matmul,
+    _rank1_case_shapes,
+    _rank2_case_shapes,
     case_families,
     random_survey,
     rank1_eliminated_branches,
@@ -11,8 +18,9 @@ from quadlie.appendix import (
     udu_check,
     udu_identity_holds,
 )
+from quadlie.braided import BraidedSpace
 from quadlie.fields import GF, QQ
-from quadlie.linalg import Subspace
+from quadlie.linalg import Mat, Subspace
 
 
 def test_udu_trace_example():
@@ -71,14 +79,15 @@ def test_case_families_parallel_matches_serial():
         assert serial[name].solutions == parallel[name].solutions
 
 
-def test_appendix_checks_dispatcher():
-    from quadlie.appendix import appendix_checks
-
-    assert appendix_checks(GF(5), "udu", samples=20, seed=4)["ok"]
-    out = appendix_checks(GF(3), "case_families")
-    assert out["ok"]
-    with pytest.raises(ValueError):
-        appendix_checks(GF(3), "bogus")
+def test_appendix_checks_dispatcher(capsys):
+    # the search scopes dispatch through the command line
+    assert cli.main(["search", "--field", "GF(5)", "--scope", "udu", "--samples", "20", "--seed", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert cli.main(["search", "--field", "GF(3)", "--scope", "case_families"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_empty"] is True
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--field", "GF(3)", "--scope", "bogus"])
+    assert exc.value.code == 2
 
 
 def test_survey_gf5():
@@ -189,3 +198,69 @@ def test_split_failures_other_than_double_root_propagate(monkeypatch):
         _has_minus_one_simple_root(flip, GF(3))
     with pytest.raises(RuntimeError):
         random_survey(GF(3), seed=0, max_brackets_per_braiding=5)
+
+
+def _dense_int_product(a, b, p):
+    """Reference product: every entry is the full sum over the inner index."""
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) % p for j in range(len(b[0]))) for i in range(len(a))
+    )
+
+
+def _generic_yang_baxter(c, p):
+    F = GF(p)
+    return BraidedSpace(F, 2, Mat.from_rows(F, [list(r) for r in c]), check=False).check_yang_baxter()
+
+
+def test_int_matmul_matches_dense_reference():
+    rng = random.Random(23)
+    for trial in range(300):
+        p = (3, 5, 7)[trial % 3]
+        r, k, c = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 8)
+        zero_row, zero_col = rng.randrange(k), rng.randrange(c)
+        density = (0.1, 0.5, 1.0)[trial % 3]
+        a = tuple(tuple(rng.randrange(-p, 2 * p) if rng.random() < density else 0 for _ in range(k)) for _ in range(r))
+        b = tuple(
+            tuple(0 if i == zero_row or j == zero_col or rng.random() > density else rng.randrange(p) for j in range(c))
+            for i in range(k)
+        )
+        assert _matmul(a, b, p) == _dense_int_product(a, b, p)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        _matmul(((1, 2, 3),), ((1,), (2,)), 5)
+
+
+def test_int_yang_baxter_matches_generic_on_all_corner_shapes():
+    from itertools import product
+
+    passed = 0
+    for a, g, q, qi, h, b in product(range(3), repeat=6):
+        c = ((a, 0, 0, g), (0, 0, q, 0), (0, qi, 0, 0), (h, 0, 0, b))
+        got = _int_yang_baxter(c, 3)
+        assert got == _generic_yang_baxter(c, 3), c
+        passed += got
+    assert 0 < passed < 729
+
+
+@pytest.mark.parametrize("p, pool", [(3, None), (5, 20000)])
+@pytest.mark.parametrize("family", ["rank1", "rank2"])
+def test_int_yang_baxter_matches_generic_on_case_shapes(p, pool, family):
+    # every shape the filter passes is re-checked by the generic exact
+    # path, and so is a seeded sample of the shapes it rejects; over GF(3)
+    # the filter sees every shape, over GF(5) a seeded pool of them
+    rng = random.Random(f"{family}:{p}")
+    shapes = list(_rank1_case_shapes(p, 0) if family == "rank1" else _rank2_case_shapes(p))
+    if pool is not None:
+        shapes = rng.sample(shapes, pool)
+    passes = [_int_yang_baxter(c, p) for c in shapes]
+    survivors = [c for c, ok in zip(shapes, passes) if ok]
+    rejected = [c for c, ok in zip(shapes, passes) if not ok]
+    for c in survivors:
+        assert _generic_yang_baxter(c, p), c
+    for c in rng.sample(rejected, 300):
+        assert not _generic_yang_baxter(c, p), c
+    if pool is None:
+        # the survivor counts of the dense triple-product filter
+        assert len(survivors) == {"rank1": 207, "rank2": 88}[family]
+    else:
+        assert survivors
+

@@ -1,10 +1,13 @@
 import io
 import json
+import multiprocessing
+import os
 import sys
+import time
 
 import pytest
 
-from quadlie import cli
+from quadlie import appendix, brackets, cli
 from quadlie.brackets import BasisMismatch, Inconsistent, verify_lifted
 from quadlie.classify import canonical_form
 from quadlie.cli import main
@@ -258,3 +261,63 @@ def test_cli_text_format(capsys):
     code, out, _ = _run(capsys, ["verify", "--input", "-", "--format", "text"], doc)
     assert code == 0
     assert "yang_baxter" in out and "True" in out
+
+
+@pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
+def test_cli_search_jobs_out_of_range_exit_2(capsys, monkeypatch, jobs):
+    # rejected before any worker process exists
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was created")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    code, out, err = _run(capsys, ["search", "--field", "GF(3)", "--scope", "case_families", "--jobs", str(jobs)])
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "--jobs" in err
+
+
+@pytest.mark.parametrize(
+    "scope, field",
+    [
+        ("dim1_rigidity", "GF(263)"),
+        ("case_families", "GF(11)"),
+        ("random_survey", "GF(13)"),
+    ],
+)
+def test_cli_search_enumeration_limit_exit_2(capsys, scope, field):
+    code, out, err = _run(capsys, ["search", "--field", field, "--scope", scope])
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "exceeds the limit" in err
+
+
+def test_cli_search_large_prime_rejected_fast(capsys):
+    start = time.perf_counter()
+    code, _, err = _run(capsys, ["search", "--field", "GF(1000003)", "--scope", "dim1_rigidity"])
+    assert code == 2
+    assert "exceeds the limit" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_enumeration_limits_admit_small_primes():
+    for p in (3, 5, 7):
+        assert p <= appendix.CASE_FAMILIES_MAX_P
+        assert p <= appendix.SURVEY_MAX_P
+        assert p <= brackets.DIM1_RIGIDITY_MAX_P
+    assert appendix.CASE_FAMILIES_MAX_P < 11 <= appendix.SURVEY_MAX_P < 13 and brackets.DIM1_RIGIDITY_MAX_P < 263
+
+
+@pytest.mark.parametrize("entry", [7, 9, -1])
+def test_prime_field_entries_outside_range_rejected(capsys, entry):
+    with pytest.raises(InputError, match=r"\[0, 7\)"):
+        scalar_from_json(GF(7), entry)
+    c = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, entry]]
+    doc = json.dumps({"field": "GF(7)", "dim": 2, "c": c})
+    code, out, err = _run(capsys, ["verify", "--input", "-"], doc)
+    assert code == 2 and out == ""
+    assert "input error" in err
+    code, out, err = _run(capsys, ["table", "--field", "GF(7)", "--gamma", str(entry)])
+    assert code == 2 and out == ""
+    assert "input error" in err
+    # over Q the same integers are plain rationals
+    assert scalar_from_json(QQ, entry) == QQ(entry)

@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from quadlie.fields import GF, QQ
+from quadlie.fields import GF, QQ, FieldMismatch
 from quadlie.linalg import (
     HypothesisViolated,
     Mat,
@@ -192,3 +193,49 @@ def test_sparse_echelon_matches_dense_rank():
         for r in rows:
             ech.insert({j: QQ(x) for j, x in enumerate(r) if x})
         assert ech.rank == dense
+
+
+def _dense_product(a, b):
+    """Reference product: every entry is the full sum over the inner index."""
+    z = a.field.zero
+    return [[sum((a[i, k] * b[k, j] for k in range(a.cols)), z) for j in range(b.cols)] for i in range(a.rows)]
+
+
+def _sparse_entries(field, rows, cols, rng, density):
+    """Random entries with one all-zero row and one all-zero column."""
+    zero_row, zero_col = rng.randrange(rows), rng.randrange(cols)
+    out = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            if i == zero_row or j == zero_col or rng.random() > density:
+                row.append(0)
+            elif field.is_rationals:
+                row.append(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+            else:
+                row.append(rng.randrange(field.p))
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(7)])
+def test_matmul_matches_dense_reference(field):
+    rng = random.Random(17)
+    for trial in range(60):
+        r, k, c = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
+        density = (0.1, 0.5, 1.0)[trial % 3]
+        a = Mat.from_rows(field, _sparse_entries(field, r, k, rng, density))
+        b = Mat.from_rows(field, _sparse_entries(field, k, c, rng, density))
+        prod = a @ b
+        assert (prod.rows, prod.cols) == (r, c)
+        assert prod.field is field
+        assert prod.a == _dense_product(a, b)
+    z = Mat.zero(field, 3, 4)
+    assert (z @ Mat.identity(field, 4)).a == z.a
+
+
+def test_matmul_shape_and_field_mismatch():
+    with pytest.raises(ValueError, match="shape mismatch 2x3 @ 2x3"):
+        Mat.zero(QQ, 2, 3) @ Mat.zero(QQ, 2, 3)
+    with pytest.raises(FieldMismatch):
+        Mat.identity(GF(5), 2) @ Mat.identity(GF(7), 2)

@@ -48,6 +48,17 @@ def all_words(n, length):
     return [index_word(i, n, length) for i in range(n**length)]
 
 
+def require_words(n, length, limit, what):
+    """Reject a computation indexed by the words of length <= length over
+    n letters when there are more than limit of them, before any exists."""
+    total, layer = 0, 1
+    for _ in range(length + 1):
+        total += layer
+        if total > limit:
+            raise ValueError(f"{what}: more than {limit} words of length <= {length} over {n} letters")
+        layer *= n
+
+
 def vec_tensor(field, u, v):
     """Tensor product of coordinate vectors, u in the first factors."""
     out = []

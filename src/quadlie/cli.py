@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import appendix, classify, envelope, nichols
-from .braided import MinusOneNotSimple, NotYangBaxter, split_minpoly
+from .braided import MinusOneNotSimple, NotYangBaxter, require_words, split_minpoly
 from .brackets import BasisMismatch, Inconsistent, QuadraticLieAlgebra, check_dim1_rigidity, verify_lifted
 from .envelope import Unstabilized
 from .fields import CharTwo
@@ -180,6 +180,7 @@ def cmd_primitives(args):
 def cmd_nichols_check(args):
     thing = _load_algebra(args)
     space = thing.space if isinstance(thing, QuadraticLieAlgebra) else thing
+    require_words(space.dim, args.degree, nichols.MAX_SYMMETRIZER_WORDS, "nichols-check")
     dims = envelope.sq_graded_dims(space, args.degree)
     ranks = [nichols.symmetrizer_rank(space, n) for n in range(args.degree + 1)]
     ok = ranks == dims

@@ -14,9 +14,10 @@ elements are canonical coset representatives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
-from .braided import BraidedSpace, MinpolySplit, all_words, h_of_c
+from .braided import BraidedSpace, MinpolySplit, all_words, h_of_c, require_words
 from .brackets import QuadraticLieAlgebra
 from .linalg import SparseEchelon
 from .tensoralg import (
@@ -24,8 +25,12 @@ from .tensoralg import (
     TensorElem,
     coproduct,
     tensor_elem_from_vector,
-    vector_from_tensor_elem,
 )
+
+
+#: Largest number of words of length <= N + buffer + 2 that
+#: ideal_truncation indexes: up to degree 9 at buffer 2 on two letters.
+MAX_WORDS = 2**14
 
 
 class Unstabilized(RuntimeError):
@@ -74,7 +79,7 @@ class Presentation:
             if g.top_degree() > 2:
                 raise ValueError("relations must have filtration degree <= 2")
             ech.insert(order.to_coords(g))
-        rows = [order.to_elem(space, ech.rows[p]) for p in sorted(ech.rows)]
+        rows = [order.to_elem(space, ech.row(p)) for p in sorted(ech.rows)]
         self.relations = tuple(rows)
 
     def is_homogeneous_quadratic(self):
@@ -138,17 +143,16 @@ class IdealTruncation:
 
     def slice_basis(self, k):
         """Canonical basis of ideal intersect T^{<=k}, k <= degree cap."""
-        rows = [
-            self.order.to_elem(self.space, row)
-            for p, row in sorted(self.echelon.rows.items())
+        return [
+            self.order.to_elem(self.space, self.echelon.row(p))
+            for p in sorted(self.echelon.rows)
             if self.order.degree_of(p) <= k
         ]
-        return rows
 
     def nf_word(self, w) -> TensorElem:
         cached = self._nf_cache.get(w)
         if cached is None:
-            coords = self.echelon.reduce({self.order.coord(w): self.space.field.one})
+            coords = self.echelon.reduce({self.order.coord(w): 1})
             cached = self.order.to_elem(self.space, coords)
             self._nf_cache[w] = cached
         return cached
@@ -186,21 +190,34 @@ class IdealTruncation:
         return out
 
 
-def _insert_sandwiches(ech, order, pres, degree):
-    """Insert all u r v with |u| + top(r) + |v| == degree."""
-    n = pres.space.dim
-    for r in pres.relations:
-        top = r.top_degree()
+def _integer_terms(t: TensorElem):
+    """The (word, coefficient) pairs of t scaled to integers: by the lcm of
+    the denominators over Q, as residues over GF(p)."""
+    terms = [(w, c.v) for w, c in t.terms.items()]
+    if t.space.field.p is not None:
+        return terms
+    den = math.lcm(*(c.denominator for _, c in terms))
+    return [(w, c.numerator * (den // c.denominator)) for w, c in terms]
+
+
+def _sandwiches(order, terms, n, a, b):
+    """Coordinate dicts of u t v for all words u of length a and v of
+    length b, t given by its integer terms."""
+    coord = order.coord
+    vs = all_words(n, b)
+    for u in all_words(n, a):
+        for v in vs:
+            yield {coord(u + w + v): c for w, c in terms}
+
+
+def _insert_sandwiches(ech, order, n, rels, degree):
+    """Insert all u r v with |u| + top(r) + |v| == degree, for the
+    (top degree, integer terms) pairs rels."""
+    for top, terms in rels:
         pad = degree - top
-        if pad < 0:
-            continue
         for a in range(pad + 1):
-            b = pad - a
-            for u in all_words(n, a):
-                ue = TensorElem.word(pres.space, u)
-                for v in all_words(n, b):
-                    elem = ue * r * TensorElem.word(pres.space, v)
-                    ech.insert(order.to_coords(elem))
+            for vec in _sandwiches(order, terms, n, a, pad - a):
+                ech.insert(vec)
 
 
 def ideal_truncation(pres: Presentation, N: int, buffer: int = 2) -> IdealTruncation:
@@ -214,10 +231,13 @@ def ideal_truncation(pres: Presentation, N: int, buffer: int = 2) -> IdealTrunca
         raise ValueError("need N >= 0 and buffer >= 1")
     max_extra = 2
     cap = N + buffer + max_extra
-    order = EliminationOrder(pres.space.dim, cap)
+    n = pres.space.dim
+    require_words(n, cap, MAX_WORDS, "ideal truncation")
+    order = EliminationOrder(n, cap)
     ech = SparseEchelon(pres.space.field)
+    rels = [(r.top_degree(), _integer_terms(r)) for r in pres.relations]
     for d in range(0, N + buffer + 1):
-        _insert_sandwiches(ech, order, pres, d)
+        _insert_sandwiches(ech, order, n, rels, d)
 
     def dims():
         out = [0] * (N + 1)
@@ -238,7 +258,7 @@ def ideal_truncation(pres: Presentation, N: int, buffer: int = 2) -> IdealTrunca
     for extra in range(1, max_extra + 1):
         if pres.is_homogeneous_quadratic():
             break  # graded ideal: slices cannot leak downward
-        _insert_sandwiches(ech, order, pres, N + buffer + extra)
+        _insert_sandwiches(ech, order, n, rels, N + buffer + extra)
         nxt = dims()
         if nxt == current:
             used = buffer + extra - 1
@@ -287,21 +307,18 @@ def sq_graded_dims(space: BraidedSpace, N: int):
     """
     n = space.dim
     e2 = space.e2()
+    order = EliminationOrder(n, N)
+    e_terms = [_integer_terms(tensor_elem_from_vector(space, v, 2)) for v in e2.basis]
     out = []
     for m in range(N + 1):
         if m < 2 or e2.dim == 0:
             out.append(n**m)
             continue
         ech = SparseEchelon(space.field)
-        e_elems = [tensor_elem_from_vector(space, v, 2) for v in e2.basis]
         for i in range(m - 1):
-            for u in all_words(n, i):
-                ue = TensorElem.word(space, u)
-                for v in all_words(n, m - 2 - i):
-                    ve = TensorElem.word(space, v)
-                    for e in e_elems:
-                        vec = vector_from_tensor_elem(ue * e * ve, m)
-                        ech.insert({j: x for j, x in enumerate(vec) if x})
+            for terms in e_terms:
+                for vec in _sandwiches(order, terms, n, i, m - 2 - i):
+                    ech.insert(vec)
         out.append(n**m - ech.rank)
     return out
 
@@ -311,20 +328,21 @@ def bg_conditions(pres: Presentation):
     presentation P: (I) P meets T^{<=1} trivially; (J) sandwiching by
     T^{<=1} on both sides creates nothing new in T^{<=2}."""
     space = pres.space
-    order = EliminationOrder(space.dim, 4)
+    n = space.dim
+    order = EliminationOrder(n, 4)
+    rels = [_integer_terms(r) for r in pres.relations]
     p_ech = SparseEchelon(space.field)
-    for r in pres.relations:
-        p_ech.insert(order.to_coords(r))
+    for terms in rels:
+        p_ech.insert({order.coord(w): c for w, c in terms})
     cond_i = all(order.degree_of(p) >= 2 for p in p_ech.rows)
 
     big = SparseEchelon(space.field)
-    letters = [TensorElem.unit(space)] + [
-        TensorElem.letter(space, i) for i in range(1, space.dim + 1)
-    ]
-    for r in pres.relations:
-        for u in letters:
-            for v in letters:
-                big.insert(order.to_coords(u * r * v))
+    for terms in rels:
+        for a in (0, 1):
+            for b in (0, 1):
+                for vec in _sandwiches(order, terms, n, a, b):
+                    big.insert(vec)
+    # canonical rows: equal spans have equal rows
     low_rows = {p: row for p, row in big.rows.items() if order.degree_of(p) <= 2}
     cond_j = low_rows == p_ech.rows
     return {"I": cond_i, "J": cond_j}

@@ -99,12 +99,6 @@ def algebra_from_json(obj, *, check=True) -> QuadraticLieAlgebra:
     return QuadraticLieAlgebra(space, beta)
 
 
-def tensor_terms_to_json(terms):
-    """A word -> coefficient mapping, in (length, tensor index) order."""
-    items = sorted(terms.items(), key=lambda it: (len(it[0]), tuple(reversed(it[0]))))
-    return [{"word": list(w), "coeff": scalar_to_json(c)} for w, c in items]
-
-
 def tensor_elem_to_json(t):
     return [{"word": list(w), "coeff": scalar_to_json(c)} for w, c in t.sorted_terms()]
 

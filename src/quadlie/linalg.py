@@ -1,11 +1,15 @@
 """Dense exact linear algebra and univariate polynomials over Q or GF(p).
 
-Everything is computed by fraction-free-free, plain Gaussian elimination
-on exact scalars; canonical answers (reduced echelon bases) make
-subspace equality a representation equality.
+Dense matrices use plain Gaussian elimination on exact scalars; the
+sparse echelon eliminates on raw values, fraction-free over Q.  Canonical
+answers (reduced echelon bases) make subspace equality a representation
+equality.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 from .fields import FieldMismatch, Scalar
 
@@ -453,14 +457,21 @@ def complement_split(m_alpha: Mat, m_beta: Mat):
 class SparseEchelon:
     """Incremental reduced echelon structure over integer coordinates.
 
-    Rows are sparse dicts coord -> scalar; the pivot of a row is its
-    smallest coordinate and rows are kept fully reduced (tails contain no
-    pivot of any other row), which makes normal forms canonical.
+    Rows are sparse dicts coord -> raw field value; the pivot of a row is
+    its smallest coordinate and rows are kept fully reduced (tails contain
+    no pivot of any other row), which makes normal forms canonical.
+
+    Over GF(p) a row holds residues and is monic at its pivot.  Over Q a
+    row is kept fraction-free (Bareiss): integer entries whose content is
+    1, with a positive pivot entry that is the row's denominator, so the
+    row stands for entries / pivot entry and equal rows have equal dicts.
+    Vectors may come in with Scalar, int or Fraction values; values leave
+    raw through ``row`` and ``reduce``.
     """
 
     def __init__(self, field):
         self.field = field
-        self.rows = {}  # pivot coord -> {coord: scalar}, monic at pivot
+        self.rows = {}  # pivot coord -> {coord: int}, canonical as above
         self._col_index = {}  # coord -> set of pivots whose row touches it
 
     @property
@@ -470,52 +481,113 @@ class SparseEchelon:
     def pivots(self):
         return self.rows.keys()
 
+    def row(self, pivot):
+        """The row with this pivot as raw values, monic at the pivot."""
+        r = self.rows[pivot]
+        if self.field.p is not None:
+            return dict(r)
+        d = r[pivot]
+        return {k: Fraction(x, d) for k, x in r.items()}
+
+    def _integral(self, vec):
+        """(a, den): an integer dict a without zeros, vec = a / den."""
+        field = self.field
+        vals = {}
+        for k, x in vec.items():
+            if isinstance(x, Scalar):
+                if x.field is not field:
+                    raise FieldMismatch(f"{x!r} is not over {field!r}")
+                x = x.v
+            if x:
+                vals[k] = x
+        p = field.p
+        if p is not None:
+            return {k: r for k, x in vals.items() if (r := x % p)}, 1
+        den = math.lcm(*(x.denominator for x in vals.values()))
+        return {k: x.numerator * (den // x.denominator) for k, x in vals.items()}, den
+
+    def _eliminate(self, a):
+        """(w, m) with w = m a - (a combination of rows) free of pivots and
+        of zeros; a is consumed.  Over Q, m is the lcm of the denominators
+        of the rows used; over GF(p), m = 1 and w holds residues.  Tails
+        contain no pivots, so every pivot of a is cleared in one pass."""
+        rows = self.rows
+        hits = [c for c in a if c in rows]
+        if not hits:
+            return a, 1
+        p = self.field.p
+        m = 1 if p is not None else math.lcm(*(rows[c][c] for c in hits))
+        if m != 1:
+            for k in a:
+                a[k] *= m
+        for c in hits:
+            row = rows[c]
+            f = a[c] // row[c]
+            for k, x in row.items():
+                a[k] = a.get(k, 0) - f * x
+        if p is None:
+            return {k: x for k, x in a.items() if x}, m
+        return {k: r for k, x in a.items() if (r := x % p)}, 1
+
     def reduce(self, vec):
-        """Fully reduce a sparse dict against the stored rows."""
-        vec = {k: v for k, v in vec.items() if v}
-        while True:
-            hits = [c for c in vec if c in self.rows]
-            if not hits:
-                return vec
-            c = min(hits)
-            f = vec[c]
-            for k, x in self.rows[c].items():
-                nv = vec.get(k)
-                nv = -f * x if nv is None else nv - f * x
-                if nv:
-                    vec[k] = nv
-                else:
-                    vec.pop(k, None)
+        """Fully reduce a sparse dict against the stored rows; the result
+        has raw values (Fractions over Q, residues over GF(p))."""
+        a, den = self._integral(vec)
+        w, m = self._eliminate(a)
+        if self.field.p is not None:
+            return w
+        den *= m
+        return {k: Fraction(x, den) for k, x in w.items()}
 
     def insert(self, vec):
         """Reduce and add a vector; returns the new pivot or None."""
-        v = self.reduce(vec)
-        if not v:
+        w, _ = self._eliminate(self._integral(vec)[0])
+        if not w:
             return None
-        p = min(v)
-        inv = v[p].inverse()
-        row = {k: x * inv for k, x in v.items()}
-        # Keep existing rows reduced against the new pivot.
-        for q in list(self._col_index.get(p, ())):
-            r = self.rows[q]
-            f = r[p]
-            for k, x in row.items():
-                nv = r.get(k)
-                nv = -f * x if nv is None else nv - f * x
-                if nv:
-                    r[k] = nv
-                    if k != q:
-                        self._col_index.setdefault(k, set()).add(q)
-                else:
-                    r.pop(k, None)
-                    if k != q:
-                        s = self._col_index.get(k)
-                        if s:
-                            s.discard(q)
-        self.rows[p] = row
+        p = min(w)
+        modulus = self.field.p
+        # the stored form: monic over GF(p); content 1 and a positive
+        # pivot entry over Q
+        if modulus is not None:
+            inv = pow(w[p], -1, modulus)
+            row = {k: x * inv % modulus for k, x in w.items()}
+        else:
+            g = math.gcd(*w.values())
+            if w[p] < 0:
+                g = -g
+            row = {k: x // g for k, x in w.items()}
+        rows, index = self.rows, self._col_index
+        rows[p] = row
         for k in row:
             if k != p:
-                self._col_index.setdefault(k, set()).add(p)
+                index.setdefault(k, set()).add(p)
+        # Keep existing rows reduced against the new pivot, in place:
+        # r <- d r - r[p] row, with d = row[p] (1 over GF(p)), content 1.
+        d = row[p]
+        tail = [(k, x) for k, x in row.items() if k != p]
+        for q in index.pop(p, ()):
+            r = rows[q]
+            f = r.pop(p)
+            if d != 1:
+                for k in r:
+                    r[k] *= d
+            for k, x in tail:
+                old = r.get(k)
+                nv = -f * x if old is None else old - f * x
+                if modulus is not None:
+                    nv %= modulus
+                if nv:
+                    r[k] = nv
+                    if old is None:
+                        index.setdefault(k, set()).add(q)
+                else:
+                    del r[k]
+                    index[k].discard(q)
+            if modulus is None:
+                g = math.gcd(*r.values())
+                if g != 1:
+                    for k in r:
+                        r[k] //= g
         return p
 
     def contains(self, vec):

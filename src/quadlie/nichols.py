@@ -28,6 +28,11 @@ from .tensoralg import (
 )
 
 
+#: Largest number of words of length <= the degree of nichols-check, whose
+#: symmetrizers are dense n^d x n^d matrices: degree 8 on two letters.
+MAX_SYMMETRIZER_WORDS = 2**9
+
+
 def _reduced_word(perm, leftmost=True):
     """A reduced word for a permutation, by sorting at descents."""
     p = list(perm)

@@ -14,6 +14,7 @@ from .braided import BraidedSpace, split_minpoly
 from .brackets import QuadraticLieAlgebra, verify_lifted
 from .fields import Field
 from .linalg import Mat, Poly
+from .tensoralg import sorted_terms
 
 ROW_INDICES = range(1, 9)
 
@@ -164,15 +165,21 @@ class TableRow:
     gamma_constraint: str
 
     def as_dict(self):
-        from .jsonio import mat_to_json, scalar_to_json, tensor_terms_to_json
+        from .jsonio import mat_to_json, scalar_to_json
 
+        n = self.algebra.space.dim
         return {
             "row": self.row,
             "gamma": None if self.gamma is None else scalar_to_json(self.gamma),
             "c": mat_to_json(self.algebra.space.c),
             "beta": mat_to_json(self.algebra.beta),
             "minimal_polynomial": repr(self.minpoly),
-            "relations": [tensor_terms_to_json(r) for r in self.relations],
+            # raw dicts, not TensorElems: a zero coefficient (row 4 at
+            # gamma = 0) is part of the listed relation
+            "relations": [
+                [{"word": list(w), "coeff": scalar_to_json(c)} for w, c in sorted_terms(r, n)]
+                for r in self.relations
+            ],
             "gamma_constraint": self.gamma_constraint,
         }
 

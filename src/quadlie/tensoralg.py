@@ -17,6 +17,12 @@ class DegreeMismatch(ValueError):
     """Element is not homogeneous of the expected degree."""
 
 
+def sorted_terms(terms, n):
+    """The items of a word -> coefficient mapping over n letters, in
+    (length, tensor index) order."""
+    return sorted(terms.items(), key=lambda it: (len(it[0]), word_index(it[0], n)))
+
+
 class TensorElem:
     """A finitely supported linear combination of words (filtered element)."""
 
@@ -100,8 +106,7 @@ class TensorElem:
         return hash((id(self.space), tuple(sorted((w, c.v) for w, c in self.terms.items()))))
 
     def sorted_terms(self):
-        n = self.space.dim
-        return sorted(self.terms.items(), key=lambda it: (len(it[0]), word_index(it[0], n)))
+        return sorted_terms(self.terms, self.space.dim)
 
     def __repr__(self):
         if not self.terms:

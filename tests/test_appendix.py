@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadlie import appendix, cli
 from quadlie.appendix import (
@@ -19,8 +21,11 @@ from quadlie.appendix import (
     udu_identity_holds,
 )
 from quadlie.braided import BraidedSpace
+from quadlie.brackets import QuadraticLieAlgebra, verify_lifted
+from quadlie.classify import conjugate
 from quadlie.fields import GF, QQ
 from quadlie.linalg import Mat, Subspace
+from quadlie.table import GAMMA_RULES, gamma_allowed, row_instance
 
 
 def test_udu_trace_example():
@@ -264,3 +269,86 @@ def test_int_yang_baxter_matches_generic_on_case_shapes(p, pool, family):
     else:
         assert survivors
 
+
+# ---------------------------------------------------------------------------
+# positive control: the integer axiom check of the eliminations against the
+# generic exact verification, on candidates with and without solutions
+# ---------------------------------------------------------------------------
+
+def _table_instances(field):
+    """Every canonical row over field, at each allowed gamma."""
+    for row in range(1, 9):
+        gammas = [None] if GAMMA_RULES[row] is None else [g for g in field.elements() if gamma_allowed(row, field, g)]
+        for g in gammas:
+            yield row_instance(row, field, g)
+
+
+def _int_rows(m):
+    return [[x.v for x in r] for r in m.a]
+
+
+def _axioms_agree(c, beta, p):
+    field = GF(p)
+    q = QuadraticLieAlgebra(
+        BraidedSpace(field, 2, Mat.from_rows(field, c), check=False), Mat.from_rows(field, beta)
+    )
+    fast = appendix._IntBraiding(c, p).axioms(beta)
+    assert fast == verify_lifted(q).ok, (c, beta)
+    return fast
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_int_axioms_accept_every_table_row(p):
+    # the eliminations report no solutions; the same check must find the
+    # table rows, which are solutions, and reject their perturbations
+    field = GF(p)
+    for q in _table_instances(field):
+        c, beta = _int_rows(q.space.c), _int_rows(q.beta)
+        assert _axioms_agree(c, beta, p)
+        for lam in range(2, p):
+            assert _axioms_agree(c, [[x * lam % p for x in r] for r in beta], p)
+        bumped = [r[:] for r in beta]
+        bumped[1][0] = (bumped[1][0] + 1) % p
+        assert not _axioms_agree(c, bumped, p)
+
+
+@st.composite
+def _candidates(draw, p):
+    """(c, beta): a table row moved by a random basis change with its
+    bracket, scaled or perturbed, or entirely random matrices."""
+    residue = st.integers(0, p - 1)
+    kind = draw(st.sampled_from(("row", "scaled", "perturbed", "random")))
+    if kind == "random":
+        c = draw(st.lists(st.lists(residue, min_size=4, max_size=4), min_size=4, max_size=4))
+        beta = draw(st.lists(st.lists(residue, min_size=4, max_size=4), min_size=2, max_size=2))
+        return c, beta
+    field = GF(p)
+    q = draw(st.sampled_from(list(_table_instances(field))))
+    alpha = draw(
+        st.lists(st.lists(residue, min_size=2, max_size=2), min_size=2, max_size=2).filter(
+            lambda a: (a[0][0] * a[1][1] - a[0][1] * a[1][0]) % p
+        )
+    )
+    q = conjugate(q, Mat.from_rows(field, alpha))
+    c, beta = _int_rows(q.space.c), _int_rows(q.beta)
+    if kind == "scaled":
+        lam = draw(st.integers(0, p - 1))
+        beta = [[x * lam % p for x in r] for r in beta]
+    elif kind == "perturbed":
+        i, j, d = draw(st.integers(0, 1)), draw(st.integers(0, 3)), draw(st.integers(1, p - 1))
+        beta[i][j] = (beta[i][j] + d) % p
+    return c, beta
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_int_axioms_match_verify_lifted(p):
+    found = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_candidates(p))
+    def check(cand):
+        found.append(_axioms_agree(*cand, p))
+
+    check()
+    # the candidates include solutions and non-solutions
+    assert any(found) and not all(found)

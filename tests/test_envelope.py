@@ -1,6 +1,12 @@
-from quadlie.braided import BraidedSpace, h_of_c, split_minpoly
+import random
+
+import pytest
+
+from quadlie.braided import BraidedSpace, all_words, h_of_c, split_minpoly
 from quadlie.brackets import QuadraticLieAlgebra, RestrictedBracket, lift_bracket
+from quadlie.classify import conjugate
 from quadlie.envelope import (
+    EliminationOrder,
     Presentation,
     bg_conditions,
     coproduct_descends,
@@ -16,7 +22,7 @@ from quadlie.envelope import (
 from quadlie.fields import GF, QQ
 from quadlie.linalg import Mat
 from quadlie.table import default_gamma, expected_relations, row_instance
-from quadlie.tensoralg import TensorElem
+from quadlie.tensoralg import TensorElem, tensor_elem_from_vector
 
 
 def test_uq_relations_row1():
@@ -284,3 +290,73 @@ def test_gf_field_envelope():
     q = row_instance(1, GF(3))
     pres = uq_relations(q, split_minpoly(q.space))
     assert filtration_dims(pres, 4) == [1, 2, 3, 4, 5]
+
+
+def _oracle_relations(oracle, q, split):
+    """uq_relations through the Scalar oracle echelon."""
+    space = q.space
+    hc = h_of_c(space, split)
+    order = EliminationOrder(space.dim, 2)
+    ech = oracle(space.field)
+    for j in range(space.dim**2):
+        gen = tensor_elem_from_vector(space, hc.col(j), 2) - tensor_elem_from_vector(space, q.beta.col(j), 1)
+        ech.insert(order.to_coords(gen))
+    return tuple(order.to_elem(space, ech.rows[p]) for p in sorted(ech.rows))
+
+
+def _oracle_sandwich_span(oracle, pres, trunc):
+    """Every sandwich u r v that ideal_truncation inserted, built as a
+    TensorElem product and put into the Scalar oracle echelon."""
+    space = pres.space
+    n = space.dim
+    top = trunc.degree_cap + trunc.buffer_used + (0 if pres.is_homogeneous_quadratic() else 1)
+    ech = oracle(space.field)
+    for d in range(top + 1):
+        for r in pres.relations:
+            pad = d - r.top_degree()
+            for a in range(pad + 1):
+                for u in all_words(n, a):
+                    for v in all_words(n, pad - a):
+                        elem = TensorElem.word(space, u) * r * TensorElem.word(space, v)
+                        ech.insert(trunc.order.to_coords(elem))
+    return ech
+
+
+def _assert_truncation_matches_oracle(scalar_echelon, pres, N):
+    trunc = ideal_truncation(pres, N)
+    space, order = pres.space, trunc.order
+    oracle = _oracle_sandwich_span(scalar_echelon, pres, trunc)
+    assert sorted(trunc.echelon.rows) == sorted(oracle.rows)
+    for p, row in oracle.rows.items():
+        assert trunc.echelon.row(p) == {k: x.v for k, x in row.items()}
+    degrees = [order.degree_of(p) for p in oracle.rows]
+    assert trunc.slice_dims == [sum(d <= k for d in degrees) for k in range(N + 1)]
+    for length in range(N + 1):
+        for w in all_words(space.dim, length):
+            expect = order.to_elem(space, oracle.reduce({order.coord(w): space.field.one}))
+            assert trunc.nf_word(w) == expect, w
+
+
+def _random_integer_basis_change(rng, field):
+    """An invertible 2x2 integer matrix with entries in [-3, 3], so that
+    conjugates over Q have denominators."""
+    while True:
+        a = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
+        det = field(a[0][0] * a[1][1] - a[0][1] * a[1][0])
+        if det and (a[0][1] or a[1][0]):
+            return Mat.from_rows(field, a)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+def test_ideal_truncation_matches_scalar_oracle(field, scalar_echelon):
+    rng = random.Random(f"truncation:{field!r}")
+    for row in range(1, 9):
+        canon = row_instance(row, field, default_gamma(row, field))
+        for q in (canon, conjugate(canon, _random_integer_basis_change(rng, field))):
+            split = split_minpoly(q.space)
+            pres = uq_relations(q, split)
+            assert pres.relations == _oracle_relations(scalar_echelon, q, split), row
+            for N in range(5 if q is canon else 4):
+                _assert_truncation_matches_oracle(scalar_echelon, pres, N)
+    # the homogeneous case stops at N + buffer
+    _assert_truncation_matches_oracle(scalar_echelon, sq_presentation(row_instance(2, field).space), 4)

@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from quadlie import appendix, brackets, cli
+from quadlie import appendix, brackets, cli, envelope, nichols
+from quadlie.braided import require_words
 from quadlie.brackets import BasisMismatch, Inconsistent, verify_lifted
 from quadlie.classify import canonical_form
 from quadlie.cli import main
@@ -321,3 +322,49 @@ def test_prime_field_entries_outside_range_rejected(capsys, entry):
     assert "input error" in err
     # over Q the same integers are plain rationals
     assert scalar_from_json(QQ, entry) == QQ(entry)
+
+
+def test_cli_udu_sample_limit_exit_2(capsys):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["search", "--field", "GF(5)", "--scope", "udu", "--samples", "1000000000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "input error" in err and "exceeds the limit" in err
+    # the default (100) and the largest batch of the benchmark (430) pass
+    assert appendix.UDU_MAX_SAMPLES >= 430
+    code, out, _ = _run(capsys, ["search", "--field", "GF(5)", "--scope", "udu", "--samples", "430"])
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["envelope", "--degree", "40"],
+        ["envelope", "--degree", "6", "--buffer", "1000000000"],
+        ["primitives", "--degree", "40"],
+        ["nichols-check", "--degree", "40"],
+        ["nichols-check", "--degree", "1000000000"],
+    ],
+    ids=" ".join,
+)
+def test_cli_degree_limit_exit_2(capsys, argv):
+    doc = json.dumps(algebra_to_json(row_instance(8, QQ, default_gamma(8, QQ))))
+    start = time.perf_counter()
+    code, out, err = _run(capsys, [argv[0], "--input", "-", *argv[1:]], doc)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "input error" in err and "words of length" in err
+
+
+def test_word_limits_admit_the_documented_degrees():
+    # envelope and primitives up to --degree 9 at the default buffer 2,
+    # nichols-check up to --degree 8, on two letters
+    require_words(2, 9 + 2 + 2, envelope.MAX_WORDS, "envelope")
+    require_words(2, 8, nichols.MAX_SYMMETRIZER_WORDS, "nichols-check")
+    with pytest.raises(ValueError):
+        require_words(2, 10 + 2 + 2, envelope.MAX_WORDS, "envelope")
+    with pytest.raises(ValueError):
+        require_words(2, 9, nichols.MAX_SYMMETRIZER_WORDS, "nichols-check")
+    # on one letter the count still grows with the length
+    with pytest.raises(ValueError):
+        require_words(1, 10**9, envelope.MAX_WORDS, "envelope")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -193,6 +194,62 @@ def test_sparse_echelon_matches_dense_rank():
         for r in rows:
             ech.insert({j: QQ(x) for j, x in enumerate(r) if x})
         assert ech.rank == dense
+
+
+def _raw(vec):
+    """A Scalar-valued dict as raw values (Fractions over Q, residues over GF(p))."""
+    return {k: x.v for k, x in vec.items()}
+
+
+def _random_value(rng, field):
+    if field.is_rationals:
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 7))
+    return rng.randrange(1, field.p)
+
+
+def _random_sparse(rng, field, size, basis):
+    """A sparse vector: random entries, or a combination of earlier vectors
+    (so that some inserts are dependent), as Scalars."""
+    vec = {}
+    if basis and rng.random() < 0.3:
+        for old in rng.sample(basis, min(len(basis), rng.randint(1, 3))):
+            f = field(_random_value(rng, field))
+            for k, x in old.items():
+                vec[k] = vec.get(k, field.zero) + f * x
+    else:
+        for k in rng.sample(range(size), rng.randint(1, 6)):
+            vec[k] = field(_random_value(rng, field))
+    return vec
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(7)], ids=repr)
+def test_sparse_echelon_matches_scalar_oracle(field, scalar_echelon):
+    rng = random.Random(f"echelon:{field!r}")
+    for trial in range(12):
+        fast, slow = SparseEchelon(field), scalar_echelon(field)
+        size = rng.randint(8, 40)
+        basis = []
+        for _ in range(rng.randint(5, 60)):
+            vec = _random_sparse(rng, field, size, basis)
+            basis.append(vec)
+            # the fast echelon takes Scalars or raw values alike
+            arg = vec if rng.random() < 0.5 else _raw(vec)
+            assert fast.insert(arg) == slow.insert(vec), trial
+        assert sorted(fast.pivots()) == sorted(slow.rows)
+        assert fast.rank == slow.rank
+        for p, row in slow.rows.items():
+            assert fast.row(p) == _raw(row)
+            stored = fast.rows[p]
+            if field.is_rationals:
+                # fraction-free: the pivot entry is the row's denominator
+                # and the content is 1
+                den = math.lcm(*(x.v.denominator for x in row.values()))
+                assert stored == {k: int(x.v * den) for k, x in row.items()}
+            else:
+                assert stored == _raw(row)
+        for _ in range(20):
+            probe = _random_sparse(rng, field, size + 3, basis)
+            assert fast.reduce(probe) == _raw(slow.reduce(probe))
 
 
 def _dense_product(a, b):

@@ -20,7 +20,7 @@ from itertools import product
 from .braided import BraidedSpace, MinusOneNotSimple, split_minpoly
 from .brackets import QuadraticLieAlgebra, solve_linear_bracket_space, verify_lifted
 from .fields import Field
-from .linalg import Mat, Subspace, column_space, kernel
+from .linalg import Mat, SparseEchelon, Subspace, column_space, kernel, null_space
 from .table import GAMMA_RULES, gamma_allowed, row_instance
 
 
@@ -79,50 +79,6 @@ def _meye(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _rank(rows, p):
-    m = [list(r) for r in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, len(m)) if m[i][c] % p), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][c], -1, p)
-        m[rank] = [(x * inv) % p for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c] % p:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
-def _left_kernel(mat, p):
-    """Basis of row vectors v with v @ mat = 0 (mod p)."""
-    rows = len(mat)
-    cols = len(mat[0])
-    aug = [[mat[i][j] for j in range(cols)] + [1 if k == i else 0 for k in range(rows)] for i in range(rows)]
-    # eliminate on the first block, read kernel rows off the identity block
-    rank = 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, rows) if aug[i][c] % p), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = pow(aug[rank][c], -1, p)
-        aug[rank] = [(x * inv) % p for x in aug[rank]]
-        for i in range(rows):
-            if i != rank and aug[i][c] % p:
-                f = aug[i][c]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[rank])]
-        rank += 1
-    out = []
-    for i in range(rank, rows):
-        out.append(tuple(aug[i][cols:]))
-    return out
-
-
 def _lift12(beta, p):
     """b (x) Id and Id (x) b on three factors, as 4x8 integer matrices."""
     b1 = [[0] * 8 for _ in range(4)]
@@ -155,36 +111,6 @@ def _slot_braidings(c, p):
             for j in range(2):
                 c2[j + 2 * o][j + 2 * i] = v
     return tuple(map(tuple, c1)), tuple(map(tuple, c2))
-
-
-def _int_kernel(rows, p):
-    """Basis of the right null space of an integer matrix mod p."""
-    cols = len(rows[0])
-    m = [list(r) for r in rows]
-    rank = 0
-    pivots = []
-    for c in range(cols):
-        piv = next((i for i in range(rank, len(m)) if m[i][c] % p), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][c], -1, p)
-        m[rank] = [(x * inv) % p for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c] % p:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
-        pivots.append(c)
-        rank += 1
-    out = []
-    free = [c for c in range(cols) if c not in pivots]
-    for fc in free:
-        v = [0] * cols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-m[r][fc]) % p
-        out.append(tuple(v))
-    return out
 
 
 def _int_yang_baxter(c, p):
@@ -238,10 +164,8 @@ class _IntBraiding:
         self.c12 = _matmul(self.c1, self.c2, p)
         self.c21 = _matmul(self.c2, self.c1, p)
         eye8 = _meye(8)
-        stacked = [list(r) for r in _madd(self.c1, eye8, p)] + [
-            list(r) for r in _madd(self.c2, eye8, p)
-        ]
-        self.e2bar = _int_kernel(stacked, p)
+        # the joint (-1)-eigenspace, ker (c1 + Id) meet ker (c2 + Id)
+        self.e2bar = null_space(Field(p), _madd(self.c1, eye8, p) + _madd(self.c2, eye8, p), 8)
         self.ck1 = _madd(c, _meye(4), p)  # c + Id
 
     def axioms(self, beta):
@@ -346,12 +270,12 @@ def rank2_case_families(field: Field, shard: int = 0, nshards: int = 1) -> dict:
     p = field.p
     reports = {name: BranchReport(name) for name in _RANK2_BRANCHES}
     for c in _rank2_case_shapes(p, shard, nshards):
-        if _rank(_madd(c, _meye(4), p), p) != 1:
+        if SparseEchelon(field, _madd(c, _meye(4), p)).rank != 1:
             continue
         if not _IntBraiding.yang_baxter(c, p):
             continue
         data = _IntBraiding(c, p)
-        lk = _left_kernel(data.ck1, p)
+        lk = null_space(field, zip(*data.ck1), 4)  # v with v (c + Id) = 0
         if not lk:
             continue
         splits_ok = None  # computed lazily, only for axiom survivors
@@ -371,7 +295,7 @@ def rank2_case_families(field: Field, shard: int = 0, nshards: int = 1) -> dict:
                 for r2 in rows:
                     if not pred(r1, r2):
                         continue
-                    if _rank((r1, r2), p) != 2:
+                    if SparseEchelon(field, (r1, r2)).rank != 2:
                         continue
                     rep.candidates += 1
                     beta = (r1, r2)

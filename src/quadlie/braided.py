@@ -232,13 +232,6 @@ def h_of_c(space: BraidedSpace, split: MinpolySplit) -> Mat:
     return eval_poly_at(split.h, space.c)
 
 
-def _slot_tensor_space(space, left_basis, right_basis, left_len, right_len):
-    """Span of {u (x) v} inside V^(x)(left_len+right_len)."""
-    n = space.dim
-    vecs = [vec_tensor(space.field, u, v) for v in right_basis for u in left_basis]
-    return Subspace(space.field, n ** (left_len + right_len), vecs)
-
-
 def is_categorical(space: BraidedSpace, sub: Subspace) -> bool:
     """Whether c(L(x)V) <= V(x)L and c(V(x)L) <= L(x)V for L = sub."""
     if sub.ambient_dim != space.dim:

@@ -18,6 +18,11 @@ from .fields import Field, Scalar
 from .linalg import Mat
 
 
+#: Largest accepted dimension of V: loading checks the braid relation with
+#: n^3 x n^3 products, about 20 s for a dense c at dim 6 over Q.
+MAX_DIM = 6
+
+
 class InputError(ValueError):
     """Malformed input document; message carries a JSON-pointer path."""
 
@@ -85,6 +90,8 @@ def space_to_json(b: BraidedSpace):
 def space_from_json(obj, *, check=True) -> BraidedSpace:
     field = field_from_json(obj["field"])
     dim = obj["dim"]
+    if dim > MAX_DIM:
+        raise InputError(f"dim {dim} exceeds the limit {MAX_DIM}")
     c = mat_from_json(field, obj["c"], shape=(dim**2, dim**2))
     return BraidedSpace(field, dim, c, check=check)
 

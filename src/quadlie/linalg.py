@@ -1,9 +1,9 @@
 """Dense exact linear algebra and univariate polynomials over Q or GF(p).
 
-Dense matrices use plain Gaussian elimination on exact scalars; the
-sparse echelon eliminates on raw values, fraction-free over Q.  Canonical
-answers (reduced echelon bases) make subspace equality a representation
-equality.
+All elimination goes through one fraction-free sparse echelon on raw
+values; dense ``rref``, ``rank`` and ``kernel`` are views of it.
+Canonical answers (reduced echelon bases) make subspace equality a
+representation equality.
 """
 
 from __future__ import annotations
@@ -99,9 +99,6 @@ class Mat:
         z = self.field.zero
         return tuple(sum((x * y for x, y in zip(r, vec) if x and y), z) for r in self.a)
 
-    def transpose(self):
-        return Mat(self.field, [list(c) for c in zip(*self.a)])
-
     def is_zero(self):
         return all(not x for r in self.a for x in r)
 
@@ -123,29 +120,23 @@ class Mat:
         return f"Mat[{body}]"
 
     def rref(self):
-        """Reduced row echelon form: (matrix, pivot column list)."""
-        m = [row[:] for row in self.a]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pr = next((i for i in range(r, self.rows) if m[i][c]), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = m[r][c].inverse()
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return Mat(self.field, m), pivots
+        """Reduced row echelon form: (matrix, pivot column list), the rows
+        of the echelon of self in pivot order with zero rows below."""
+        field = self.field
+        ech = SparseEchelon(field, self.a)
+        pivots = sorted(ech.pivots())
+        z = field.zero
+        out = []
+        for c in pivots:
+            r = [z] * self.cols
+            for k, x in ech.row(c).items():
+                r[k] = Scalar(field, x)
+            out.append(r)
+        out.extend([z] * self.cols for _ in range(self.rows - len(pivots)))
+        return Mat(field, out), pivots
 
     def rank(self):
-        return len(self.rref()[1])
+        return SparseEchelon(self.field, self.a).rank
 
     def inverse(self):
         if self.rows != self.cols:
@@ -163,11 +154,6 @@ class Mat:
             raise ValueError("column mismatch")
         return Mat(self.field, self.a + other.a)
 
-    def hjoin(self, other):
-        if self.rows != other.rows:
-            raise ValueError("row mismatch")
-        return Mat(self.field, [r + s for r, s in zip(self.a, other.a)])
-
 
 def solve(a: Mat, b):
     """One solution x of a x = b (b a tuple), or None if inconsistent."""
@@ -182,7 +168,11 @@ def solve(a: Mat, b):
 
 
 class Subspace:
-    """A subspace of K^ambient_dim with its unique reduced echelon basis."""
+    """A subspace of K^ambient_dim with its unique reduced echelon basis.
+
+    The spanning vectors may hold Scalars or raw values; the basis holds
+    Scalars.
+    """
 
     __slots__ = ("field", "ambient_dim", "basis")
 
@@ -208,10 +198,6 @@ class Subspace:
     def dim(self):
         return len(self.basis)
 
-    def basis_matrix(self):
-        """Matrix whose columns are the basis vectors."""
-        return Mat(self.field, [list(col) for col in zip(*self.basis)]) if self.basis else Mat.zero(self.field, self.ambient_dim, 0)
-
     def coords(self, vec):
         """Coordinates of vec in the echelon basis, or None if outside."""
         vec = list(vec)
@@ -228,9 +214,6 @@ class Subspace:
 
     def contains(self, vec):
         return self.coords(vec) is not None
-
-    def contains_space(self, other):
-        return all(self.contains(v) for v in other.basis)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -250,16 +233,7 @@ class Subspace:
 
 def kernel(m: Mat) -> Subspace:
     """Canonical echelon basis of the right null space of m."""
-    red, piv = m.rref()
-    free = [c for c in range(m.cols) if c not in piv]
-    vecs = []
-    for fc in free:
-        v = [m.field.zero] * m.cols
-        v[fc] = m.field.one
-        for r, pc in enumerate(piv):
-            v[pc] = -red.a[r][fc]
-        vecs.append(v)
-    return Subspace(m.field, m.cols, vecs)
+    return Subspace(m.field, m.cols, null_space(m.field, m.a, m.cols))
 
 
 def column_space(m: Mat) -> Subspace:
@@ -465,14 +439,17 @@ class SparseEchelon:
     row is kept fraction-free (Bareiss): integer entries whose content is
     1, with a positive pivot entry that is the row's denominator, so the
     row stands for entries / pivot entry and equal rows have equal dicts.
-    Vectors may come in with Scalar, int or Fraction values; values leave
-    raw through ``row`` and ``reduce``.
+    Vectors may come in as sparse dicts or dense sequences, with Scalar,
+    int or Fraction values; values leave raw through ``row`` and
+    ``reduce``.  ``vectors`` are inserted at construction.
     """
 
-    def __init__(self, field):
+    def __init__(self, field, vectors=()):
         self.field = field
         self.rows = {}  # pivot coord -> {coord: int}, canonical as above
         self._col_index = {}  # coord -> set of pivots whose row touches it
+        for vec in vectors:
+            self.insert(vec)
 
     @property
     def rank(self):
@@ -493,7 +470,7 @@ class SparseEchelon:
         """(a, den): an integer dict a without zeros, vec = a / den."""
         field = self.field
         vals = {}
-        for k, x in vec.items():
+        for k, x in vec.items() if isinstance(vec, dict) else enumerate(vec):
             if isinstance(x, Scalar):
                 if x.field is not field:
                     raise FieldMismatch(f"{x!r} is not over {field!r}")
@@ -592,3 +569,27 @@ class SparseEchelon:
 
     def contains(self, vec):
         return not self.reduce(vec)
+
+
+def null_space(field, rows, ncols):
+    """Raw-valued basis of {x in K^ncols : r . x = 0 for every row r}.
+
+    Rows are dense sequences or sparse dicts (Scalar, int or Fraction
+    values).  There is one vector per free column f, in increasing order,
+    read off the reduced rows: x[f] = 1, x[q] = -(row q)[f] at every pivot
+    q, and zero elsewhere.  Entries are residues over GF(p) and Fractions
+    (or the ints 0 and 1) over Q.
+    """
+    ech = SparseEchelon(field, rows)
+    p = field.p
+    free = [c for c in range(ncols) if c not in ech.rows]
+    out = {}
+    for f in free:
+        out[f] = [0] * ncols
+        out[f][f] = 1
+    for q, row in ech.rows.items():
+        d = row[q]
+        for k, x in row.items():
+            if k != q:
+                out[k][q] = -x % p if p is not None else Fraction(-x, d)
+    return [out[f] for f in free]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .braided import BraidedSpace, mat_tensor
 from .envelope import IdealTruncation, Presentation, ideal_truncation, sq_presentation
 from .fields import Scalar
-from .linalg import Mat, Subspace
+from .linalg import Mat, Subspace, null_space
 from .table import row_instance
 from .tensoralg import (
     SplitTensorElem,
@@ -114,10 +114,6 @@ class PrimitiveReport:
     levels: dict  # level -> tuple of TensorElem
     verdict: bool  # primitives equal the image of V
 
-    @property
-    def basis_elements(self):
-        return [e for lvl in sorted(self.levels) for e in self.levels[lvl]]
-
     def contains(self, t: TensorElem) -> bool:
         """Whether a normal-form element is primitive in the truncation."""
         pos = {w: i for i, w in enumerate(self.rep_words)}
@@ -149,32 +145,8 @@ def primitives_of_quotient(pres: Presentation, N: int, buffer: int = 2, trunc: I
         d = d - SplitTensorElem.pure(space, w, ()) - SplitTensorElem.pure(space, (), w)
         for key, c in d.terms.items():
             constraints.setdefault(key, {})[idx] = c
-
-    # Intersect kernels of the constraint functionals incrementally.
-    basis = [[field.one if i == j else field.zero for j in range(len(reps))] for i in range(len(reps))]
-    for key in sorted(constraints):
-        row = constraints[key]
-        vals = []
-        for b in basis:
-            s = field.zero
-            for j, c in row.items():
-                if b[j]:
-                    s = s + c * b[j]
-            vals.append(s)
-        piv = next((i for i, v in enumerate(vals) if v), None)
-        if piv is None:
-            continue
-        pvec = basis.pop(piv)
-        pval = vals.pop(piv)
-        inv = pval.inverse()
-        for b, v in zip(basis, vals):
-            if v:
-                f = v * inv
-                for j in range(len(reps)):
-                    if pvec[j]:
-                        b[j] = b[j] - f * pvec[j]
-
-    prim = Subspace(field, len(reps), basis)
+    # the primitives: the common null space of the defect functionals
+    prim = Subspace(field, len(reps), null_space(field, constraints.values(), len(reps)))
     levels = {}
     for vec in prim.basis:
         elem = TensorElem(space, {reps[j]: c for j, c in enumerate(vec) if c})

@@ -347,13 +347,3 @@ def tensor_elem_from_vector(space, vec, length) -> TensorElem:
             terms[index_word(i, d, length)] = c
     return TensorElem(space, terms)
 
-
-def vector_from_tensor_elem(t: TensorElem, length):
-    """Coordinates of a homogeneous element in the fixed tensor basis."""
-    d = t.space.dim
-    vec = [t.space.field.zero] * d**length
-    for w, c in t.terms.items():
-        if len(w) != length:
-            raise DegreeMismatch("element is not homogeneous of the requested degree")
-        vec[word_index(w, d)] = c
-    return tuple(vec)

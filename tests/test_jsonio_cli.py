@@ -356,6 +356,25 @@ def test_cli_degree_limit_exit_2(capsys, argv):
     assert "input error" in err and "words of length" in err
 
 
+@pytest.mark.parametrize("wrap", [False, True], ids=["space", "algebra"])
+def test_cli_dim_limit_exit_2(capsys, monkeypatch, wrap):
+    from quadlie import jsonio
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("a matrix was built above the dimension limit")
+
+    monkeypatch.setattr(jsonio, "mat_from_json", no_matrix)
+    monkeypatch.setattr(jsonio, "BraidedSpace", no_matrix)
+    n = jsonio.MAX_DIM + 1
+    space = {"field": "Q", "dim": n, "c": [[int(i == j) for j in range(n * n)] for i in range(n * n)]}
+    doc = {"space": space, "beta": [[0] * (n * n)] * n} if wrap else space
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["verify", "--input", "-"], json.dumps(doc))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "input error" in err and f"exceeds the limit {jsonio.MAX_DIM}" in err
+
+
 def test_word_limits_admit_the_documented_degrees():
     # envelope and primitives up to --degree 9 at the default buffer 2,
     # nichols-check up to --degree 8, on two letters

@@ -16,6 +16,7 @@ from quadlie.linalg import (
     eval_poly_at,
     kernel,
     minimal_polynomial,
+    null_space,
     poly_gcd_bezout,
     solve,
 )
@@ -296,3 +297,79 @@ def test_matmul_shape_and_field_mismatch():
         Mat.zero(QQ, 2, 3) @ Mat.zero(QQ, 2, 3)
     with pytest.raises(FieldMismatch):
         Mat.identity(GF(5), 2) @ Mat.identity(GF(7), 2)
+
+
+# (rows, cols, rank bound or None): tall, wide, square, single row and
+# column, and rank-deficient products of a thin factor pair
+_SHAPES = [(7, 3, None), (3, 7, None), (5, 5, None), (1, 6, None), (6, 1, None),
+           (6, 6, 3), (4, 8, 2), (8, 4, 1), (5, 5, 4)]
+
+
+def _random_entry(rng, field):
+    if field.is_rationals:
+        if rng.random() < 0.5:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        return rng.randint(-4, 4)
+    return rng.randrange(field.p)
+
+
+def _random_dense(rng, field, rows, cols, rank_bound):
+    """Random entries, or a product of rows x k and k x cols factors when
+    a rank bound k is given; a third of the cases get an all-zero row."""
+    if rank_bound is None:
+        m = Mat.from_rows(field, [[_random_entry(rng, field) for _ in range(cols)] for _ in range(rows)])
+    else:
+        left = Mat.from_rows(field, [[_random_entry(rng, field) for _ in range(rank_bound)] for _ in range(rows)])
+        right = Mat.from_rows(field, [[_random_entry(rng, field) for _ in range(cols)] for _ in range(rank_bound)])
+        m = left @ right
+    if rng.random() < 1 / 3:
+        a = [list(r) for r in m.a]
+        a[rng.randrange(rows)] = [field.zero] * cols
+        m = Mat(field, a)
+    return m
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(7)], ids=repr)
+def test_dense_views_match_gauss_jordan_oracle(field, dense_oracle):
+    rng = random.Random(f"dense:{field!r}")
+    for trial in range(8):
+        for rows, cols, rank_bound in _SHAPES:
+            m = _random_dense(rng, field, rows, cols, rank_bound)
+            red, piv = m.rref()
+            want_red, want_piv = dense_oracle.rref(m)
+            assert (red.rows, red.cols) == (rows, cols)
+            assert red == want_red and piv == want_piv, (trial, m)
+            assert m.rank() == dense_oracle.rank(m)
+            ker = kernel(m)
+            assert ker.ambient_dim == cols
+            assert ker.basis == dense_oracle.kernel_basis(m)
+            x0 = tuple(field(_random_entry(rng, field)) for _ in range(cols))
+            for b in (m.apply(x0), tuple(field(_random_entry(rng, field)) for _ in range(rows))):
+                assert solve(m, b) == dense_oracle.solve(m, b)
+            if rows == cols:
+                try:
+                    want = dense_oracle.inverse(m)
+                except HypothesisViolated:
+                    with pytest.raises(HypothesisViolated):
+                        m.inverse()
+                else:
+                    assert m.inverse() == want
+    assert Mat.zero(field, 3, 4).rref() == dense_oracle.rref(Mat.zero(field, 3, 4))
+
+
+@pytest.mark.parametrize("field", [GF(3), GF(7), QQ], ids=repr)
+def test_null_space_matches_gauss_jordan_oracle(field, dense_oracle):
+    # integer rows as the appendix passes them: unreduced and negative
+    # residues, dense and as sparse dicts
+    rng = random.Random(f"null:{field!r}")
+    bound = 3 * (field.p or 5)
+    for trial in range(60):
+        rows, cols, _ = _SHAPES[trial % len(_SHAPES)]
+        ints = [[rng.randint(-bound, bound) if rng.random() < 0.7 else 0 for _ in range(cols)] for _ in range(rows)]
+        if trial % 4 == 0:
+            ints.append([2 * x - y for x, y in zip(ints[0], ints[-1])])
+        want = [[x.v for x in v] for v in dense_oracle.null_vectors(Mat.from_rows(field, ints))]
+        assert null_space(field, ints, cols) == want, trial
+        sparse = [{j: x for j, x in enumerate(r) if x} for r in ints]
+        assert null_space(field, sparse, cols) == want, trial
+    assert null_space(field, [], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]

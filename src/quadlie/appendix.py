@@ -18,7 +18,13 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from .braided import BraidedSpace, MinusOneNotSimple, split_minpoly
-from .brackets import QuadraticLieAlgebra, solve_linear_bracket_space, verify_lifted
+from .brackets import (
+    QuadraticLieAlgebra,
+    linear_axiom_rows,
+    slot_braidings,
+    solve_linear_bracket_space,
+    verify_lifted,
+)
 from .fields import Field
 from .linalg import Mat, SparseEchelon, Subspace, column_space, kernel, null_space
 from .table import GAMMA_RULES, gamma_allowed, row_instance
@@ -40,6 +46,12 @@ def _require_at_most(value, limit, what):
     """Reject a loop bound above its limit before the loop starts."""
     if value > limit:
         raise ValueError(f"{what} {value} exceeds the limit {limit}")
+
+
+def _require_at_least(value, limit, what):
+    """Reject a loop bound below its limit before the loop starts."""
+    if value < limit:
+        raise ValueError(f"{what} {value} is below the minimum {limit}")
 
 
 def _require_enumerable(field, max_p, what):
@@ -97,29 +109,13 @@ def _lift12(beta, p):
     return tuple(map(tuple, b1)), tuple(map(tuple, b2))
 
 
-def _slot_braidings(c, p):
-    """c (x) Id and Id (x) c as 8x8 integer matrices (dimension 2)."""
-    c1 = [[0] * 8 for _ in range(8)]
-    c2 = [[0] * 8 for _ in range(8)]
-    for o in range(4):
-        for i in range(4):
-            v = c[o][i]
-            if not v:
-                continue
-            for j in range(2):
-                c1[o + 4 * j][i + 4 * j] = v
-            for j in range(2):
-                c2[j + 2 * o][j + 2 * i] = v
-    return tuple(map(tuple, c1)), tuple(map(tuple, c2))
-
-
 def _int_yang_baxter(c, p):
     """(c (x) Id)(Id (x) c)(c (x) Id) == (Id (x) c)(c (x) Id)(Id (x) c) mod p.
 
     Both sides are applied to one basis vector of V^{(x)3} at a time, as
     sparse {index: residue} dicts built from the nonzero columns of c, and
     the test stops at the first basis vector whose images differ.  The
-    basis index of x_a (x) x_b (x) x_c is a + 2b + 4c, as in _slot_braidings.
+    basis index of x_a (x) x_b (x) x_c is a + 2b + 4c, as in slot_braidings.
     """
     cols = [[(o, v) for o in range(4) if (v := c[o][i] % p)] for i in range(4)]
 
@@ -151,34 +147,33 @@ def _int_yang_baxter(c, p):
 class _IntBraiding:
     """Precomputed integer data for one braiding candidate."""
 
-    __slots__ = ("c", "p", "c1", "c2", "c12", "c21", "e2bar", "ck1")
+    __slots__ = ("p", "c1", "c2", "e2bar", "ck1", "linear")
 
     #: The enumerations filter a bare shape through this name before they
     #: build its _IntBraiding; bench/tracing.py counts the survivors here.
     yang_baxter = staticmethod(_int_yang_baxter)
 
     def __init__(self, c, p):
-        self.c = c
         self.p = p
-        self.c1, self.c2 = _slot_braidings(c, p)
-        self.c12 = _matmul(self.c1, self.c2, p)
-        self.c21 = _matmul(self.c2, self.c1, p)
+        field = Field(p)
+        self.c1, self.c2 = slot_braidings(c, 2)
         eye8 = _meye(8)
         # the joint (-1)-eigenspace, ker (c1 + Id) meet ker (c2 + Id)
-        self.e2bar = null_space(Field(p), _madd(self.c1, eye8, p) + _madd(self.c2, eye8, p), 8)
+        self.e2bar = null_space(field, _madd(self.c1, eye8, p) + _madd(self.c2, eye8, p), 8)
         self.ck1 = _madd(c, _meye(4), p)  # c + Id
+        # echelon rows of antisymmetry and both bracket identities mod p
+        self.linear = list(SparseEchelon(field, linear_axiom_rows(c, 2)).rows.values())
 
     def axioms(self, beta):
-        """antisym + both bracket identities + jacobi, over integers."""
+        """antisym + both bracket identities (dot products with the
+        echelon rows) + jacobi, over integers."""
         p = self.p
-        if any(x % p for row in _matmul(beta, self.ck1, p) for x in row):
-            return False
-        b1, b2 = _lift12(beta, p)
-        if _matmul(self.c, b1, p) != _matmul(b2, self.c12, p):
-            return False
-        if _matmul(self.c, b2, p) != _matmul(b1, self.c21, p):
-            return False
+        flat = [x for row in beta for x in row]  # b[r][k] at 4 r + k
+        for row in self.linear:
+            if sum(x * flat[k] for k, x in row.items()) % p:
+                return False
         if self.e2bar:
+            b1, b2 = _lift12(beta, p)
             jm = _matmul(beta, [[(x - y) % p for x, y in zip(r, s)] for r, s in zip(b1, b2)], p)
             for v in self.e2bar:
                 for row in jm:
@@ -210,6 +205,7 @@ def udu_identity_holds(field: Field, diag) -> bool:
 
 
 def udu_check(field: Field, count: int = 100, seed: int = 0) -> bool:
+    _require_at_least(count, 1, "the trace identity: sample count")
     _require_at_most(count, UDU_MAX_SAMPLES, "the trace identity: sample count")
     rng = random.Random(seed)
     for _ in range(count):
@@ -269,6 +265,7 @@ def rank2_case_families(field: Field, shard: int = 0, nshards: int = 1) -> dict:
     _require_enumerable(field, CASE_FAMILIES_MAX_P, "exhaustive case families")
     p = field.p
     reports = {name: BranchReport(name) for name in _RANK2_BRANCHES}
+    independent = {}  # kernel dimension -> [i][j]: coefficient tuples i, j independent
     for c in _rank2_case_shapes(p, shard, nshards):
         if SparseEchelon(field, _madd(c, _meye(4), p)).rank != 1:
             continue
@@ -280,6 +277,10 @@ def rank2_case_families(field: Field, shard: int = 0, nshards: int = 1) -> dict:
             continue
         splits_ok = None  # computed lazily, only for axiom survivors
         coeffs = list(product(range(p), repeat=len(lk)))
+        if len(lk) not in independent:
+            # lk is a basis, so rank(r1, r2) is the rank of their coefficients
+            independent[len(lk)] = [[SparseEchelon(field, (a, b)).rank == 2 for b in coeffs] for a in coeffs]
+        pair_ok = independent[len(lk)]
         rows = []
         for combo in coeffs:
             row = [0, 0, 0, 0]
@@ -291,11 +292,9 @@ def rank2_case_families(field: Field, shard: int = 0, nshards: int = 1) -> dict:
         for name, pred in _RANK2_BRANCHES.items():
             rep = reports[name]
             rep.braidings += 1
-            for r1 in rows:
-                for r2 in rows:
-                    if not pred(r1, r2):
-                        continue
-                    if SparseEchelon(field, (r1, r2)).rank != 2:
+            for r1, ok1 in zip(rows, pair_ok):
+                for r2, ok in zip(rows, ok1):
+                    if not ok or not pred(r1, r2):
                         continue
                     rep.candidates += 1
                     beta = (r1, r2)
@@ -468,14 +467,9 @@ def _corner_braidings(field):
             yield [list(r) for r in rows]
 
 
-def random_survey(field: Field, seed: int = 0, max_brackets_per_braiding: int = 200) -> SurveyReport:
-    """Sweep structured braiding families, harvest verified brackets, and
-    check the rank-two conclusions (dim Im(c+Id) = 2 and the kernel
-    decomposition through Im(c+Id) and Im h(c)) on every rank-two find."""
-    _require_enumerable(field, SURVEY_MAX_P, "the survey's braiding families")
-    rng = random.Random(seed)
-    report = SurveyReport()
-
+def _survey_braidings(field):
+    """The survey's braidings, each once, in sweep order: the diagonal
+    ones, the Yang-Baxter corner shapes, then the table rows."""
     braidings = []
     seen = set()
 
@@ -496,10 +490,20 @@ def random_survey(field: Field, seed: int = 0, max_brackets_per_braiding: int = 
             for g in range(field.p):
                 if gamma_allowed(row, field, g):
                     add([[x.v for x in r] for r in row_instance(row, field, g).space.c.a])
+    return braidings
 
-    for rows in braidings:
+
+def random_survey(field: Field, seed: int = 0, max_brackets_per_braiding: int = 200) -> SurveyReport:
+    """Sweep structured braiding families, harvest verified brackets, and
+    check the rank-two conclusions (dim Im(c+Id) = 2 and the kernel
+    decomposition through Im(c+Id) and Im h(c)) on every rank-two find."""
+    _require_enumerable(field, SURVEY_MAX_P, "the survey's braiding families")
+    _require_at_least(max_brackets_per_braiding, 1, "the survey: brackets per braiding")
+    rng = random.Random(seed)
+    report = SurveyReport()
+    for rows in _survey_braidings(field):
         report.braidings_tried += 1
-        # Yang-Baxter already guaranteed or integer-filtered above.
+        # Yang-Baxter already guaranteed or integer-filtered by _survey_braidings.
         space = BraidedSpace(field, 2, Mat.from_rows(field, rows), check=False)
         split = None
         try:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .braided import BraidedSpace, MinpolySplit, h_of_c, lift_to_slot, vec_tensor
 from .fields import Field
-from .linalg import HypothesisViolated, Mat, Subspace, column_space, solve
+from .linalg import HypothesisViolated, Mat, Subspace, column_space, null_space, solve
 
 
 class BasisMismatch(ValueError):
@@ -389,40 +389,90 @@ def check_dim1_rigidity(field: Field, exhaustive: bool = True) -> bool:
     return True
 
 
+def slot_braidings(c, n):
+    """c (x) Id and Id (x) c on V^(x)3, as dense lists of the raw entries
+    of the n^2 x n^2 matrix c, in the tensor-basis order of braided."""
+    n2, n3 = n * n, n**3
+    c1 = [[0] * n3 for _ in range(n3)]
+    c2 = [[0] * n3 for _ in range(n3)]
+    for o in range(n2):
+        for i in range(n2):
+            v = c[o][i]
+            if v:
+                for j in range(n):
+                    c1[o + n2 * j][i + n2 * j] = v
+                    c2[j + n * o][j + n * i] = v
+    return c1, c2
+
+
+def linear_axiom_rows(c, n):
+    """The linear bracket axioms as sparse constraint rows on a bracket b.
+
+    A row is a dict coord -> coefficient over the n n^2 coordinates of b,
+    b[r][k] at r n^2 + k, and b satisfies antisymmetry and both
+    braiding-compatibility identities iff every row vanishes on it.  The
+    rows are the entries of b (c + Id), then of c b1 - b2 c1 c2 and of
+    c b2 - b1 c2 c1, with b1 = b (x) Id, b2 = Id (x) b, c1 = c (x) Id and
+    c2 = Id (x) c.  Coefficients are sums of products of c's raw entries
+    (Fractions over Q, integers to be read mod p over GF(p)); rows without
+    a nonzero coefficient are left out.
+    """
+    n2, n3 = n * n, n**3
+    c1, c2 = slot_braidings(c, n)
+
+    def product(a, b):
+        nonzeros = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+        out = []
+        for row in a:
+            acc = [0] * n3
+            for x, nz in zip(row, nonzeros):
+                if x:
+                    for j, y in nz:
+                        acc[j] += x * y
+            out.append(acc)
+        return out
+
+    c12t, c21t = list(zip(*product(c1, c2))), list(zip(*product(c2, c1)))
+
+    def row(r0, line_k, k0, line_r):
+        """Coefficient line_k[k] at b[r0][k] plus line_r[r] at b[r][k0]."""
+        out = {r0 * n2 + k: v for k, v in enumerate(line_k) if v}
+        for r, v in enumerate(line_r):
+            if v:
+                out[r * n2 + k0] = out.get(r * n2 + k0, 0) + v
+        return out
+
+    # b (c + Id) at (r, j): sum_k b[r][k] (c + Id)[k][j]
+    rows = [row(r, [c[k][j] + (k == j) for k in range(n2)], 0, ()) for r in range(n) for j in range(n2)]
+    for o in range(n2):
+        for m in range(n3):
+            # (c b1)[o][k + n^2 i] = sum_r c[o][r + n i] b[r][k] minus
+            # (b2 c1 c2)[i0 + n r0][m] = sum_k b[r0][k] (c1 c2)[i0 + n k][m]
+            r0, i0 = divmod(o, n)
+            i, k0 = divmod(m, n2)
+            rows.append(row(r0, [-c12t[m][i0 + n * k] for k in range(n2)], k0, [c[o][r + n * i] for r in range(n)]))
+            # (c b2)[o][i + n k] = sum_r c[o][i + n r] b[r][k] minus
+            # (b1 c2 c1)[r0 + n i0][m] = sum_k b[r0][k] (c2 c1)[k + n^2 i0][m]
+            i0, r0 = divmod(o, n)
+            k0, i = divmod(m, n)
+            rows.append(row(r0, [-c21t[m][k + n2 * i0] for k in range(n2)], k0, [c[o][i + n * r] for r in range(n)]))
+    return [r for r in rows if any(r.values())]
+
+
 def solve_linear_bracket_space(space: BraidedSpace):
     """Basis (list of n x n^2 matrices) of brackets satisfying the linear
     axioms: antisymmetry and both braiding-compatibility identities.
 
-    The Jacobi condition is quadratic and must be filtered afterwards.
+    The basis is the canonical echelon basis of the null space of
+    ``linear_axiom_rows``.  The Jacobi condition is quadratic and must be
+    filtered afterwards.
     """
     n = space.dim
     field = space.field
-    eye2 = Mat.identity(field, n**2)
-    c1 = space.braiding_at(1, 3)
-    c2 = space.braiding_at(2, 3)
-    c12 = c1 @ c2
-    c21 = c2 @ c1
     unknowns = n * n**2
-    cols = []
-    for u in range(unknowns):
-        r, k = divmod(u, n**2)
-        beta = Mat.zero(field, n, n**2)
-        beta.a[r][k] = field.one
-        q = QuadraticLieAlgebra(space, beta)
-        chunks = []
-        chunks.append(beta @ (space.c + eye2))
-        chunks.append(space.c @ q.beta1() - q.beta2() @ c12)
-        chunks.append(space.c @ q.beta2() - q.beta1() @ c21)
-        col = [x for m in chunks for row in m.a for x in row]
-        cols.append(col)
-    big = Mat(field, [list(r) for r in zip(*cols)])
-    from .linalg import kernel
-
-    basis = []
-    for v in kernel(big).basis:
-        rows = [[v[r * n**2 + k] for k in range(n**2)] for r in range(n)]
-        basis.append(Mat(field, rows))
-    return basis
+    c = [[x.v for x in row] for row in space.c.a]
+    kernel = Subspace(field, unknowns, null_space(field, linear_axiom_rows(c, n), unknowns))
+    return [Mat(field, [v[r * n**2 : (r + 1) * n**2] for r in range(n)]) for v in kernel.basis]
 
 
 def random_verified_brackets(space: BraidedSpace, count: int, seed: int, max_tries: int = 10000):

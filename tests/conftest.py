@@ -8,11 +8,22 @@ reduced, exactly as the fast structure defines them.
 ``dense_oracle`` is the dense Scalar Gauss-Jordan elimination, kept as the
 oracle of ``Mat.rref``, ``rank``, ``kernel``, ``solve`` and ``inverse``,
 which all reduce through ``SparseEchelon``.
+
+``unit_bracket_space`` assembles the linear bracket axioms from eight unit
+brackets through dense Scalar products, kept as the oracle of
+``quadlie.brackets.solve_linear_bracket_space``, which writes them as
+constraint rows from the entries of c.
+
+``four_product_axioms`` is the integer axiom check by four matrix products,
+kept as the oracle of ``quadlie.appendix._IntBraiding.axioms``, which tests
+the linear axioms against echelon constraint rows.
 """
 
 import pytest
 
-from quadlie.linalg import HypothesisViolated, Mat
+from quadlie.appendix import _IntBraiding, _lift12, _matmul
+from quadlie.brackets import QuadraticLieAlgebra
+from quadlie.linalg import HypothesisViolated, Mat, kernel
 
 
 class ScalarEchelon:
@@ -156,3 +167,70 @@ class DenseOracle:
 @pytest.fixture
 def dense_oracle():
     return DenseOracle
+
+
+def unit_bracket_space(space):
+    """Basis of the brackets satisfying antisymmetry and both
+    braiding-compatibility identities: one constraint column per unit
+    bracket, built through its QuadraticLieAlgebra and slot lifts."""
+    n = space.dim
+    field = space.field
+    eye2 = Mat.identity(field, n**2)
+    c12 = space.braiding_at(1, 3) @ space.braiding_at(2, 3)
+    c21 = space.braiding_at(2, 3) @ space.braiding_at(1, 3)
+    cols = []
+    for u in range(n * n**2):
+        r, k = divmod(u, n**2)
+        beta = Mat.zero(field, n, n**2)
+        beta.a[r][k] = field.one
+        q = QuadraticLieAlgebra(space, beta)
+        chunks = [
+            beta @ (space.c + eye2),
+            space.c @ q.beta1() - q.beta2() @ c12,
+            space.c @ q.beta2() - q.beta1() @ c21,
+        ]
+        cols.append([x for m in chunks for row in m.a for x in row])
+    big = Mat(field, [list(r) for r in zip(*cols)])
+    return [Mat(field, [[v[r * n**2 + k] for k in range(n**2)] for r in range(n)]) for v in kernel(big).basis]
+
+
+@pytest.fixture
+def unit_bracket_oracle():
+    return unit_bracket_space
+
+
+class FourProductAxioms:
+    """The four bracket axioms of a 2-dimensional braiding mod p, by integer
+    matrix products: b (c + Id), c b1 against b2 c1 c2, c b2 against
+    b1 c2 c1, and Jacobi on the joint (-1)-eigenspace."""
+
+    def __init__(self, c, p):
+        self.c = tuple(tuple(r) for r in c)
+        self.p = p
+        data = _IntBraiding(c, p)
+        self.e2bar = data.e2bar
+        self.ck1 = tuple(tuple((x + (i == j)) % p for j, x in enumerate(r)) for i, r in enumerate(self.c))
+        self.c12 = _matmul(data.c1, data.c2, p)
+        self.c21 = _matmul(data.c2, data.c1, p)
+
+    def axioms(self, beta):
+        p = self.p
+        if any(x % p for row in _matmul(beta, self.ck1, p) for x in row):
+            return False
+        b1, b2 = _lift12(beta, p)
+        if _matmul(self.c, b1, p) != _matmul(b2, self.c12, p):
+            return False
+        if _matmul(self.c, b2, p) != _matmul(b1, self.c21, p):
+            return False
+        if self.e2bar:
+            jm = _matmul(beta, [[(x - y) % p for x, y in zip(r, s)] for r, s in zip(b1, b2)], p)
+            for v in self.e2bar:
+                for row in jm:
+                    if sum(x * y for x, y in zip(row, v)) % p:
+                        return False
+        return True
+
+
+@pytest.fixture
+def four_product_axioms():
+    return FourProductAxioms

@@ -21,7 +21,7 @@ from quadlie.appendix import (
     udu_identity_holds,
 )
 from quadlie.braided import BraidedSpace
-from quadlie.brackets import QuadraticLieAlgebra, verify_lifted
+from quadlie.brackets import QuadraticLieAlgebra, solve_linear_bracket_space, verify_lifted
 from quadlie.classify import conjugate
 from quadlie.fields import GF, QQ
 from quadlie.linalg import Mat, Subspace
@@ -352,3 +352,45 @@ def test_int_axioms_match_verify_lifted(p):
     check()
     # the candidates include solutions and non-solutions
     assert any(found) and not all(found)
+
+
+def test_int_axioms_match_four_product_oracle(monkeypatch, four_product_axioms):
+    # every candidate the GF(3) enumerations reach, plus per Yang-Baxter
+    # survivor seeded random brackets and random points of its linear
+    # bracket space, against the product check
+    p = 3
+    field = GF(p)
+    seen = {"candidates": 0, "accepted": 0, "linear": 0}
+
+    class Checked(appendix._IntBraiding):
+        __slots__ = ("oracle",)
+
+        def __init__(self, c, p):
+            super().__init__(c, p)
+            self.oracle = four_product_axioms(c, p)
+            rng = random.Random(repr(c))
+            sp = BraidedSpace(field, 2, Mat.from_rows(field, [list(r) for r in c]), check=False)
+            basis = [[[x.v for x in r] for r in b.a] for b in solve_linear_bracket_space(sp)]
+            for _ in range(8):
+                beta = [[rng.randrange(p) for _ in range(4)] for _ in range(2)]
+                assert super().axioms(beta) == self.oracle.axioms(beta), (c, beta)
+                if basis:
+                    s = [rng.randrange(p) for _ in basis]
+                    beta = [[sum(x * b[r][k] for x, b in zip(s, basis)) % p for k in range(4)] for r in range(2)]
+                    got = super().axioms(beta)
+                    assert got == self.oracle.axioms(beta), (c, beta)
+                    seen["linear"] += got
+
+        def axioms(self, beta):
+            got = super().axioms(beta)
+            assert got == self.oracle.axioms(beta), beta
+            seen["candidates"] += 1
+            seen["accepted"] += got
+            return got
+
+    monkeypatch.setattr(appendix, "_IntBraiding", Checked)
+    reports = {**rank2_case_families(field), **rank1_eliminated_branches(field)}
+    assert seen["candidates"] == sum(rep.candidates for rep in reports.values()) == 19002
+    # the eliminated branches hold no solution; some points of the linear
+    # spaces pass, so the agreement covers both answers
+    assert seen["accepted"] == 0 and seen["linear"] > 0

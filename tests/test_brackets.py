@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from quadlie.braided import BraidedSpace, h_of_c, split_minpoly
@@ -264,3 +266,41 @@ def test_random_verified_brackets_deterministic():
     assert [q.beta for q in a] == [q.beta for q in b]
     for q in a:
         assert verify_lifted(q).ok
+
+
+def _raw_space(field, rows):
+    return BraidedSpace(field, math.isqrt(len(rows)), Mat.from_rows(field, rows), check=False)
+
+
+def test_bracket_space_matches_unit_bracket_oracle(unit_bracket_oracle):
+    # the constraint rows written from c's entries span the same kernel as
+    # the unit brackets pushed through the slot lifts, basis for basis
+    import random
+
+    from quadlie.appendix import _survey_braidings
+
+    rng = random.Random(4)
+    spaces = [_raw_space(GF(3), rows) for rows in _survey_braidings(GF(3))]
+    spaces += [_raw_space(GF(5), rows) for rows in rng.sample(_survey_braidings(GF(5)), 200)]
+    for q in all_rows():
+        spaces.append(q.space)
+        for _ in range(3):
+            while True:
+                alpha = Mat.from_rows(QQ, [[rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(2)] for _ in range(2)])
+                if alpha.rank() == 2:
+                    break
+            spaces.append(conjugate(q, alpha).space)
+    for field, gamma in ((QQ, -1), (QQ, 3), (GF(5), 4), (GF(5), 2)):
+        spaces.append(_raw_space(field, [[gamma]]))
+    # dimension three: the flip, whose brackets are the antisymmetric maps
+    flip = [[0] * 9 for _ in range(9)]
+    for i in range(3):
+        for j in range(3):
+            flip[j + 3 * i][i + 3 * j] = 1
+    spaces.append(_raw_space(QQ, flip))
+    dims = set()
+    for sp in spaces:
+        basis = solve_linear_bracket_space(sp)
+        assert basis == unit_bracket_oracle(sp), sp.c
+        dims.add(len(basis))
+    assert {0, 1, 2, 9} <= dims

@@ -336,6 +336,15 @@ def test_cli_udu_sample_limit_exit_2(capsys):
     assert code == 0 and json.loads(out)["ok"] is True
 
 
+@pytest.mark.parametrize("scope", ["udu", "random_survey"])
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_cli_samples_below_one_exit_2(capsys, scope, samples):
+    # a search that would check nothing is refused, not reported as passed
+    code, out, err = _run(capsys, ["search", "--field", "GF(5)", "--scope", scope, "--samples", samples])
+    assert code == 2 and out == ""
+    assert "input error" in err and "below the minimum 1" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

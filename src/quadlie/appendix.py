@@ -17,16 +17,17 @@ import random
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
-from .braided import BraidedSpace, MinusOneNotSimple, split_minpoly
+from .braided import BraidedSpace, MinusOneNotSimple, braid_relation_holds, h_of_c, joint_minus_one_rows, split_minpoly
 from .brackets import (
     QuadraticLieAlgebra,
+    jacobi_holds,
     linear_axiom_rows,
-    slot_braidings,
+    rows_vanish,
     solve_linear_bracket_space,
     verify_lifted,
 )
 from .fields import Field
-from .linalg import Mat, SparseEchelon, Subspace, column_space, kernel, null_space
+from .linalg import Mat, SparseEchelon, Subspace, column_space, kernel, null_space, raw_product
 from .table import GAMMA_RULES, gamma_allowed, row_instance
 
 
@@ -63,123 +64,32 @@ def _require_enumerable(field, max_p, what):
 
 
 # ---------------------------------------------------------------------------
-# integer (mod p) kernels for the enumeration hot paths
+# integer (mod p) data of one braiding for the enumeration hot paths
 # ---------------------------------------------------------------------------
-
-def _matmul(a, b, p):
-    """a @ b mod p, accumulating each left row over the nonzeros of b's rows."""
-    if a and len(a[0]) != len(b):
-        raise ValueError(f"shape mismatch: {len(a[0])} columns @ {len(b)} rows")
-    width = len(b[0]) if b else 0
-    nonzeros = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = []
-    for row in a:
-        acc = [0] * width
-        for x, nz in zip(row, nonzeros):
-            if x:
-                for j, y in nz:
-                    acc[j] += x * y
-        out.append(tuple([v % p for v in acc]))
-    return tuple(out)
-
-
-def _madd(a, b, p):
-    return tuple(tuple((x + y) % p for x, y in zip(r, s)) for r, s in zip(a, b))
-
-
-def _meye(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _lift12(beta, p):
-    """b (x) Id and Id (x) b on three factors, as 4x8 integer matrices."""
-    b1 = [[0] * 8 for _ in range(4)]
-    b2 = [[0] * 8 for _ in range(4)]
-    for r in range(2):
-        for k in range(4):
-            v = beta[r][k]
-            if not v:
-                continue
-            # first-slot lift: columns k + 4*j -> rows r + 2*j
-            for j in range(2):
-                b1[r + 2 * j][k + 4 * j] = v
-            # second-slot lift: columns i + 2*k -> rows i + 2*r
-            for i in range(2):
-                b2[i + 2 * r][i + 2 * k] = v
-    return tuple(map(tuple, b1)), tuple(map(tuple, b2))
-
-
-def _int_yang_baxter(c, p):
-    """(c (x) Id)(Id (x) c)(c (x) Id) == (Id (x) c)(c (x) Id)(Id (x) c) mod p.
-
-    Both sides are applied to one basis vector of V^{(x)3} at a time, as
-    sparse {index: residue} dicts built from the nonzero columns of c, and
-    the test stops at the first basis vector whose images differ.  The
-    basis index of x_a (x) x_b (x) x_c is a + 2b + 4c, as in slot_braidings.
-    """
-    cols = [[(o, v) for o in range(4) if (v := c[o][i] % p)] for i in range(4)]
-
-    def apply1(vec):  # c (x) Id: index i + 4j -> o + 4j
-        out = {}
-        for k, x in vec.items():
-            off = k & 4
-            for o, v in cols[k & 3]:
-                o += off
-                out[o] = out.get(o, 0) + x * v
-        return {o: y % p for o, y in out.items() if y % p}
-
-    def apply2(vec):  # Id (x) c: index j + 2i -> j + 2o
-        out = {}
-        for k, x in vec.items():
-            off = k & 1
-            for o, v in cols[k >> 1]:
-                o = off + 2 * o
-                out[o] = out.get(o, 0) + x * v
-        return {o: y % p for o, y in out.items() if y % p}
-
-    for k in range(8):
-        e = {k: 1}
-        if apply1(apply2(apply1(e))) != apply2(apply1(apply2(e))):
-            return False
-    return True
-
 
 class _IntBraiding:
     """Precomputed integer data for one braiding candidate."""
 
-    __slots__ = ("p", "c1", "c2", "e2bar", "ck1", "linear")
+    __slots__ = ("p", "e2bar", "linear")
 
     #: The enumerations filter a bare shape through this name before they
     #: build its _IntBraiding; bench/tracing.py counts the survivors here.
-    yang_baxter = staticmethod(_int_yang_baxter)
+    yang_baxter = staticmethod(braid_relation_holds)
 
     def __init__(self, c, p):
         self.p = p
         field = Field(p)
-        self.c1, self.c2 = slot_braidings(c, 2)
-        eye8 = _meye(8)
         # the joint (-1)-eigenspace, ker (c1 + Id) meet ker (c2 + Id)
-        self.e2bar = null_space(field, _madd(self.c1, eye8, p) + _madd(self.c2, eye8, p), 8)
-        self.ck1 = _madd(c, _meye(4), p)  # c + Id
+        self.e2bar = null_space(field, joint_minus_one_rows(c, 2), 8)
         # echelon rows of antisymmetry and both bracket identities mod p
-        self.linear = list(SparseEchelon(field, linear_axiom_rows(c, 2)).rows.values())
+        rows = [r for group in linear_axiom_rows(c, 2, p) for r in group]
+        self.linear = list(SparseEchelon(field, rows).rows.values())
 
     def axioms(self, beta):
         """antisym + both bracket identities (dot products with the
         echelon rows) + jacobi, over integers."""
         p = self.p
-        flat = [x for row in beta for x in row]  # b[r][k] at 4 r + k
-        for row in self.linear:
-            if sum(x * flat[k] for k, x in row.items()) % p:
-                return False
-        if self.e2bar:
-            b1, b2 = _lift12(beta, p)
-            jm = _matmul(beta, [[(x - y) % p for x, y in zip(r, s)] for r, s in zip(b1, b2)], p)
-            for v in self.e2bar:
-                for row in jm:
-                    if sum(x * y for x, y in zip(row, v)) % p:
-                        return False
-        return True
+        return rows_vanish(self.linear, [x for row in beta for x in row], p) and jacobi_holds(beta, self.e2bar, 2, p)
 
 
 def _has_minus_one_simple_root(c_rows, field):
@@ -195,13 +105,13 @@ def _has_minus_one_simple_root(c_rows, field):
 # ---------------------------------------------------------------------------
 
 def udu_identity_holds(field: Field, diag) -> bool:
-    """U D U = Tr(D) U for the all-ones 4x4 matrix U."""
-    u = Mat.from_rows(field, [[1] * 4 for _ in range(4)])
-    d = Mat.from_rows(field, [[diag[i] if i == j else 0 for j in range(4)] for i in range(4)])
-    tr = field.zero
-    for x in diag:
-        tr = tr + field(x)
-    return u @ d @ u == u.scale(tr)
+    """U D U = Tr(D) U for the all-ones 4x4 matrix U, on raw values."""
+    p = field.p
+    d = [field(x).v for x in diag]
+    tr = sum(d) if p is None else sum(d) % p
+    u = [[1] * 4 for _ in range(4)]
+    udu = raw_product(raw_product(u, [[d[i] if i == j else 0 for j in range(4)] for i in range(4)], p), u, p)
+    return udu == [[tr * x for x in row] for row in u]
 
 
 def udu_check(field: Field, count: int = 100, seed: int = 0) -> bool:
@@ -267,12 +177,13 @@ def rank2_case_families(field: Field, shard: int = 0, nshards: int = 1) -> dict:
     reports = {name: BranchReport(name) for name in _RANK2_BRANCHES}
     independent = {}  # kernel dimension -> [i][j]: coefficient tuples i, j independent
     for c in _rank2_case_shapes(p, shard, nshards):
-        if SparseEchelon(field, _madd(c, _meye(4), p)).rank != 1:
+        ck1 = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(c)]  # c + Id
+        if SparseEchelon(field, ck1).rank != 1:
             continue
         if not _IntBraiding.yang_baxter(c, p):
             continue
         data = _IntBraiding(c, p)
-        lk = null_space(field, zip(*data.ck1), 4)  # v with v (c + Id) = 0
+        lk = null_space(field, zip(*ck1), 4)  # v with v (c + Id) = 0
         if not lk:
             continue
         splits_ok = None  # computed lazily, only for axiom survivors
@@ -413,18 +324,13 @@ def case_families(field: Field, jobs: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 
 def _intersect(s1: Subspace, s2: Subspace) -> Subspace:
-    if s1.dim == 0 or s2.dim == 0:
-        return Subspace.zero(s1.field, s1.ambient_dim)
-    cols = [list(v) for v in s1.basis] + [list(v) for v in s2.basis]
-    m = Mat(s1.field, [list(r) for r in zip(*cols)])
-    vecs = []
-    for k in kernel(m).basis:
-        v = [s1.field.zero] * s1.ambient_dim
-        for coeff, bas in zip(k[: s1.dim], s1.basis):
-            if coeff:
-                v = [a + coeff * b for a, b in zip(v, bas)]
-        vecs.append(v)
-    return Subspace(s1.field, s1.ambient_dim, vecs)
+    """s1 meet s2: the vectors sum_i a_i u_i over the null vectors (a, b)
+    of sum_i a_i u_i + sum_j b_j v_j = 0, u and v the two bases."""
+    field = s1.field
+    columns = [[x.v for x in u] for u in s1.basis + s2.basis]
+    coeffs = null_space(field, list(zip(*columns)), len(columns)) if columns else []
+    vecs = [[sum(a * u[k] for a, u in zip(co, columns[: s1.dim])) for k in range(s1.ambient_dim)] for co in coeffs]
+    return Subspace(field, s1.ambient_dim, vecs)
 
 
 @dataclass
@@ -463,7 +369,7 @@ def _corner_braidings(field):
             (0, qi, 0, 0),
             (h, 0, 0, b),
         )
-        if _int_yang_baxter(rows, p):
+        if braid_relation_holds(rows, p):
             yield [list(r) for r in rows]
 
 
@@ -555,8 +461,6 @@ def random_survey(field: Field, seed: int = 0, max_brackets_per_braiding: int = 
             im_c1 = column_space(space.c + eye)
             ok = im_c1.dim == 2
             kb = kernel(beta)
-            from .braided import h_of_c
-
             im_h = column_space(h_of_c(space, split))
             inter = _intersect(kb, im_h)
             ok = ok and all(kb.contains(v) for v in im_c1.basis)

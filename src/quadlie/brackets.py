@@ -13,9 +13,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .braided import BraidedSpace, MinpolySplit, h_of_c, lift_to_slot, vec_tensor
+from .braided import BraidedSpace, MinpolySplit, h_of_c, lift_columns, lift_rows, lift_to_slot, vec_tensor
 from .fields import Field
-from .linalg import HypothesisViolated, Mat, Subspace, column_space, null_space, solve
+from .linalg import HypothesisViolated, Mat, Subspace, column_space, integral, null_space, raw_product, solve
 
 
 class BasisMismatch(ValueError):
@@ -84,21 +84,40 @@ class LiftedReport:
         }
 
 
+def _linear_rows(space):
+    """linear_axiom_rows of the space's braiding, built once per space."""
+    rows = space._block_cache.get("linear_axioms")
+    if rows is None:
+        rows = space._block_cache["linear_axioms"] = linear_axiom_rows(space.c.raw(), space.dim, space.field.p)
+    return rows
+
+
+def _e2bar_integral(space):
+    """A basis of the joint (-1)-eigenspace with integer entries (residues
+    over GF(p))."""
+    vecs = space._block_cache.get("e2bar")
+    if vecs is None:
+        vecs = space._block_cache["e2bar"] = [integral([x.v for x in v])[0] for v in space.e2bar().basis]
+    return vecs
+
+
 def verify_lifted(q: QuadraticLieAlgebra) -> LiftedReport:
-    """Check the four bracket axioms by exact matrix identities."""
+    """Check the four bracket axioms: the linear ones against the space's
+    constraint rows, Jacobi on its joint (-1)-eigenspace.  All four are
+    homogeneous in b, so over Q they are tested on an integer multiple."""
     q.field.require_odd_char()
     space = q.space
-    n = space.dim
-    eye2 = Mat.identity(q.field, n**2)
-    antisym = (q.beta @ (space.c + eye2)).is_zero()
-    c1 = space.braiding_at(1, 3)
-    c2 = space.braiding_at(2, 3)
-    b1, b2 = q.beta1(), q.beta2()
-    bracket_left = space.c @ b1 == b2 @ (c1 @ c2)
-    bracket_right = space.c @ b2 == b1 @ (c2 @ c1)
-    jac_map = q.beta @ (b1 - b2)
-    jacobi = all(not x for v in space.e2bar().basis for x in jac_map.apply(v))
-    return LiftedReport(antisym, bracket_left, bracket_right, jacobi)
+    p = q.field.p
+    n2 = space.dim**2
+    flat = integral([x.v for row in q.beta.a for x in row])[0]
+    beta = [flat[r : r + n2] for r in range(0, len(flat), n2)]
+    antisym, left, right = _linear_rows(space)
+    return LiftedReport(
+        rows_vanish(antisym, flat, p),
+        rows_vanish(left, flat, p),
+        rows_vanish(right, flat, p),
+        jacobi_holds(beta, _e2bar_integral(space), space.dim, p),
+    )
 
 
 def derived_antisym_plus(q: QuadraticLieAlgebra) -> bool:
@@ -151,16 +170,25 @@ class QBracketReport:
         return {"bracket": self.bracket, "correctness": self.correctness, "jacobi": self.jacobi}
 
 
-def _split_first(space, vec):
-    """Write z in V^(x)3 as sum_i x_i (x) w_i; returns the list of w_i."""
-    n = space.dim
-    return [tuple(vec[(i - 1) + n * k] for k in range(n**2)) for i in range(1, n + 1)]
-
-
-def _split_last(space, vec):
-    """Write z in V^(x)3 as sum_i w_i (x) x_i; returns the list of w_i."""
-    n = space.dim
-    return [tuple(vec[k + n**2 * (i - 1)] for k in range(n**2)) for i in range(1, n + 1)]
+def _bbar_on(q: RestrictedBracket, z, slot):
+    """(bbar (x) Id) z for slot 1 and (Id (x) bbar) z for slot 2, z in
+    V^(x)3; None when a part of z that bbar acts on leaves the primitive
+    space."""
+    n = q.space.dim
+    n2 = n * n
+    out = [q.field.zero] * n2
+    for i in range(n):
+        # z = sum_i w_i (x) x_i for slot 1, z = sum_i x_i (x) w_i for slot 2
+        w = z[n2 * i : n2 * (i + 1)] if slot == 1 else z[i::n]
+        if not any(w):
+            continue
+        coords = q.e2_basis.coords(w)
+        if coords is None:
+            return None
+        for m, s in enumerate(q.beta_bar.apply(coords)):
+            if s:
+                out[m + n * i if slot == 1 else i + n * m] += s
+    return out
 
 
 def verify_qbracket(q: RestrictedBracket) -> QBracketReport:
@@ -173,112 +201,36 @@ def verify_qbracket(q: RestrictedBracket) -> QBracketReport:
     space.field.require_odd_char()
     if q.e2_basis != space.e2():
         raise BasisMismatch("expected the canonical echelon basis of the degree-two primitives")
-    n = space.dim
     field = space.field
     e2 = q.e2_basis
     c1 = space.braiding_at(1, 3)
     c2 = space.braiding_at(2, 3)
-    eye = Mat.identity(field, n).a
+    c12, c21 = c1 @ c2, c2 @ c1
+    eye = [tuple(r) for r in Mat.identity(field, space.dim).a]
+    images = [(e, q.beta_bar.apply(e2.coords(e))) for e in e2.basis]
 
-    def bbar(vec2):
-        coords = e2.coords(vec2)
-        if coords is None:
-            return None
-        return q.beta_bar.apply(coords)
-
-    bracket = True
-    # Left identity on E2 (x) V.
-    for e in e2.basis:
-        for j in range(n):
-            z = vec_tensor(field, e, tuple(eye[j]))
-            lhs = space.c.apply(vec_tensor(field, q.beta_bar.apply(e2.coords(e)), tuple(eye[j])))
-            y = (c1 @ c2).apply(z)
-            parts = _split_first(space, y)
-            rhs = [field.zero] * n**2
-            for i, w in enumerate(parts):
-                if not any(w):
-                    continue
-                bw = bbar(w)
-                if bw is None:
-                    bracket = False
-                    break
-                for m, s in enumerate(bw):
-                    if s:
-                        rhs[i + n * m] += s
-            else:
-                if list(lhs) != rhs:
-                    bracket = False
-            if not bracket:
-                break
-        if not bracket:
-            break
-    # Right identity on V (x) E2.
-    if bracket:
-        for e in e2.basis:
-            for j in range(n):
-                z = vec_tensor(field, tuple(eye[j]), e)
-                lhs = space.c.apply(vec_tensor(field, tuple(eye[j]), q.beta_bar.apply(e2.coords(e))))
-                y = (c2 @ c1).apply(z)
-                parts = _split_last(space, y)
-                rhs = [field.zero] * n**2
-                for i, w in enumerate(parts):
-                    if not any(w):
-                        continue
-                    bw = bbar(w)
-                    if bw is None:
-                        bracket = False
-                        break
-                    for m, s in enumerate(bw):
-                        if s:
-                            rhs[m + n * i] += s
-                else:
-                    if list(lhs) != rhs:
-                        bracket = False
-                if not bracket:
-                    break
-            if not bracket:
-                break
+    # c (bbar e (x) x) = (Id (x) bbar) c1 c2 (e (x) x) on E2 (x) V, and
+    # c (x (x) bbar e) = (bbar (x) Id) c2 c1 (x (x) e) on V (x) E2
+    bracket = all(
+        list(space.c.apply(vec_tensor(field, be, x))) == _bbar_on(q, c12.apply(vec_tensor(field, e, x)), 2)
+        for e, be in images
+        for x in eye
+    ) and all(
+        list(space.c.apply(vec_tensor(field, x, be))) == _bbar_on(q, c21.apply(vec_tensor(field, x, e)), 1)
+        for e, be in images
+        for x in eye
+    )
 
     correctness = True
     jacobi = True
     for z in space.e2bar().basis:
-        last_parts = _split_last(space, z)
-        first_parts = _split_first(space, z)
-        u = [field.zero] * n**2
-        ok = True
-        # (bbar tensor Id)(z): z decomposed with the primitive part leading.
-        for i, w in enumerate(last_parts):
-            if not any(w):
-                continue
-            bw = bbar(w)
-            if bw is None:
-                ok = False
-                break
-            for m, s in enumerate(bw):
-                if s:
-                    u[m + n * i] += s
-        # minus (Id tensor bbar)(z).
-        if ok:
-            for i, w in enumerate(first_parts):
-                if not any(w):
-                    continue
-                bw = bbar(w)
-                if bw is None:
-                    ok = False
-                    break
-                for m, s in enumerate(bw):
-                    if s:
-                        u[i + n * m] -= s
-        if not ok:
-            correctness = False
-            jacobi = False
-            continue
-        coords = e2.coords(tuple(u))
+        # (bbar (x) Id - Id (x) bbar) z must lie in E2, and bbar must kill it
+        u1 = _bbar_on(q, z, 1)
+        u2 = None if u1 is None else _bbar_on(q, z, 2)
+        coords = None if u2 is None else e2.coords(tuple(a - b for a, b in zip(u1, u2)))
         if coords is None:
-            correctness = False
-            jacobi = False
-            continue
-        if any(q.beta_bar.apply(coords)):
+            correctness = jacobi = False
+        elif any(q.beta_bar.apply(coords)):
             jacobi = False
     return QBracketReport(bracket, correctness, jacobi)
 
@@ -306,8 +258,7 @@ def restrict_bracket(q: QuadraticLieAlgebra, split: MinpolySplit) -> RestrictedB
     """
     space = q.space
     n = space.dim
-    eye2 = Mat.identity(space.field, n**2)
-    if not (q.beta @ (space.c + eye2)).is_zero():
+    if not rows_vanish(_linear_rows(space)[0], [x.v for row in q.beta.a for x in row], space.field.p):
         raise Inconsistent("bracket does not vanish on the image of c + Id")
     e2 = space.e2()
     hc = h_of_c(space, split)
@@ -389,74 +340,83 @@ def check_dim1_rigidity(field: Field, exhaustive: bool = True) -> bool:
     return True
 
 
-def slot_braidings(c, n):
-    """c (x) Id and Id (x) c on V^(x)3, as dense lists of the raw entries
-    of the n^2 x n^2 matrix c, in the tensor-basis order of braided."""
-    n2, n3 = n * n, n**3
-    c1 = [[0] * n3 for _ in range(n3)]
-    c2 = [[0] * n3 for _ in range(n3)]
-    for o in range(n2):
-        for i in range(n2):
-            v = c[o][i]
-            if v:
-                for j in range(n):
-                    c1[o + n2 * j][i + n2 * j] = v
-                    c2[j + n * o][j + n * i] = v
-    return c1, c2
-
-
-def linear_axiom_rows(c, n):
+def linear_axiom_rows(c, n, p=None):
     """The linear bracket axioms as sparse constraint rows on a bracket b.
 
     A row is a dict coord -> coefficient over the n n^2 coordinates of b,
-    b[r][k] at r n^2 + k, and b satisfies antisymmetry and both
-    braiding-compatibility identities iff every row vanishes on it.  The
-    rows are the entries of b (c + Id), then of c b1 - b2 c1 c2 and of
-    c b2 - b1 c2 c1, with b1 = b (x) Id, b2 = Id (x) b, c1 = c (x) Id and
-    c2 = Id (x) c.  Coefficients are sums of products of c's raw entries
-    (Fractions over Q, integers to be read mod p over GF(p)); rows without
-    a nonzero coefficient are left out.
+    b[r][k] at r n^2 + k; b satisfies an axiom iff every row of its group
+    vanishes on it.  Returns the three groups: the entries of b (c + Id)
+    (antisymmetry), of c b1 - b2 c1 c2 (left compatibility) and of
+    c b2 - b1 c2 c1 (right compatibility), with b1 = b (x) Id,
+    b2 = Id (x) b, c1 = c (x) Id and c2 = Id (x) c.  c holds raw entries
+    (Fractions or ints over Q, p None; integers read mod p over GF(p)).
+    The coefficients are integers: over Q the rows are scaled by powers of
+    the lcm of c's denominators.  Rows without a nonzero coefficient are
+    left out.
+
+    The slot lifts of b are taken of the matrix of its coordinate labels,
+    so they say which coordinate of b sits at each entry of b1 and b2.
     """
     n2, n3 = n * n, n**3
-    c1, c2 = slot_braidings(c, n)
+    # c = C / d with C integral (d = 1 over GF(p)); the rows below are d
+    # times antisymmetry and d^2 times the compatibilities, in C
+    flat, d = integral([x for row in c for x in row])
+    c = [flat[o : o + n2] for o in range(0, n2 * n2, n2)]
+    labels = [[r * n2 + k + 1 for k in range(n2)] for r in range(n)]  # nonzero, so the lifts keep them
+    c1, c2 = lift_rows(c, 1, 3, n, 2, 2), lift_rows(c, 2, 3, n, 2, 2)
 
-    def product(a, b):
-        nonzeros = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-        out = []
-        for row in a:
-            acc = [0] * n3
-            for x, nz in zip(row, nonzeros):
-                if x:
-                    for j, y in nz:
-                        acc[j] += x * y
-            out.append(acc)
-        return out
+    def compatibility(near, far, cc):
+        """Rows of c b_near - b_far cc, b_near and b_far the lifts of b to
+        the given slots: entry (o, m) has sum_j c[o][j] b_near[j][m]
+        minus sum_K b_far[o][K] cc[K][m]."""
+        near_cols = lift_columns(labels, near, 3, n, 2, 1)
+        far_rows = [[] for _ in range(n2)]
+        for k, col in enumerate(lift_columns(labels, far, 3, n, 2, 1)):
+            for o, u in col:
+                far_rows[o].append((k, u - 1))
+        rows = []
+        for o in range(n2):
+            for m in range(n3):
+                row = {u - 1: d * c[o][j] for j, u in near_cols[m]}
+                for k, u in far_rows[o]:
+                    if y := cc[k][m]:
+                        row[u] = row.get(u, 0) - y
+                rows.append(row)
+        return rows
 
-    c12t, c21t = list(zip(*product(c1, c2))), list(zip(*product(c2, c1)))
+    antisym = [{r * n2 + k: c[k][j] + d * (k == j) for k in range(n2)} for r in range(n) for j in range(n2)]
+    groups = (
+        antisym,
+        compatibility(1, 2, raw_product(c1, c2, p)),
+        compatibility(2, 1, raw_product(c2, c1, p)),
+    )
+    return tuple([r for r in rows if any(r.values())] for rows in groups)
 
-    def row(r0, line_k, k0, line_r):
-        """Coefficient line_k[k] at b[r0][k] plus line_r[r] at b[r][k0]."""
-        out = {r0 * n2 + k: v for k, v in enumerate(line_k) if v}
-        for r, v in enumerate(line_r):
-            if v:
-                out[r * n2 + k0] = out.get(r * n2 + k0, 0) + v
-        return out
 
-    # b (c + Id) at (r, j): sum_k b[r][k] (c + Id)[k][j]
-    rows = [row(r, [c[k][j] + (k == j) for k in range(n2)], 0, ()) for r in range(n) for j in range(n2)]
-    for o in range(n2):
-        for m in range(n3):
-            # (c b1)[o][k + n^2 i] = sum_r c[o][r + n i] b[r][k] minus
-            # (b2 c1 c2)[i0 + n r0][m] = sum_k b[r0][k] (c1 c2)[i0 + n k][m]
-            r0, i0 = divmod(o, n)
-            i, k0 = divmod(m, n2)
-            rows.append(row(r0, [-c12t[m][i0 + n * k] for k in range(n2)], k0, [c[o][r + n * i] for r in range(n)]))
-            # (c b2)[o][i + n k] = sum_r c[o][i + n r] b[r][k] minus
-            # (b1 c2 c1)[r0 + n i0][m] = sum_k b[r0][k] (c2 c1)[k + n^2 i0][m]
-            i0, r0 = divmod(o, n)
-            k0, i = divmod(m, n)
-            rows.append(row(r0, [-c21t[m][k + n2 * i0] for k in range(n2)], k0, [c[o][i + n * r] for r in range(n)]))
-    return [r for r in rows if any(r.values())]
+def rows_vanish(rows, flat, p=None):
+    """Whether every sparse row has zero dot product with the raw vector
+    flat (exactly over Q, p None; mod p over GF(p))."""
+    for row in rows:
+        s = sum(x * flat[k] for k, x in row.items())
+        if s if p is None else s % p:
+            return False
+    return True
+
+
+def jacobi_holds(beta, e2bar, n, p=None):
+    """Whether b (b1 - b2) vanishes on the raw vectors e2bar of V^(x)3, for
+    a bracket b given as n raw rows, b1 = b (x) Id and b2 = Id (x) b."""
+    if not e2bar:
+        return True
+    b1 = lift_rows(beta, 1, 3, n, 2, 1)
+    b2 = lift_rows(beta, 2, 3, n, 2, 1)
+    jm = raw_product(beta, [[x - y for x, y in zip(r, s)] for r, s in zip(b1, b2)], p)
+    for v in e2bar:
+        for row in jm:
+            s = sum(x * y for x, y in zip(row, v))
+            if s if p is None else s % p:
+                return False
+    return True
 
 
 def solve_linear_bracket_space(space: BraidedSpace):
@@ -470,8 +430,8 @@ def solve_linear_bracket_space(space: BraidedSpace):
     n = space.dim
     field = space.field
     unknowns = n * n**2
-    c = [[x.v for x in row] for row in space.c.a]
-    kernel = Subspace(field, unknowns, null_space(field, linear_axiom_rows(c, n), unknowns))
+    rows = [r for group in _linear_rows(space) for r in group]
+    kernel = Subspace(field, unknowns, null_space(field, rows, unknowns))
     return [Mat(field, [v[r * n**2 : (r + 1) * n**2] for r in range(n)]) for v in kernel.basis]
 
 

@@ -8,10 +8,12 @@ n = 2, k = 2 this is x1(x)x1, x2(x)x1, x1(x)x2, x2(x)x2, so published
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .fields import Field, Scalar
-from .linalg import Mat, Poly, Subspace, eval_poly_at, kernel, minimal_polynomial
+from .linalg import Mat, Poly, Subspace, eval_poly_at, integral, kernel, minimal_polynomial, null_space
 
 
 class NotYangBaxter(ValueError):
@@ -88,6 +90,56 @@ def mat_tensor(field, a: Mat, b: Mat) -> Mat:
     return Mat(field, out)
 
 
+def lift_columns(op, slot, total, n, in_factors, out_factors=None):
+    """Sparse columns of a map on V^(x)l lifted to V^(x)total at a slot.
+
+    op is a list of rows of values (raw, or Scalars) of a map from l to m
+    factors acting from the given 1-based slot; the lifted map is
+    Id^(slot-1) (x) op (x) Id^(total-slot-l+1).  Returns, for each input
+    basis index of V^(x)total, the list of (output index, entry) over the
+    nonzero entries of op.
+    """
+    l = in_factors
+    rows, cols = len(op), len(op[0])
+    m = out_factors if out_factors is not None else (l if rows == cols else None)
+    if m is None:
+        raise ValueError("out_factors required for a rectangular lift")
+    if cols != n**l or rows != n**m:
+        raise ValueError("operator shape does not match the declared factor counts")
+    if slot < 1 or slot + l - 1 > total:
+        raise IndexOutOfRange(f"slot {slot} with {l} factors does not fit in {total}")
+    lo, index = _slot_index(n, slot, total, l, rows, cols)
+    op_cols = [[(o, row[i]) for o, row in enumerate(op) if row[i]] for i in range(cols)]
+    return [[(base + lo * o, v) for o, v in op_cols[i]] for i, base in index]
+
+
+@lru_cache(maxsize=256)
+def _slot_index(n, slot, total, l, rows, cols):
+    """(lo, index) of a rows x cols map on V^(x)l lifted at a slot of
+    V^(x)total: input index k reads op column i and writes output
+    base + lo o for op row o, where (i, base) = index[k] and lo is the
+    dimension of the factors before the slot."""
+    lo = n ** (slot - 1)
+    index = []
+    # input index lo_i + lo (i + cols h) goes to lo_i + lo (o + rows h)
+    for k in range(lo * cols * n ** (total - slot - l + 1)):
+        rest, lo_i = divmod(k, lo)
+        h, i = divmod(rest, cols)
+        index.append((i, lo_i + lo * rows * h))
+    return lo, tuple(index)
+
+
+def lift_rows(op, slot, total, n, in_factors, out_factors=None, zero=0):
+    """The lift of ``lift_columns`` as dense rows, zero where it is empty."""
+    cols = lift_columns(op, slot, total, n, in_factors, out_factors)
+    height = len(op) * len(cols) // len(op[0])
+    out = [[zero] * len(cols) for _ in range(height)]
+    for k, col in enumerate(cols):
+        for o, v in col:
+            out[o][k] = v
+    return out
+
+
 def lift_to_slot(op: Mat, slot: int, total: int, n: int, in_factors: int, out_factors: int | None = None) -> Mat:
     """Lift a map on V^(x)l (acting from the given 1-based slot) to V^(x)total.
 
@@ -95,32 +147,55 @@ def lift_to_slot(op: Mat, slot: int, total: int, n: int, in_factors: int, out_fa
     has ``total`` factors, its output total - l + m where op maps l factors
     to m.
     """
-    l = in_factors
-    m = out_factors if out_factors is not None else (l if op.rows == op.cols else None)
-    if m is None:
-        raise ValueError("out_factors required for a rectangular lift")
-    if op.cols != n**l or op.rows != n**m:
-        raise ValueError("operator shape does not match the declared factor counts")
-    if slot < 1 or slot + l - 1 > total:
-        raise IndexOutOfRange(f"slot {slot} with {l} factors does not fit in {total}")
-    lo = n ** (slot - 1)
-    hi = n ** (total - slot - l + 1)
-    field = op.field
-    z = field.zero
-    rows = lo * op.rows * hi
-    cols = lo * op.cols * hi
-    out = [[z] * cols for _ in range(rows)]
-    for h in range(hi):
-        for om in range(op.rows):
-            base_r = lo * (om + op.rows * h)
-            for im in range(op.cols):
-                s = op.a[om][im]
-                if not s:
-                    continue
-                base_c = lo * (im + op.cols * h)
-                for lo_i in range(lo):
-                    out[base_r + lo_i][base_c + lo_i] = s
-    return Mat(field, out)
+    return Mat(op.field, lift_rows(op.a, slot, total, n, in_factors, out_factors, op.field.zero))
+
+
+def braid_relation_holds(c, p=None) -> bool:
+    """Whether c1 c2 c1 = c2 c1 c2 on V^(x)3, with c1 = c (x) Id and
+    c2 = Id (x) c, for c given as n^2 rows of raw values (Fractions or ints
+    over Q, p None; integers read mod p over GF(p)).
+
+    Both sides are applied to one basis vector of V^(x)3 at a time, as
+    sparse {index: value} dicts through the slot indices of c1 and c2,
+    and the test stops at the first basis vector whose images differ.
+    """
+    n = math.isqrt(len(c))
+    n2 = n * n
+    if p is None:  # the relation is homogeneous in c: test an integer multiple
+        flat = integral([x for row in c for x in row])[0]
+        c = [flat[o : o + n2] for o in range(0, n2 * n2, n2)]
+    cols = [[(o, v) for o, row in enumerate(c) if (v := row[i] if p is None else row[i] % p)] for i in range(n2)]
+    c1 = _slot_index(n, 1, 3, 2, n2, n2)
+    c2 = _slot_index(n, 2, 3, 2, n2, n2)
+
+    def apply(lift, vec):
+        lo, index = lift
+        out = {}
+        for k, x in vec.items():
+            i, base = index[k]
+            for o, v in cols[i]:
+                o = base + lo * o
+                out[o] = out.get(o, 0) + x * v
+        if p is None:
+            return {o: y for o, y in out.items() if y}
+        return {o: r for o, y in out.items() if (r := y % p)}
+
+    for k in range(n**3):
+        e = {k: 1}
+        if apply(c1, apply(c2, apply(c1, e))) != apply(c2, apply(c1, apply(c2, e))):
+            return False
+    return True
+
+
+def joint_minus_one_rows(c, n):
+    """The rows of c (x) Id + Id above those of Id (x) c + Id on V^(x)3,
+    from c's raw entries: their null space is the joint (-1)-eigenspace."""
+    rows = []
+    for slot in (1, 2):
+        for i, row in enumerate(lift_rows(c, slot, 3, n, 2, 2)):
+            row[i] += 1
+            rows.append(row)
+    return rows
 
 
 class BraidedSpace:
@@ -170,9 +245,7 @@ class BraidedSpace:
         return cached
 
     def check_yang_baxter(self) -> bool:
-        c1 = self.braiding_at(1, 3)
-        c2 = self.braiding_at(2, 3)
-        return c1 @ c2 @ c1 == c2 @ c1 @ c2
+        return braid_relation_holds(self.c.raw(), self.field.p)
 
     def minpoly(self) -> Poly:
         if self._minpoly is None:
@@ -189,10 +262,9 @@ class BraidedSpace:
     def e2bar(self) -> Subspace:
         """Vectors of V^(x)3 sent to their negative by both adjacent braidings."""
         if self._e2bar is None:
-            eye = Mat.identity(self.field, self.dim**3)
-            c1 = self.braiding_at(1, 3)
-            c2 = self.braiding_at(2, 3)
-            self._e2bar = kernel((c1 + eye).stack(c2 + eye))
+            n3 = self.dim**3
+            rows = joint_minus_one_rows(self.c.raw(), self.dim)
+            self._e2bar = Subspace(self.field, n3, null_space(self.field, rows, n3))
         return self._e2bar
 
     def __repr__(self):

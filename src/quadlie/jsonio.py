@@ -18,8 +18,9 @@ from .fields import Field, Scalar
 from .linalg import Mat
 
 
-#: Largest accepted dimension of V: loading checks the braid relation with
-#: n^3 x n^3 products, about 20 s for a dense c at dim 6 over Q.
+#: Largest accepted dimension of V: loading checks the braid relation, and
+#: ``verify`` on a dense c over Q at dim 6 takes about 1.6 s (2-CPU x86-64
+#: VM, Python 3.11), most of it in that check and the bracket-axiom rows.
 MAX_DIM = 6
 
 

@@ -59,10 +59,20 @@ class Mat:
     def col(self, j):
         return tuple(self.a[i][j] for i in range(self.rows))
 
+    def raw(self):
+        """The entries as raw values (Fractions over Q, residues over GF(p))."""
+        return [[x.v for x in r] for r in self.a]
+
+    def _same_shape(self, other):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError(f"shape mismatch {self.rows}x{self.cols} and {other.rows}x{other.cols}")
+
     def __add__(self, other):
+        self._same_shape(other)
         return Mat(self.field, [[x + y for x, y in zip(r, s)] for r, s in zip(self.a, other.a)])
 
     def __sub__(self, other):
+        self._same_shape(other)
         return Mat(self.field, [[x - y for x, y in zip(r, s)] for r, s in zip(self.a, other.a)])
 
     def __neg__(self):
@@ -78,24 +88,14 @@ class Mat:
         field = self.field
         if other.field is not field:
             raise FieldMismatch(f"operands over {field!r} and {other.field!r}")
-        # accumulate each row of self over the nonzeros of other's rows, on
-        # the exact values (Fractions or integers), reducing mod p once
-        p = field.p
-        z = field.zero.v
-        nonzeros = [[(j, y.v) for j, y in enumerate(row) if y.v] for row in other.a]
-        out = []
-        for r in self.a:
-            acc = [z] * other.cols
-            for x, nz in zip(r, nonzeros):
-                x = x.v
-                if x:
-                    for j, y in nz:
-                        acc[j] += x * y
-            out.append([Scalar(field, v if p is None else v % p) for v in acc])
-        return Mat(field, out)
+        out = raw_product(self.raw(), other.raw(), field.p, other.cols)
+        zero = field.zero
+        return Mat(field, [[Scalar(field, v) if v else zero for v in r] for r in out])
 
     def apply(self, vec):
         """Matrix times column vector (tuple of scalars)."""
+        if len(vec) != self.cols:
+            raise ValueError(f"shape mismatch {self.rows}x{self.cols} applied to a {len(vec)}-vector")
         z = self.field.zero
         return tuple(sum((x * y for x, y in zip(r, vec) if x and y), z) for r in self.a)
 
@@ -153,6 +153,38 @@ class Mat:
         if self.cols != other.cols:
             raise ValueError("column mismatch")
         return Mat(self.field, self.a + other.a)
+
+
+def raw_product(a, b, p=None, width=None):
+    """The product of two matrices given as lists of rows of raw values.
+
+    Each row of a accumulates over the nonzeros of b's rows, on the exact
+    values (Fractions or ints over Q, p None); over GF(p) the entries are
+    reduced mod p once, at the end.  Entries that no product reaches are
+    the int 0.  width is the column count of b, needed only when b has no
+    rows.
+    """
+    if a and len(a[0]) != len(b):
+        raise ValueError(f"shape mismatch: {len(a[0])} columns @ {len(b)} rows")
+    if width is None:
+        width = len(b[0]) if b else 0
+    nonzeros = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, nz in zip(row, nonzeros):
+            if x:
+                for j, y in nz:
+                    acc[j] += x * y
+        out.append(acc if p is None else [v % p for v in acc])
+    return out
+
+
+def integral(values):
+    """(ints, d) with values = ints / d, for Fractions or ints: d is the
+    lcm of their denominators (1 for ints)."""
+    d = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
 
 
 def solve(a: Mat, b):

@@ -16,13 +16,24 @@ constraint rows from the entries of c.
 
 ``four_product_axioms`` is the integer axiom check by four matrix products,
 kept as the oracle of ``quadlie.appendix._IntBraiding.axioms``, which tests
-the linear axioms against echelon constraint rows.
+the linear axioms against echelon constraint rows.  It keeps its own n = 2
+integer product and slot lifts, so that it imports none of the kernels it
+checks.
+
+``dense_lifted_oracle`` and ``dense_yang_baxter_oracle`` are the four
+bracket axioms and the braid relation by dense Scalar ``Mat`` products of
+the slot-lifted matrices, kept as the oracles of
+``quadlie.brackets.verify_lifted`` and
+``quadlie.braided.BraidedSpace.check_yang_baxter``, which read the linear
+axioms from constraint rows and test the braid relation sparsely on raw
+entries.
 """
 
 import pytest
 
-from quadlie.appendix import _IntBraiding, _lift12, _matmul
-from quadlie.brackets import QuadraticLieAlgebra
+from quadlie.braided import lift_to_slot
+from quadlie.brackets import LiftedReport, QuadraticLieAlgebra
+from quadlie.fields import GF
 from quadlie.linalg import HypothesisViolated, Mat, kernel
 
 
@@ -199,6 +210,26 @@ def unit_bracket_oracle():
     return unit_bracket_space
 
 
+def _int_matmul(a, b, p):
+    """a @ b mod p for integer matrices given as rows."""
+    return tuple(tuple(sum(x * b[k][j] for k, x in enumerate(row)) % p for j in range(len(b[0]))) for row in a)
+
+
+def _int_lift12(m):
+    """m (x) Id and Id (x) m on three factors of a 2-dimensional space, for
+    m with 4 columns and 2 or 4 rows: columns k + 4 j -> rows r + h j and
+    columns i + 2 k -> rows i + 2 r, h the row count."""
+    h = len(m)
+    first = [[0] * 8 for _ in range(2 * h)]
+    second = [[0] * 8 for _ in range(2 * h)]
+    for r in range(h):
+        for k in range(4):
+            for j in range(2):
+                first[r + h * j][k + 4 * j] = m[r][k]
+                second[j + 2 * r][j + 2 * k] = m[r][k]
+    return tuple(map(tuple, first)), tuple(map(tuple, second))
+
+
 class FourProductAxioms:
     """The four bracket axioms of a 2-dimensional braiding mod p, by integer
     matrix products: b (c + Id), c b1 against b2 c1 c2, c b2 against
@@ -207,23 +238,25 @@ class FourProductAxioms:
     def __init__(self, c, p):
         self.c = tuple(tuple(r) for r in c)
         self.p = p
-        data = _IntBraiding(c, p)
-        self.e2bar = data.e2bar
+        c1, c2 = _int_lift12(self.c)
+        eye8 = [[int(i == j) for j in range(8)] for i in range(8)]
+        plus = [[x + y for x, y in zip(r, e)] for m in (c1, c2) for r, e in zip(m, eye8)]
+        self.e2bar = [[x.v for x in v] for v in DenseOracle.null_vectors(Mat.from_rows(GF(p), plus))]
         self.ck1 = tuple(tuple((x + (i == j)) % p for j, x in enumerate(r)) for i, r in enumerate(self.c))
-        self.c12 = _matmul(data.c1, data.c2, p)
-        self.c21 = _matmul(data.c2, data.c1, p)
+        self.c12 = _int_matmul(c1, c2, p)
+        self.c21 = _int_matmul(c2, c1, p)
 
     def axioms(self, beta):
         p = self.p
-        if any(x % p for row in _matmul(beta, self.ck1, p) for x in row):
+        if any(x % p for row in _int_matmul(beta, self.ck1, p) for x in row):
             return False
-        b1, b2 = _lift12(beta, p)
-        if _matmul(self.c, b1, p) != _matmul(b2, self.c12, p):
+        b1, b2 = _int_lift12(beta)
+        if _int_matmul(self.c, b1, p) != _int_matmul(b2, self.c12, p):
             return False
-        if _matmul(self.c, b2, p) != _matmul(b1, self.c21, p):
+        if _int_matmul(self.c, b2, p) != _int_matmul(b1, self.c21, p):
             return False
         if self.e2bar:
-            jm = _matmul(beta, [[(x - y) % p for x, y in zip(r, s)] for r, s in zip(b1, b2)], p)
+            jm = _int_matmul(beta, [[(x - y) % p for x, y in zip(r, s)] for r, s in zip(b1, b2)], p)
             for v in self.e2bar:
                 for row in jm:
                     if sum(x * y for x, y in zip(row, v)) % p:
@@ -234,3 +267,37 @@ class FourProductAxioms:
 @pytest.fixture
 def four_product_axioms():
     return FourProductAxioms
+
+
+def dense_yang_baxter(space):
+    """c1 c2 c1 == c2 c1 c2 by dense products of the slot-lifted c."""
+    c1 = lift_to_slot(space.c, 1, 3, space.dim, 2, 2)
+    c2 = lift_to_slot(space.c, 2, 3, space.dim, 2, 2)
+    return c1 @ c2 @ c1 == c2 @ c1 @ c2
+
+
+@pytest.fixture
+def dense_yang_baxter_oracle():
+    return dense_yang_baxter
+
+
+def dense_verify_lifted(q):
+    """The four bracket axioms by exact dense matrix identities."""
+    space = q.space
+    n = space.dim
+    eye2 = Mat.identity(q.field, n**2)
+    antisym = (q.beta @ (space.c + eye2)).is_zero()
+    c1 = lift_to_slot(space.c, 1, 3, n, 2, 2)
+    c2 = lift_to_slot(space.c, 2, 3, n, 2, 2)
+    b1, b2 = q.beta1(), q.beta2()
+    bracket_left = space.c @ b1 == b2 @ (c1 @ c2)
+    bracket_right = space.c @ b2 == b1 @ (c2 @ c1)
+    jac_map = q.beta @ (b1 - b2)
+    e2bar = kernel((c1 + Mat.identity(q.field, n**3)).stack(c2 + Mat.identity(q.field, n**3)))
+    jacobi = all(not x for v in e2bar.basis for x in jac_map.apply(v))
+    return LiftedReport(antisym, bracket_left, bracket_right, jacobi)
+
+
+@pytest.fixture
+def dense_lifted_oracle():
+    return dense_verify_lifted

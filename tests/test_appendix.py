@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from quadlie import appendix, cli
 from quadlie.appendix import (
     _has_minus_one_simple_root,
-    _int_yang_baxter,
     _intersect,
-    _matmul,
     _rank1_case_shapes,
     _rank2_case_shapes,
     case_families,
@@ -20,12 +18,14 @@ from quadlie.appendix import (
     udu_check,
     udu_identity_holds,
 )
-from quadlie.braided import BraidedSpace
+from quadlie.braided import BraidedSpace, braid_relation_holds, lift_rows
 from quadlie.brackets import QuadraticLieAlgebra, solve_linear_bracket_space, verify_lifted
 from quadlie.classify import conjugate
 from quadlie.fields import GF, QQ
-from quadlie.linalg import Mat, Subspace
+from quadlie.linalg import Mat, Subspace, raw_product
 from quadlie.table import GAMMA_RULES, gamma_allowed, row_instance
+
+from conftest import dense_verify_lifted
 
 
 def test_udu_trace_example():
@@ -125,15 +125,13 @@ def test_intersect_subspaces():
     assert zero.dim == 0
 
 
-def test_integer_fast_path_matches_generic():
-    # the enumeration kernels (slot lifts, bracket lifts, joint eigenspace,
-    # axiom checks) must agree with the generic exact machinery
-    import random
-
-    from quadlie.appendix import _IntBraiding, _int_yang_baxter, _lift12
-    from quadlie.braided import BraidedSpace, lift_to_slot
-    from quadlie.brackets import QuadraticLieAlgebra, verify_lifted
-    from quadlie.linalg import Mat
+def test_integer_fast_path_matches_generic(dense_yang_baxter_oracle, dense_lifted_oracle):
+    # the enumeration kernels (raw slot lifts, bracket lifts, joint
+    # eigenspace, braid relation, axiom checks) must agree with the dense
+    # Scalar machinery
+    from quadlie.appendix import _IntBraiding
+    from quadlie.braided import lift_to_slot
+    from quadlie.table import default_gamma
 
     rng = random.Random(99)
     F = GF(5)
@@ -142,23 +140,17 @@ def test_integer_fast_path_matches_generic():
         cmat = Mat.from_rows(F, [list(r) for r in c_rows])
         sp = BraidedSpace(F, 2, cmat, check=False)
         data = _IntBraiding(c_rows, 5)
-        assert _int_yang_baxter(c_rows, 5) == sp.check_yang_baxter()
-        c1 = lift_to_slot(cmat, 1, 3, 2, 2, 2)
-        c2 = lift_to_slot(cmat, 2, 3, 2, 2, 2)
-        assert [[x.v for x in row] for row in c1.a] == [list(r) for r in data.c1]
-        assert [[x.v for x in row] for row in c2.a] == [list(r) for r in data.c2]
+        assert braid_relation_holds(c_rows, 5) == dense_yang_baxter_oracle(sp)
+        for slot in (1, 2):
+            assert lift_rows(c_rows, slot, 3, 2, 2, 2) == lift_to_slot(cmat, slot, 3, 2, 2, 2).raw()
         assert len(data.e2bar) == sp.e2bar().dim
         b_rows = tuple(tuple(rng.randrange(5) for _ in range(4)) for _ in range(2))
-        bmat = Mat.from_rows(F, [list(r) for r in b_rows])
-        b1, b2 = _lift12(b_rows, 5)
-        q = QuadraticLieAlgebra(sp, bmat)
-        assert [[x.v for x in row] for row in q.beta1().a] == [list(r) for r in b1]
-        assert [[x.v for x in row] for row in q.beta2().a] == [list(r) for r in b2]
+        q = QuadraticLieAlgebra(sp, Mat.from_rows(F, [list(r) for r in b_rows]))
+        assert lift_rows(b_rows, 1, 3, 2, 2, 1) == q.beta1().raw()
+        assert lift_rows(b_rows, 2, 3, 2, 2, 1) == q.beta2().raw()
 
     # axiom agreement, on braidings that do satisfy the braid relation:
     # the canonical rows with both genuine and random brackets
-    from quadlie.table import GAMMA_RULES, default_gamma, row_instance
-
     agreements = 0
     for row in range(1, 9):
         inst = row_instance(row, F, default_gamma(row, F))
@@ -169,7 +161,7 @@ def test_integer_fast_path_matches_generic():
             candidates.append(tuple(tuple(rng.randrange(5) for _ in range(4)) for _ in range(2)))
         for b_rows in candidates:
             q = QuadraticLieAlgebra(inst.space, Mat.from_rows(F, [list(r) for r in b_rows]))
-            assert data.axioms(b_rows) == verify_lifted(q).ok
+            assert data.axioms(b_rows) == dense_lifted_oracle(q).ok
             agreements += 1
     assert agreements == 88
 
@@ -212,9 +204,16 @@ def _dense_int_product(a, b, p):
     )
 
 
-def _generic_yang_baxter(c, p):
-    F = GF(p)
-    return BraidedSpace(F, 2, Mat.from_rows(F, [list(r) for r in c]), check=False).check_yang_baxter()
+@pytest.fixture
+def generic_yang_baxter(dense_yang_baxter_oracle):
+    """The braid relation of a raw 2-dimensional c over GF(p) by the dense
+    triple product."""
+
+    def check(c, p):
+        F = GF(p)
+        return dense_yang_baxter_oracle(BraidedSpace(F, 2, Mat.from_rows(F, [list(r) for r in c]), check=False))
+
+    return check
 
 
 def test_int_matmul_matches_dense_reference():
@@ -229,40 +228,40 @@ def test_int_matmul_matches_dense_reference():
             tuple(0 if i == zero_row or j == zero_col or rng.random() > density else rng.randrange(p) for j in range(c))
             for i in range(k)
         )
-        assert _matmul(a, b, p) == _dense_int_product(a, b, p)
+        assert tuple(map(tuple, raw_product(a, b, p))) == _dense_int_product(a, b, p)
     with pytest.raises(ValueError, match="shape mismatch"):
-        _matmul(((1, 2, 3),), ((1,), (2,)), 5)
+        raw_product(((1, 2, 3),), ((1,), (2,)), 5)
 
 
-def test_int_yang_baxter_matches_generic_on_all_corner_shapes():
+def test_int_yang_baxter_matches_generic_on_all_corner_shapes(generic_yang_baxter):
     from itertools import product
 
     passed = 0
     for a, g, q, qi, h, b in product(range(3), repeat=6):
         c = ((a, 0, 0, g), (0, 0, q, 0), (0, qi, 0, 0), (h, 0, 0, b))
-        got = _int_yang_baxter(c, 3)
-        assert got == _generic_yang_baxter(c, 3), c
+        got = braid_relation_holds(c, 3)
+        assert got == generic_yang_baxter(c, 3), c
         passed += got
     assert 0 < passed < 729
 
 
 @pytest.mark.parametrize("p, pool", [(3, None), (5, 20000)])
 @pytest.mark.parametrize("family", ["rank1", "rank2"])
-def test_int_yang_baxter_matches_generic_on_case_shapes(p, pool, family):
-    # every shape the filter passes is re-checked by the generic exact
-    # path, and so is a seeded sample of the shapes it rejects; over GF(3)
-    # the filter sees every shape, over GF(5) a seeded pool of them
+def test_int_yang_baxter_matches_generic_on_case_shapes(p, pool, family, generic_yang_baxter):
+    # every shape the filter passes is re-checked by the dense triple
+    # product, and so is a seeded sample of the shapes it rejects; over
+    # GF(3) the filter sees every shape, over GF(5) a seeded pool of them
     rng = random.Random(f"{family}:{p}")
     shapes = list(_rank1_case_shapes(p, 0) if family == "rank1" else _rank2_case_shapes(p))
     if pool is not None:
         shapes = rng.sample(shapes, pool)
-    passes = [_int_yang_baxter(c, p) for c in shapes]
+    passes = [appendix._IntBraiding.yang_baxter(c, p) for c in shapes]
     survivors = [c for c, ok in zip(shapes, passes) if ok]
     rejected = [c for c, ok in zip(shapes, passes) if not ok]
     for c in survivors:
-        assert _generic_yang_baxter(c, p), c
+        assert generic_yang_baxter(c, p), c
     for c in rng.sample(rejected, 300):
-        assert not _generic_yang_baxter(c, p), c
+        assert not generic_yang_baxter(c, p), c
     if pool is None:
         # the survivor counts of the dense triple-product filter
         assert len(survivors) == {"rank1": 207, "rank2": 88}[family]
@@ -288,12 +287,15 @@ def _int_rows(m):
 
 
 def _axioms_agree(c, beta, p):
+    """The integer axiom check and verify_lifted against the dense oracle."""
     field = GF(p)
     q = QuadraticLieAlgebra(
         BraidedSpace(field, 2, Mat.from_rows(field, c), check=False), Mat.from_rows(field, beta)
     )
     fast = appendix._IntBraiding(c, p).axioms(beta)
-    assert fast == verify_lifted(q).ok, (c, beta)
+    expect = dense_verify_lifted(q)
+    assert fast == expect.ok, (c, beta)
+    assert verify_lifted(q) == expect, (c, beta)
     return fast
 
 

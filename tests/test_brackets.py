@@ -304,3 +304,82 @@ def test_bracket_space_matches_unit_bracket_oracle(unit_bracket_oracle):
         assert basis == unit_bracket_oracle(sp), sp.c
         dims.add(len(basis))
     assert {0, 1, 2, 9} <= dims
+
+
+def _invertible(field, rng):
+    while True:
+        entry = (lambda: rng.randint(-3, 3)) if field.is_rationals else (lambda: rng.randrange(field.p))
+        alpha = Mat.from_rows(field, [[entry() for _ in range(2)] for _ in range(2)])
+        if alpha.rank() == 2:
+            return alpha
+
+
+def _rows_and_conjugates(field, rng, conjugates):
+    for q in all_rows(field):
+        yield q
+        for _ in range(conjugates):
+            yield conjugate(q, _invertible(field, rng))
+
+
+def test_verify_lifted_flags_match_dense_oracle(dense_lifted_oracle):
+    # each flag against the dense matrix identities, on the table rows,
+    # seeded conjugates and every single-entry bump of b or of c; among the
+    # bumps, each flag is the only one failing somewhere
+    import random
+
+    rng = random.Random(8)
+    alone = set()
+    cases = 0
+    for field in (QQ, GF(5), GF(7)):
+        for q in _rows_and_conjugates(field, rng, 1):
+            bumped = [q]
+            for i in range(2):
+                for j in range(4):
+                    b = [r[:] for r in q.beta.a]
+                    b[i][j] += field.one
+                    bumped.append(QuadraticLieAlgebra(q.space, Mat(field, b)))
+            for i in range(4):
+                for j in range(4):
+                    c = [r[:] for r in q.space.c.a]
+                    c[i][j] += field.one
+                    bumped.append(QuadraticLieAlgebra(BraidedSpace(field, 2, Mat(field, c), check=False), q.beta))
+            for case in bumped:
+                rep = verify_lifted(case)
+                assert rep == dense_lifted_oracle(case), case
+                failed = [name for name, ok in rep.as_dict().items() if not ok]
+                if len(failed) == 1:
+                    alone.add(failed[0])
+                cases += 1
+            assert verify_lifted(q).ok
+    assert cases == 3 * 8 * 2 * 25
+    assert alone == {"antisymmetry", "bracket_left", "bracket_right", "jacobi"}
+
+
+@pytest.mark.parametrize("field", [GF(5), GF(7), QQ], ids=str)
+def test_verify_qbracket_matches_lifted_bracket(field):
+    # the bijection b = bbar o h(c): a restricted bracket passes its axioms
+    # iff its lift passes the full ones, on the genuine restriction, its
+    # multiples, seeded random matrices and single-entry bumps
+    import random
+
+    rng = random.Random(f"qbracket:{field}")
+    entry = (lambda: rng.randint(-2, 2)) if field.is_rationals else (lambda: rng.randrange(field.p))
+    answers = []
+    for q in _rows_and_conjugates(field, rng, 2):
+        space = q.space
+        split = split_minpoly(space)
+        genuine = restrict_bracket(q, split).beta_bar
+        k = genuine.cols
+        candidates = [genuine, genuine.scale(field(2)), Mat.zero(field, 2, k)]
+        candidates += [Mat.from_rows(field, [[entry() for _ in range(k)] for _ in range(2)]) for _ in range(4)]
+        for i in range(2):
+            for j in range(k):
+                b = [r[:] for r in genuine.a]
+                b[i][j] += field.one
+                candidates.append(Mat(field, b))
+        for bb in candidates:
+            rb = RestrictedBracket(space, space.e2(), bb)
+            got = verify_qbracket(rb).ok
+            assert got == verify_lifted(lift_bracket(rb, split)).ok, (q, bb)
+            answers.append(got)
+    assert any(answers) and not all(answers)

@@ -13,7 +13,7 @@ from quadlie.braided import (
     vec_tensor,
     word_index,
 )
-from quadlie.fields import QQ
+from quadlie.fields import GF, QQ
 from quadlie.linalg import Mat, Poly, Subspace, column_space
 from quadlie.table import default_gamma, row_instance
 
@@ -221,3 +221,77 @@ def test_vec_tensor_order():
     w = vec_tensor(QQ, u, v)
     # index = (i-1) + 2 (j-1) for u_i v_j
     assert w == (QQ(3), QQ(6), QQ(5), QQ(10))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_raw_lift_matches_mat_lift(n):
+    # every lift shape the package uses: c at adjacent slots, b: V(x)V -> V
+    # at slots 1 and 2, and square block braidings at any slot; against the
+    # Mat lift and against Id (x) op (x) Id built by mat_tensor
+    import random
+
+    from quadlie.braided import lift_columns, lift_rows, mat_tensor
+
+    rng = random.Random(n)
+    field = GF(7)
+    checked = 0
+    for total in range(1, 6 if n < 3 else 5):
+        for l in range(1, total + 1):
+            for m in sorted({l, 1} if l == 2 else {l}):
+                op_raw = [[rng.randrange(7) if rng.random() < 0.4 else 0 for _ in range(n**l)] for _ in range(n**m)]
+                op = Mat.from_rows(field, op_raw)
+                for slot in range(1, total - l + 2):
+                    lifted = lift_rows(op_raw, slot, total, n, l, m)
+                    assert lifted == lift_to_slot(op, slot, total, n, l, m).raw()
+                    lo = Mat.identity(field, n ** (slot - 1))
+                    hi = Mat.identity(field, n ** (total - slot - l + 1))
+                    assert lifted == mat_tensor(field, mat_tensor(field, lo, op), hi).raw()
+                    cols = lift_columns(op_raw, slot, total, n, l, m)
+                    assert [sorted(col) for col in cols] == [
+                        [(o, row[k]) for o, row in enumerate(lifted) if row[k]] for k in range(len(cols))
+                    ]
+                    checked += 1
+    assert checked == {1: 45, 2: 45, 3: 26}[n]
+
+
+def _diagonal_type(n, q):
+    """c(x_i (x) x_j) = q[i][j] x_j (x) x_i, a solution for any q."""
+    c = [[0] * n**2 for _ in range(n**2)]
+    for i in range(n):
+        for j in range(n):
+            c[j + n * i][i + n * j] = q[i][j]
+    return c
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_braid_relation_matches_dense_oracle(n, field, dense_yang_baxter_oracle):
+    # diagonal-type braidings, the same with one entry bumped, and sparse
+    # random ones, against the dense triple product; over GF(p) the raw
+    # test also reads unreduced integers mod p
+    import random
+    from collections import Counter
+
+    from quadlie.braided import braid_relation_holds
+
+    rng = random.Random(f"yb:{n}:{field}")
+    entry = (lambda: rng.randint(-2, 2)) if field.is_rationals else (lambda: rng.randrange(field.p))
+    seen = Counter()
+    for trial in range(30 if n < 3 else 15):
+        kind = trial % 3
+        if kind == 2:
+            c = [[entry() if rng.random() < 0.3 else 0 for _ in range(n**2)] for _ in range(n**2)]
+        else:
+            c = _diagonal_type(n, [[entry() for _ in range(n)] for _ in range(n)])
+            if kind == 1:
+                c[rng.randrange(n**2)][rng.randrange(n**2)] += 1
+        space = BraidedSpace(field, n, Mat.from_rows(field, c), check=False)
+        got = space.check_yang_baxter()
+        assert got == dense_yang_baxter_oracle(space), c
+        if not field.is_rationals:
+            assert braid_relation_holds([[x + field.p * rng.randint(-2, 2) for x in r] for r in c], field.p) == got
+        seen[got] += 1
+    if n == 1:
+        assert seen == {True: 30}
+    else:
+        assert seen[True] and seen[False], seen

@@ -373,3 +373,16 @@ def test_null_space_matches_gauss_jordan_oracle(field, dense_oracle):
         sparse = [{j: x for j, x in enumerate(r) if x} for r in ints]
         assert null_space(field, sparse, cols) == want, trial
     assert null_space(field, [], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_add_sub_apply_shape_mismatch():
+    # no silent truncation to the smaller operand
+    for op in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(ValueError, match="shape mismatch 2x2 and 3x3"):
+            op(Mat.identity(QQ, 2), Mat.identity(QQ, 3))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            op(Mat.zero(QQ, 2, 3), Mat.zero(QQ, 3, 2))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Mat.identity(QQ, 2).apply((QQ(1), QQ(2), QQ(3)))
+    assert Mat.identity(QQ, 2).apply((QQ(1), QQ(2))) == (QQ(1), QQ(2))
+    assert (Mat.identity(QQ, 2) - Mat.identity(QQ, 2)).is_zero()

@@ -27,7 +27,7 @@ from .brackets import (
     verify_lifted,
 )
 from .fields import Field
-from .linalg import Mat, SparseEchelon, Subspace, column_space, kernel, null_space, raw_product
+from .linalg import Mat, SparseEchelon, Subspace, column_space, kernel, null_space
 from .table import GAMMA_RULES, gamma_allowed, row_instance
 
 
@@ -105,13 +105,13 @@ def _has_minus_one_simple_root(c_rows, field):
 # ---------------------------------------------------------------------------
 
 def udu_identity_holds(field: Field, diag) -> bool:
-    """U D U = Tr(D) U for the all-ones 4x4 matrix U, on raw values."""
-    p = field.p
-    d = [field(x).v for x in diag]
-    tr = sum(d) if p is None else sum(d) % p
-    u = [[1] * 4 for _ in range(4)]
-    udu = raw_product(raw_product(u, [[d[i] if i == j else 0 for j in range(4)] for i in range(4)], p), u, p)
-    return udu == [[tr * x for x in row] for row in u]
+    """U D U = Tr(D) U for the all-ones 4x4 matrix U."""
+    u = Mat.from_rows(field, [[1] * 4 for _ in range(4)])
+    d = Mat.from_rows(field, [[diag[i] if i == j else 0 for j in range(4)] for i in range(4)])
+    tr = field.zero
+    for x in diag:
+        tr = tr + field(x)
+    return u @ d @ u == u.scale(tr)
 
 
 def udu_check(field: Field, count: int = 100, seed: int = 0) -> bool:

@@ -13,7 +13,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .braided import BraidedSpace, MinpolySplit, h_of_c, lift_columns, lift_rows, lift_to_slot, vec_tensor
+from .braided import (
+    BraidedSpace,
+    MinpolySplit,
+    factor_parts,
+    h_of_c,
+    join_parts,
+    lift_columns,
+    lift_rows,
+    lift_to_slot,
+    vec_tensor,
+)
 from .fields import Field
 from .linalg import HypothesisViolated, Mat, Subspace, column_space, integral, null_space, raw_product, solve
 
@@ -174,21 +184,13 @@ def _bbar_on(q: RestrictedBracket, z, slot):
     """(bbar (x) Id) z for slot 1 and (Id (x) bbar) z for slot 2, z in
     V^(x)3; None when a part of z that bbar acts on leaves the primitive
     space."""
-    n = q.space.dim
-    n2 = n * n
-    out = [q.field.zero] * n2
-    for i in range(n):
-        # z = sum_i w_i (x) x_i for slot 1, z = sum_i x_i (x) w_i for slot 2
-        w = z[n2 * i : n2 * (i + 1)] if slot == 1 else z[i::n]
-        if not any(w):
-            continue
+    out = []
+    for w in factor_parts(z, q.space.dim, slot):
         coords = q.e2_basis.coords(w)
         if coords is None:
             return None
-        for m, s in enumerate(q.beta_bar.apply(coords)):
-            if s:
-                out[m + n * i if slot == 1 else i + n * m] += s
-    return out
+        out.append(q.beta_bar.apply(coords))
+    return join_parts(out, slot)
 
 
 def verify_qbracket(q: RestrictedBracket) -> QBracketReport:

@@ -70,6 +70,24 @@ def vec_tensor(field, u, v):
     return tuple(out)
 
 
+def factor_parts(z, n, slot):
+    """The parts w_i of a vector z of V^(x)k split at one factor: for
+    slot 1, z = sum_i w_i (x) x_i (an operand on the leading factors);
+    for slot 2, z = sum_i x_i (x) w_i (an operand on the trailing ones)."""
+    if slot == 1:
+        m = len(z) // n
+        return [z[m * i : m * (i + 1)] for i in range(n)]
+    return [z[i::n] for i in range(n)]
+
+
+def join_parts(parts, slot):
+    """The vector of V^(x)k whose factor_parts at the slot are the given
+    parts (lists of equal length)."""
+    if slot == 1:
+        return [x for w in parts for x in w]
+    return [w[k] for k in range(len(parts[0])) for w in parts]
+
+
 def mat_tensor(field, a: Mat, b: Mat) -> Mat:
     """Matrix of (a on the leading factors) tensor (b on the trailing ones)."""
     rows = a.rows * b.rows

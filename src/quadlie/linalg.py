@@ -36,6 +36,15 @@ class Mat:
                 raise ValueError("ragged matrix")
 
     @classmethod
+    def _adopt(cls, field, a):
+        """A matrix that takes over a list of equal-length rows of
+        scalars as they are, without copying or checking them."""
+        m = cls.__new__(cls)
+        m.field, m.a, m.rows = field, a, len(a)
+        m.cols = len(a[0]) if a else 0
+        return m
+
+    @classmethod
     def from_rows(cls, field, rows):
         return cls(field, [[field(x) for x in row] for row in rows])
 
@@ -88,9 +97,9 @@ class Mat:
         field = self.field
         if other.field is not field:
             raise FieldMismatch(f"operands over {field!r} and {other.field!r}")
-        out = raw_product(self.raw(), other.raw(), field.p, other.cols)
+        out = raw_product(self.raw(), other.raw(), field.p)
         zero = field.zero
-        return Mat(field, [[Scalar(field, v) if v else zero for v in r] for r in out])
+        return Mat._adopt(field, [[Scalar(field, v) if v else zero for v in r] for r in out])
 
     def apply(self, vec):
         """Matrix times column vector (tuple of scalars)."""
@@ -155,19 +164,17 @@ class Mat:
         return Mat(self.field, self.a + other.a)
 
 
-def raw_product(a, b, p=None, width=None):
+def raw_product(a, b, p=None):
     """The product of two matrices given as lists of rows of raw values.
 
     Each row of a accumulates over the nonzeros of b's rows, on the exact
     values (Fractions or ints over Q, p None); over GF(p) the entries are
     reduced mod p once, at the end.  Entries that no product reaches are
-    the int 0.  width is the column count of b, needed only when b has no
-    rows.
+    the int 0.
     """
     if a and len(a[0]) != len(b):
         raise ValueError(f"shape mismatch: {len(a[0])} columns @ {len(b)} rows")
-    if width is None:
-        width = len(b[0]) if b else 0
+    width = len(b[0]) if b else 0
     nonzeros = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
     for row in a:

@@ -21,20 +21,25 @@ integer product and slot lifts, so that it imports none of the kernels it
 checks.
 
 ``dense_lifted_oracle`` and ``dense_yang_baxter_oracle`` are the four
-bracket axioms and the braid relation by dense Scalar ``Mat`` products of
-the slot-lifted matrices, kept as the oracles of
+bracket axioms and the braid relation by dense Scalar products of the
+slot-lifted matrices, kept as the oracles of
 ``quadlie.brackets.verify_lifted`` and
 ``quadlie.braided.BraidedSpace.check_yang_baxter``, which read the linear
 axioms from constraint rows and test the braid relation sparsely on raw
 entries.
+
+The oracles build their slot lifts with ``mat_tensor`` (``dense_lift``),
+multiply by the textbook inner-index sum (``dense_product``) and take null
+spaces by the Gauss-Jordan oracle, so none of them runs the raw product,
+slot lift or echelon they check.
 """
 
 import pytest
 
-from quadlie.braided import lift_to_slot
-from quadlie.brackets import LiftedReport, QuadraticLieAlgebra
+from quadlie.braided import mat_tensor
+from quadlie.brackets import LiftedReport
 from quadlie.fields import GF
-from quadlie.linalg import HypothesisViolated, Mat, kernel
+from quadlie.linalg import HypothesisViolated, Mat
 
 
 class ScalarEchelon:
@@ -180,29 +185,43 @@ def dense_oracle():
     return DenseOracle
 
 
+def dense_product(a, b):
+    """a @ b with every entry the sum over the inner index, on Scalars."""
+    z = a.field.zero
+    cols = list(zip(*b.a))
+    return Mat(a.field, [[sum((x * y for x, y in zip(row, col) if x and y), z) for col in cols] for row in a.a])
+
+
+def dense_lift(m, slot, n):
+    """m (x) Id_V for slot 1 and Id_V (x) m for slot 2, by mat_tensor."""
+    eye = Mat.identity(m.field, n)
+    return mat_tensor(m.field, m, eye) if slot == 1 else mat_tensor(m.field, eye, m)
+
+
 def unit_bracket_space(space):
     """Basis of the brackets satisfying antisymmetry and both
     braiding-compatibility identities: one constraint column per unit
-    bracket, built through its QuadraticLieAlgebra and slot lifts."""
+    bracket, built through its dense slot lifts and products."""
     n = space.dim
     field = space.field
-    eye2 = Mat.identity(field, n**2)
-    c12 = space.braiding_at(1, 3) @ space.braiding_at(2, 3)
-    c21 = space.braiding_at(2, 3) @ space.braiding_at(1, 3)
+    c, eye2 = space.c, Mat.identity(field, n**2)
+    c1, c2 = dense_lift(c, 1, n), dense_lift(c, 2, n)
+    c12, c21 = dense_product(c1, c2), dense_product(c2, c1)
     cols = []
     for u in range(n * n**2):
         r, k = divmod(u, n**2)
         beta = Mat.zero(field, n, n**2)
         beta.a[r][k] = field.one
-        q = QuadraticLieAlgebra(space, beta)
+        b1, b2 = dense_lift(beta, 1, n), dense_lift(beta, 2, n)
         chunks = [
-            beta @ (space.c + eye2),
-            space.c @ q.beta1() - q.beta2() @ c12,
-            space.c @ q.beta2() - q.beta1() @ c21,
+            dense_product(beta, c + eye2),
+            dense_product(c, b1) - dense_product(b2, c12),
+            dense_product(c, b2) - dense_product(b1, c21),
         ]
         cols.append([x for m in chunks for row in m.a for x in row])
     big = Mat(field, [list(r) for r in zip(*cols)])
-    return [Mat(field, [[v[r * n**2 + k] for k in range(n**2)] for r in range(n)]) for v in kernel(big).basis]
+    basis = DenseOracle.kernel_basis(big)
+    return [Mat(field, [[v[r * n**2 + k] for k in range(n**2)] for r in range(n)]) for v in basis]
 
 
 @pytest.fixture
@@ -271,9 +290,8 @@ def four_product_axioms():
 
 def dense_yang_baxter(space):
     """c1 c2 c1 == c2 c1 c2 by dense products of the slot-lifted c."""
-    c1 = lift_to_slot(space.c, 1, 3, space.dim, 2, 2)
-    c2 = lift_to_slot(space.c, 2, 3, space.dim, 2, 2)
-    return c1 @ c2 @ c1 == c2 @ c1 @ c2
+    c1, c2 = dense_lift(space.c, 1, space.dim), dense_lift(space.c, 2, space.dim)
+    return dense_product(dense_product(c1, c2), c1) == dense_product(dense_product(c2, c1), c2)
 
 
 @pytest.fixture
@@ -285,16 +303,16 @@ def dense_verify_lifted(q):
     """The four bracket axioms by exact dense matrix identities."""
     space = q.space
     n = space.dim
-    eye2 = Mat.identity(q.field, n**2)
-    antisym = (q.beta @ (space.c + eye2)).is_zero()
-    c1 = lift_to_slot(space.c, 1, 3, n, 2, 2)
-    c2 = lift_to_slot(space.c, 2, 3, n, 2, 2)
-    b1, b2 = q.beta1(), q.beta2()
-    bracket_left = space.c @ b1 == b2 @ (c1 @ c2)
-    bracket_right = space.c @ b2 == b1 @ (c2 @ c1)
-    jac_map = q.beta @ (b1 - b2)
-    e2bar = kernel((c1 + Mat.identity(q.field, n**3)).stack(c2 + Mat.identity(q.field, n**3)))
-    jacobi = all(not x for v in e2bar.basis for x in jac_map.apply(v))
+    c, beta = space.c, q.beta
+    eye2, eye3 = Mat.identity(q.field, n**2), Mat.identity(q.field, n**3)
+    antisym = dense_product(beta, c + eye2).is_zero()
+    c1, c2 = dense_lift(c, 1, n), dense_lift(c, 2, n)
+    b1, b2 = dense_lift(beta, 1, n), dense_lift(beta, 2, n)
+    bracket_left = dense_product(c, b1) == dense_product(b2, dense_product(c1, c2))
+    bracket_right = dense_product(c, b2) == dense_product(b1, dense_product(c2, c1))
+    jac_map = dense_product(beta, b1 - b2)
+    e2bar = DenseOracle.null_vectors((c1 + eye3).stack(c2 + eye3))
+    jacobi = all(not x for v in e2bar for x in jac_map.apply(v))
     return LiftedReport(antisym, bracket_left, bracket_right, jacobi)
 
 

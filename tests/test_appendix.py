@@ -130,24 +130,25 @@ def test_integer_fast_path_matches_generic(dense_yang_baxter_oracle, dense_lifte
     # eigenspace, braid relation, axiom checks) must agree with the dense
     # Scalar machinery
     from quadlie.appendix import _IntBraiding
-    from quadlie.braided import lift_to_slot
+    from quadlie.braided import mat_tensor
     from quadlie.table import default_gamma
 
     rng = random.Random(99)
     F = GF(5)
+    eye = Mat.identity(F, 2)
     for _ in range(60):
         c_rows = tuple(tuple(rng.randrange(5) for _ in range(4)) for _ in range(4))
         cmat = Mat.from_rows(F, [list(r) for r in c_rows])
         sp = BraidedSpace(F, 2, cmat, check=False)
         data = _IntBraiding(c_rows, 5)
         assert braid_relation_holds(c_rows, 5) == dense_yang_baxter_oracle(sp)
-        for slot in (1, 2):
-            assert lift_rows(c_rows, slot, 3, 2, 2, 2) == lift_to_slot(cmat, slot, 3, 2, 2, 2).raw()
+        assert lift_rows(c_rows, 1, 3, 2, 2, 2) == mat_tensor(F, cmat, eye).raw()
+        assert lift_rows(c_rows, 2, 3, 2, 2, 2) == mat_tensor(F, eye, cmat).raw()
         assert len(data.e2bar) == sp.e2bar().dim
         b_rows = tuple(tuple(rng.randrange(5) for _ in range(4)) for _ in range(2))
         q = QuadraticLieAlgebra(sp, Mat.from_rows(F, [list(r) for r in b_rows]))
-        assert lift_rows(b_rows, 1, 3, 2, 2, 1) == q.beta1().raw()
-        assert lift_rows(b_rows, 2, 3, 2, 2, 1) == q.beta2().raw()
+        assert lift_rows(b_rows, 1, 3, 2, 2, 1) == q.beta1().raw() == mat_tensor(F, q.beta, eye).raw()
+        assert lift_rows(b_rows, 2, 3, 2, 2, 1) == q.beta2().raw() == mat_tensor(F, eye, q.beta).raw()
 
     # axiom agreement, on braidings that do satisfy the braid relation:
     # the canonical rows with both genuine and random brackets

@@ -92,12 +92,16 @@ class _IntBraiding:
         return rows_vanish(self.linear, [x for row in beta for x in row], p) and jacobi_holds(beta, self.e2bar, 2, p)
 
 
-def _has_minus_one_simple_root(c_rows, field):
-    space = BraidedSpace(field, 2, Mat.from_rows(field, c_rows), check=False)
+def _split_or_none(space):
+    """split_minpoly of the space, or None also when -1 is a repeated root."""
     try:
-        return split_minpoly(space) is not None
+        return split_minpoly(space)
     except MinusOneNotSimple:
-        return False
+        return None
+
+
+def _has_minus_one_simple_root(c_rows, field):
+    return _split_or_none(BraidedSpace(field, 2, Mat.from_rows(field, c_rows), check=False)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +112,7 @@ def udu_identity_holds(field: Field, diag) -> bool:
     """U D U = Tr(D) U for the all-ones 4x4 matrix U."""
     u = Mat.from_rows(field, [[1] * 4 for _ in range(4)])
     d = Mat.from_rows(field, [[diag[i] if i == j else 0 for j in range(4)] for i in range(4)])
-    tr = field.zero
-    for x in diag:
-        tr = tr + field(x)
-    return u @ d @ u == u.scale(tr)
+    return u @ d @ u == u.scale(sum(diag))
 
 
 def udu_check(field: Field, count: int = 100, seed: int = 0) -> bool:
@@ -327,7 +328,7 @@ def _intersect(s1: Subspace, s2: Subspace) -> Subspace:
     """s1 meet s2: the vectors sum_i a_i u_i over the null vectors (a, b)
     of sum_i a_i u_i + sum_j b_j v_j = 0, u and v the two bases."""
     field = s1.field
-    columns = [[x.v for x in u] for u in s1.basis + s2.basis]
+    columns = s1.basis + s2.basis
     coeffs = null_space(field, list(zip(*columns)), len(columns)) if columns else []
     vecs = [[sum(a * u[k] for a, u in zip(co, columns[: s1.dim])) for k in range(s1.ambient_dim)] for co in coeffs]
     return Subspace(field, s1.ambient_dim, vecs)
@@ -391,11 +392,11 @@ def _survey_braidings(field):
         add(rows)
     for row in range(1, 9):
         if GAMMA_RULES[row] is None:
-            add([[x.v for x in r] for r in row_instance(row, field).space.c.a])
+            add(row_instance(row, field).space.c.a)
         else:
             for g in range(field.p):
                 if gamma_allowed(row, field, g):
-                    add([[x.v for x in r] for r in row_instance(row, field, g).space.c.a])
+                    add(row_instance(row, field, g).space.c.a)
     return braidings
 
 
@@ -411,11 +412,7 @@ def random_survey(field: Field, seed: int = 0, max_brackets_per_braiding: int = 
         report.braidings_tried += 1
         # Yang-Baxter already guaranteed or integer-filtered by _survey_braidings.
         space = BraidedSpace(field, 2, Mat.from_rows(field, rows), check=False)
-        split = None
-        try:
-            split = split_minpoly(space)
-        except MinusOneNotSimple:
-            split = None
+        split = False  # computed at the braiding's first rank-two find
         basis = solve_linear_bracket_space(space)
         if not basis:
             continue
@@ -436,7 +433,7 @@ def random_survey(field: Field, seed: int = 0, max_brackets_per_braiding: int = 
             beta = Mat.zero(field, 2, 4)
             for s, b in zip(combo, basis):
                 if s:
-                    beta = beta + b.scale(field(s))
+                    beta = beta + b.scale(s)
             report.brackets_checked += 1
             q = QuadraticLieAlgebra(space, beta)
             if not verify_lifted(q).ok:
@@ -445,6 +442,8 @@ def random_survey(field: Field, seed: int = 0, max_brackets_per_braiding: int = 
             if column_space(beta).dim != 2:
                 continue
             report.rank2_found += 1
+            if split is False:
+                split = _split_or_none(space)
             if split is None:
                 # outside the standing minimal-polynomial hypothesis: the
                 # forced conclusions make no claim here, so only record it
@@ -452,7 +451,7 @@ def random_survey(field: Field, seed: int = 0, max_brackets_per_braiding: int = 
                 report.rank2_instances.append(
                     {
                         "c": rows,
-                        "beta": [[x.v for x in r] for r in beta.a],
+                        "beta": beta.a,
                         "conclusions": None,
                     }
                 )
@@ -470,6 +469,6 @@ def random_survey(field: Field, seed: int = 0, max_brackets_per_braiding: int = 
             if not ok:
                 report.rank2_conclusions_hold = False
             report.rank2_instances.append(
-                {"c": rows, "beta": [[x.v for x in r] for r in beta.a], "conclusions": ok}
+                {"c": rows, "beta": beta.a, "conclusions": ok}
             )
     return report

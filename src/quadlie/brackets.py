@@ -98,7 +98,7 @@ def _linear_rows(space):
     """linear_axiom_rows of the space's braiding, built once per space."""
     rows = space._block_cache.get("linear_axioms")
     if rows is None:
-        rows = space._block_cache["linear_axioms"] = linear_axiom_rows(space.c.raw(), space.dim, space.field.p)
+        rows = space._block_cache["linear_axioms"] = linear_axiom_rows(space.c.a, space.dim, space.field.p)
     return rows
 
 
@@ -107,7 +107,7 @@ def _e2bar_integral(space):
     over GF(p))."""
     vecs = space._block_cache.get("e2bar")
     if vecs is None:
-        vecs = space._block_cache["e2bar"] = [integral([x.v for x in v])[0] for v in space.e2bar().basis]
+        vecs = space._block_cache["e2bar"] = [integral(v)[0] for v in space.e2bar().basis]
     return vecs
 
 
@@ -119,7 +119,7 @@ def verify_lifted(q: QuadraticLieAlgebra) -> LiftedReport:
     space = q.space
     p = q.field.p
     n2 = space.dim**2
-    flat = integral([x.v for row in q.beta.a for x in row])[0]
+    flat = integral(x for row in q.beta.a for x in row)[0]
     beta = [flat[r : r + n2] for r in range(0, len(flat), n2)]
     antisym, left, right = _linear_rows(space)
     return LiftedReport(
@@ -208,7 +208,7 @@ def verify_qbracket(q: RestrictedBracket) -> QBracketReport:
     c1 = space.braiding_at(1, 3)
     c2 = space.braiding_at(2, 3)
     c12, c21 = c1 @ c2, c2 @ c1
-    eye = [tuple(r) for r in Mat.identity(field, space.dim).a]
+    eye = Mat.identity(field, space.dim).a
     images = [(e, q.beta_bar.apply(e2.coords(e))) for e in e2.basis]
 
     # c (bbar e (x) x) = (Id (x) bbar) c1 c2 (e (x) x) on E2 (x) V, and
@@ -229,7 +229,7 @@ def verify_qbracket(q: RestrictedBracket) -> QBracketReport:
         # (bbar (x) Id - Id (x) bbar) z must lie in E2, and bbar must kill it
         u1 = _bbar_on(q, z, 1)
         u2 = None if u1 is None else _bbar_on(q, z, 2)
-        coords = None if u2 is None else e2.coords(tuple(a - b for a, b in zip(u1, u2)))
+        coords = None if u2 is None else e2.coords([a - b for a, b in zip(u1, u2)])
         if coords is None:
             correctness = jacobi = False
         elif any(q.beta_bar.apply(coords)):
@@ -260,7 +260,7 @@ def restrict_bracket(q: QuadraticLieAlgebra, split: MinpolySplit) -> RestrictedB
     """
     space = q.space
     n = space.dim
-    if not rows_vanish(_linear_rows(space)[0], [x.v for row in q.beta.a for x in row], space.field.p):
+    if not rows_vanish(_linear_rows(space)[0], [x for row in q.beta.a for x in row], space.field.p):
         raise Inconsistent("bracket does not vanish on the image of c + Id")
     e2 = space.e2()
     hc = h_of_c(space, split)
@@ -454,7 +454,7 @@ def random_verified_brackets(space: BraidedSpace, count: int, seed: int, max_tri
     for _ in range(max_tries):
         if len(found) >= count:
             break
-        coeffs = [field(rng.randrange(field.p)) for _ in basis]
+        coeffs = [rng.randrange(field.p) for _ in basis]
         beta = Mat.zero(field, space.dim, space.dim**2)
         for s, b in zip(coeffs, basis):
             if s:

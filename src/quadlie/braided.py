@@ -52,7 +52,10 @@ def all_words(n, length):
 
 def require_words(n, length, limit, what):
     """Reject a computation indexed by the words of length <= length over
-    n letters when there are more than limit of them, before any exists."""
+    n letters when there are more than limit of them, before any exists,
+    or when there are none (a negative length)."""
+    if length < 0:
+        raise ValueError(f"{what}: no words of length <= {length}")
     total, layer = 0, 1
     for _ in range(length + 1):
         total += layer
@@ -62,12 +65,10 @@ def require_words(n, length, limit, what):
 
 
 def vec_tensor(field, u, v):
-    """Tensor product of coordinate vectors, u in the first factors."""
-    out = []
-    for y in v:
-        for x in u:
-            out.append(x * y)
-    return tuple(out)
+    """Tensor product of coordinate vectors of raw values, u in the first
+    factors."""
+    p = field.p
+    return tuple(x * y if p is None else x * y % p for y in v for x in u)
 
 
 def factor_parts(z, n, slot):
@@ -92,8 +93,8 @@ def mat_tensor(field, a: Mat, b: Mat) -> Mat:
     """Matrix of (a on the leading factors) tensor (b on the trailing ones)."""
     rows = a.rows * b.rows
     cols = a.cols * b.cols
-    z = field.zero
-    out = [[z] * cols for _ in range(rows)]
+    p = field.p
+    out = [[0] * cols for _ in range(rows)]
     for o2 in range(b.rows):
         for i2 in range(b.cols):
             s = b.a[o2][i2]
@@ -104,14 +105,15 @@ def mat_tensor(field, a: Mat, b: Mat) -> Mat:
                 ra = a.a[o1]
                 for i1 in range(a.cols):
                     if ra[i1]:
-                        ro[i1 + a.cols * i2] = ra[i1] * s
+                        v = ra[i1] * s
+                        ro[i1 + a.cols * i2] = v if p is None else v % p
     return Mat(field, out)
 
 
 def lift_columns(op, slot, total, n, in_factors, out_factors=None):
     """Sparse columns of a map on V^(x)l lifted to V^(x)total at a slot.
 
-    op is a list of rows of values (raw, or Scalars) of a map from l to m
+    op is a list of rows of raw values of a map from l to m
     factors acting from the given 1-based slot; the lifted map is
     Id^(slot-1) (x) op (x) Id^(total-slot-l+1).  Returns, for each input
     basis index of V^(x)total, the list of (output index, entry) over the
@@ -147,11 +149,11 @@ def _slot_index(n, slot, total, l, rows, cols):
     return lo, tuple(index)
 
 
-def lift_rows(op, slot, total, n, in_factors, out_factors=None, zero=0):
+def lift_rows(op, slot, total, n, in_factors, out_factors=None):
     """The lift of ``lift_columns`` as dense rows, zero where it is empty."""
     cols = lift_columns(op, slot, total, n, in_factors, out_factors)
     height = len(op) * len(cols) // len(op[0])
-    out = [[zero] * len(cols) for _ in range(height)]
+    out = [[0] * len(cols) for _ in range(height)]
     for k, col in enumerate(cols):
         for o, v in col:
             out[o][k] = v
@@ -165,7 +167,7 @@ def lift_to_slot(op: Mat, slot: int, total: int, n: int, in_factors: int, out_fa
     has ``total`` factors, its output total - l + m where op maps l factors
     to m.
     """
-    return Mat(op.field, lift_rows(op.a, slot, total, n, in_factors, out_factors, op.field.zero))
+    return Mat(op.field, lift_rows(op.a, slot, total, n, in_factors, out_factors))
 
 
 def braid_relation_holds(c, p=None) -> bool:
@@ -263,7 +265,7 @@ class BraidedSpace:
         return cached
 
     def check_yang_baxter(self) -> bool:
-        return braid_relation_holds(self.c.raw(), self.field.p)
+        return braid_relation_holds(self.c.a, self.field.p)
 
     def minpoly(self) -> Poly:
         if self._minpoly is None:
@@ -281,7 +283,7 @@ class BraidedSpace:
         """Vectors of V^(x)3 sent to their negative by both adjacent braidings."""
         if self._e2bar is None:
             n3 = self.dim**3
-            rows = joint_minus_one_rows(self.c.raw(), self.dim)
+            rows = joint_minus_one_rows(self.c.a, self.dim)
             self._e2bar = Subspace(self.field, n3, null_space(self.field, rows, n3))
         return self._e2bar
 
@@ -306,13 +308,11 @@ def split_minpoly(space: BraidedSpace):
     raises MinusOneNotSimple when -1 is a repeated root.
     """
     f = space.minpoly()
-    minus1 = -space.field.one
-    if f.eval_scalar(minus1):
+    if f.eval_scalar(-1):
         return None
-    xplus1 = Poly(space.field, [1, 1])
-    h, r = divmod(f, xplus1)
+    h, r = divmod(f, Poly(space.field, [1, 1]))
     assert r.is_zero()
-    h_m1 = h.eval_scalar(minus1)
+    h_m1 = h.eval_scalar(-1)
     if not h_m1:
         raise MinusOneNotSimple("-1 is a repeated root of the minimal polynomial")
     return MinpolySplit(f=f, h=h, h_at_minus1=h_m1)
@@ -329,7 +329,7 @@ def is_categorical(space: BraidedSpace, sub: Subspace) -> bool:
     n = space.dim
     if sub.dim == 0:
         return True
-    eye_basis = [tuple(r) for r in Mat.identity(space.field, n).a]
+    eye_basis = Mat.identity(space.field, n).a
     lv = [vec_tensor(space.field, l, e) for e in eye_basis for l in sub.basis]
     vl = [vec_tensor(space.field, e, l) for l in sub.basis for e in eye_basis]
     span_lv = Subspace(space.field, n**2, lv)

@@ -75,10 +75,10 @@ class _Pipeline:
         self.apply([[lam, 0], [0, lam]])
 
     def c(self, i, j):
-        return self.cur.space.c.a[i][j]
+        return self.field(self.cur.space.c[i, j])
 
     def b(self, j):
-        return self.cur.beta.a[0][j]
+        return self.field(self.cur.beta[0, j])
 
     def check(self, cond, what):
         if not cond:
@@ -129,9 +129,7 @@ def canonical_form(q: QuadraticLieAlgebra, *, skip_verification: bool = False) -
     y = img.basis[0]
     piv = 0 if y[0] else 1
     other = 1 - piv
-    e_other = [field.one if i == other else field.zero for i in range(2)]
-    cols = [list(y), e_other]
-    s_mat = Mat(field, [[cols[j][i] for j in range(2)] for i in range(2)])
+    s_mat = Mat(field, [[y[i], int(i == other)] for i in range(2)])
     pipe.apply(s_mat.inverse().a)
 
     # Categoricity of Im(b) and the rank-one corollary force this shape.
@@ -149,14 +147,8 @@ def canonical_form(q: QuadraticLieAlgebra, *, skip_verification: bool = False) -
     target = row_instance(row, field, gamma)
 
     # Residual bracket rescaling (the structure-preserving scalar change).
-    lam = None
-    for r in range(2):
-        for jj in range(4):
-            if target.beta.a[r][jj]:
-                lam = pipe.cur.beta.a[r][jj] / target.beta.a[r][jj]
-                break
-        if lam is not None:
-            break
+    # (the canonical brackets are nonzero in their first row only)
+    lam = next((pipe.b(j) / field(t) for j, t in enumerate(target.beta.a[0]) if t), None)
     pipe.check(lam is not None and bool(lam), "bracket degenerated during normalization")
     if lam != field.one:
         pipe.scale_bracket(lam)

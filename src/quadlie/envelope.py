@@ -14,15 +14,15 @@ elements are canonical coset representatives.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 
 from .braided import BraidedSpace, MinpolySplit, all_words, h_of_c, require_words
 from .brackets import QuadraticLieAlgebra
-from .linalg import SparseEchelon
+from .linalg import SparseEchelon, integral
 from .tensoralg import (
     SplitTensorElem,
     TensorElem,
+    add_up,
     coproduct,
     tensor_elem_from_vector,
 )
@@ -158,27 +158,19 @@ class IdealTruncation:
         return cached
 
     def nf(self, t: TensorElem) -> TensorElem:
-        out = TensorElem(self.space)
-        for w, c in t.terms.items():
-            out = out + self.nf_word(w).scale(c)
-        return out
+        terms = ((w2, c * x) for w, c in t.terms.items() for w2, x in self.nf_word(w).terms.items())
+        return TensorElem(self.space, add_up(terms))
 
     def nf_split(self, s: SplitTensorElem) -> SplitTensorElem:
-        out = {}
-        for (u, v), c in s.terms.items():
-            nu = self.nf_word(u)
-            nv = self.nf_word(v)
-            for wu, cu in nu.terms.items():
-                for wv, cv in nv.terms.items():
-                    k = (wu, wv)
-                    val = out.get(k)
-                    add = c * cu * cv
-                    val = add if val is None else val + add
-                    if val:
-                        out[k] = val
-                    else:
-                        out.pop(k, None)
-        return SplitTensorElem(self.space, out)
+        def terms():
+            for (u, v), c in s.terms.items():
+                right = self.nf_word(v).terms.items()
+                for wu, cu in self.nf_word(u).terms.items():
+                    cu *= c
+                    for wv, cv in right:
+                        yield (wu, wv), cu * cv
+
+        return SplitTensorElem(self.space, add_up(terms()))
 
     def quotient_words(self, k):
         """Coset-representative words of degree <= k (non-pivot coordinates)."""
@@ -190,34 +182,25 @@ class IdealTruncation:
         return out
 
 
-def _integer_terms(t: TensorElem):
-    """The (word, coefficient) pairs of t scaled to integers: by the lcm of
-    the denominators over Q, as residues over GF(p)."""
-    terms = [(w, c.v) for w, c in t.terms.items()]
-    if t.space.field.p is not None:
-        return terms
-    den = math.lcm(*(c.denominator for _, c in terms))
-    return [(w, c.numerator * (den // c.denominator)) for w, c in terms]
-
-
-def _sandwiches(order, terms, n, a, b):
+def _sandwiches(order, t, n, lengths):
     """Coordinate dicts of u t v for all words u of length a and v of
-    length b, t given by its integer terms."""
+    length b, for the pairs (a, b) in lengths, scaled to integers (by the
+    lcm of t's denominators over Q)."""
+    terms = list(zip(t.terms, integral(t.terms.values())[0]))
     coord = order.coord
-    vs = all_words(n, b)
-    for u in all_words(n, a):
-        for v in vs:
-            yield {coord(u + w + v): c for w, c in terms}
+    for a, b in lengths:
+        vs = all_words(n, b)
+        for u in all_words(n, a):
+            for v in vs:
+                yield {coord(u + w + v): c for w, c in terms}
 
 
 def _insert_sandwiches(ech, order, n, rels, degree):
-    """Insert all u r v with |u| + top(r) + |v| == degree, for the
-    (top degree, integer terms) pairs rels."""
-    for top, terms in rels:
-        pad = degree - top
-        for a in range(pad + 1):
-            for vec in _sandwiches(order, terms, n, a, pad - a):
-                ech.insert(vec)
+    """Insert all u r v with |u| + top(r) + |v| == degree, r in rels."""
+    for r in rels:
+        pad = degree - r.top_degree()
+        for vec in _sandwiches(order, r, n, ((a, pad - a) for a in range(pad + 1))):
+            ech.insert(vec)
 
 
 def ideal_truncation(pres: Presentation, N: int, buffer: int = 2) -> IdealTruncation:
@@ -235,7 +218,7 @@ def ideal_truncation(pres: Presentation, N: int, buffer: int = 2) -> IdealTrunca
     require_words(n, cap, MAX_WORDS, "ideal truncation")
     order = EliminationOrder(n, cap)
     ech = SparseEchelon(pres.space.field)
-    rels = [(r.top_degree(), _integer_terms(r)) for r in pres.relations]
+    rels = pres.relations
     for d in range(0, N + buffer + 1):
         _insert_sandwiches(ech, order, n, rels, d)
 
@@ -308,17 +291,16 @@ def sq_graded_dims(space: BraidedSpace, N: int):
     n = space.dim
     e2 = space.e2()
     order = EliminationOrder(n, N)
-    e_terms = [_integer_terms(tensor_elem_from_vector(space, v, 2)) for v in e2.basis]
+    e_elems = [tensor_elem_from_vector(space, v, 2) for v in e2.basis]
     out = []
     for m in range(N + 1):
         if m < 2 or e2.dim == 0:
             out.append(n**m)
             continue
         ech = SparseEchelon(space.field)
-        for i in range(m - 1):
-            for terms in e_terms:
-                for vec in _sandwiches(order, terms, n, i, m - 2 - i):
-                    ech.insert(vec)
+        for t in e_elems:
+            for vec in _sandwiches(order, t, n, ((i, m - 2 - i) for i in range(m - 1))):
+                ech.insert(vec)
         out.append(n**m - ech.rank)
     return out
 
@@ -330,18 +312,13 @@ def bg_conditions(pres: Presentation):
     space = pres.space
     n = space.dim
     order = EliminationOrder(n, 4)
-    rels = [_integer_terms(r) for r in pres.relations]
-    p_ech = SparseEchelon(space.field)
-    for terms in rels:
-        p_ech.insert({order.coord(w): c for w, c in terms})
+    p_ech = SparseEchelon(space.field, [order.to_coords(r) for r in pres.relations])
     cond_i = all(order.degree_of(p) >= 2 for p in p_ech.rows)
 
     big = SparseEchelon(space.field)
-    for terms in rels:
-        for a in (0, 1):
-            for b in (0, 1):
-                for vec in _sandwiches(order, terms, n, a, b):
-                    big.insert(vec)
+    for r in pres.relations:
+        for vec in _sandwiches(order, r, n, [(0, 0), (0, 1), (1, 0), (1, 1)]):
+            big.insert(vec)
     # canonical rows: equal spans have equal rows
     low_rows = {p: row for p, row in big.rows.items() if order.degree_of(p) <= 2}
     cond_j = low_rows == p_ech.rows

@@ -1,9 +1,11 @@
 """Exact field arithmetic over the rationals and over prime fields GF(p).
 
-Scalars are immutable and carry their field; mixing fields raises
-FieldMismatch.  Rationals are stored as reduced ``fractions.Fraction``
-values, prime-field elements as residues in ``[0, p)``, so equality of
-values is equality of representations.
+The containers of the other modules hold raw values: ints or reduced
+``fractions.Fraction`` values over Q, residues in ``[0, p)`` over GF(p), so
+equality of values is equality of representations.  ``Field.coerce`` turns
+an int, a Fraction or a Scalar into a raw value, ``Field.__call__`` wraps
+one as a Scalar.  Scalars are immutable and carry their field; mixing
+fields raises FieldMismatch.  They serve the API and JSON boundary.
 """
 
 from __future__ import annotations
@@ -111,19 +113,32 @@ class Field:
         if self.p == 2:
             raise CharTwo("operation requires characteristic != 2")
 
-    def __call__(self, value) -> "Scalar":
-        """Coerce an int, Fraction, or same-field Scalar into this field."""
+    def coerce(self, value):
+        """The raw value of an int, a Fraction (over Q) or a Scalar of this
+        field: an int or a Fraction over Q, the residue in [0, p) over
+        GF(p).  Matrices, polynomials and tensor elements hold raw values."""
         if isinstance(value, Scalar):
             if value.field is not self:
                 raise FieldMismatch(f"{value!r} is not over {self!r}")
-            return value
-        if self.p is None:
-            if isinstance(value, (int, Fraction)):
-                return Scalar(self, Fraction(value))
-            raise TypeError(f"cannot coerce {value!r} into Q")
+            return value.v
         if isinstance(value, int):
-            return Scalar(self, value % self.p)
-        raise TypeError(f"cannot coerce {value!r} into GF({self.p})")
+            return int(value) if self.p is None else value % self.p
+        if self.p is None and isinstance(value, Fraction):
+            return value
+        raise TypeError(f"cannot coerce {value!r} into {self!r}")
+
+    def inv(self, x):
+        """The raw inverse of a nonzero raw value."""
+        if not x:
+            raise DivisionByZero("inverse of zero")
+        return 1 / Fraction(x) if self.p is None else pow(x, -1, self.p)
+
+    def __call__(self, value) -> "Scalar":
+        """Wrap an int, Fraction, raw value or same-field Scalar as a Scalar."""
+        if isinstance(value, Scalar) and value.field is self:
+            return value
+        v = self.coerce(value)
+        return Scalar(self, Fraction(v) if self.p is None else v)
 
     @property
     def zero(self):
@@ -232,12 +247,7 @@ class Scalar:
         return Scalar(self.field, pow(self.v, n, p))
 
     def inverse(self):
-        if not self.v:
-            raise DivisionByZero("inverse of zero")
-        p = self.field.p
-        if p is None:
-            return Scalar(self.field, 1 / self.v)
-        return Scalar(self.field, pow(self.v, -1, p))
+        return Scalar(self.field, self.field.inv(self.v))
 
     def __bool__(self):
         return bool(self.v)

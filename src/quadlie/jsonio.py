@@ -28,12 +28,12 @@ class InputError(ValueError):
     """Malformed input document; message carries a JSON-pointer path."""
 
 
-def scalar_to_json(s: Scalar):
-    if s.field.is_rationals:
-        if s.v.denominator == 1:
-            return int(s.v)
-        return f"{s.v.numerator}/{s.v.denominator}"
-    return int(s.v)
+def scalar_to_json(s):
+    """A Scalar or a raw value as an integer, or a "p/q" string."""
+    v = s.v if isinstance(s, Scalar) else s
+    if v.denominator == 1:
+        return int(v)
+    return f"{v.numerator}/{v.denominator}"
 
 
 def scalar_from_json(field: Field, obj) -> Scalar:
@@ -78,7 +78,7 @@ def mat_to_json(m: Mat):
 
 
 def mat_from_json(field: Field, rows, shape=None) -> Mat:
-    m = Mat(field, [[scalar_from_json(field, x) for x in row] for row in rows])
+    m = Mat.from_rows(field, [[scalar_from_json(field, x) for x in row] for row in rows])
     if shape is not None and (m.rows, m.cols) != shape:
         raise InputError(f"matrix must be {shape[0]}x{shape[1]}, got {m.rows}x{m.cols}")
     return m

@@ -1,7 +1,9 @@
 """Dense exact linear algebra and univariate polynomials over Q or GF(p).
 
-All elimination goes through one fraction-free sparse echelon on raw
-values; dense ``rref``, ``rank`` and ``kernel`` are views of it.
+Matrices, subspaces and polynomials hold raw field values (ints or
+Fractions over Q, residues over GF(p)).  All elimination goes through one
+fraction-free sparse echelon; dense ``rref``, ``rank`` and ``kernel`` are
+views of it.
 Canonical answers (reduced echelon bases) make subspace equality a
 representation equality.
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .fields import FieldMismatch, Scalar
+from .fields import FieldMismatch
 
 
 class HypothesisViolated(ValueError):
@@ -19,9 +21,12 @@ class HypothesisViolated(ValueError):
 
 
 class Mat:
-    """A dense rows x cols matrix of scalars over one field.
+    """A dense rows x cols matrix of raw values over one field: ints or
+    Fractions over Q, residues in [0, p) over GF(p).
 
-    Treated as immutable: operations return fresh matrices.
+    The constructor takes raw rows as they are; ``from_rows`` coerces ints,
+    Fractions and Scalars.  Treated as immutable: operations return fresh
+    matrices.
     """
 
     __slots__ = ("field", "rows", "cols", "a")
@@ -36,27 +41,23 @@ class Mat:
                 raise ValueError("ragged matrix")
 
     @classmethod
-    def _adopt(cls, field, a):
-        """A matrix that takes over a list of equal-length rows of
-        scalars as they are, without copying or checking them."""
-        m = cls.__new__(cls)
-        m.field, m.a, m.rows = field, a, len(a)
-        m.cols = len(a[0]) if a else 0
-        return m
-
-    @classmethod
     def from_rows(cls, field, rows):
-        return cls(field, [[field(x) for x in row] for row in rows])
+        coerce = field.coerce
+        return cls(field, [[coerce(x) for x in row] for row in rows])
 
     @classmethod
     def identity(cls, field, n):
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls(field, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zero(cls, field, rows, cols):
-        z = field.zero
-        return cls(field, [[z] * cols for _ in range(rows)])
+        return cls(field, [[0] * cols for _ in range(rows)])
+
+    def _reduced(self, rows):
+        """A matrix over this field of rows of exact values (sums and
+        products of raw ones), reduced mod p over GF(p)."""
+        p = self.field.p
+        return Mat(self.field, rows if p is None else [[x % p for x in r] for r in rows])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -68,45 +69,39 @@ class Mat:
     def col(self, j):
         return tuple(self.a[i][j] for i in range(self.rows))
 
-    def raw(self):
-        """The entries as raw values (Fractions over Q, residues over GF(p))."""
-        return [[x.v for x in r] for r in self.a]
-
     def _same_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} and {other.rows}x{other.cols}")
 
     def __add__(self, other):
         self._same_shape(other)
-        return Mat(self.field, [[x + y for x, y in zip(r, s)] for r, s in zip(self.a, other.a)])
+        return self._reduced([[x + y for x, y in zip(r, s)] for r, s in zip(self.a, other.a)])
 
     def __sub__(self, other):
         self._same_shape(other)
-        return Mat(self.field, [[x - y for x, y in zip(r, s)] for r, s in zip(self.a, other.a)])
+        return self._reduced([[x - y for x, y in zip(r, s)] for r, s in zip(self.a, other.a)])
 
     def __neg__(self):
-        return Mat(self.field, [[-x for x in r] for r in self.a])
+        return self._reduced([[-x for x in r] for r in self.a])
 
     def scale(self, s):
-        s = self.field(s)
-        return Mat(self.field, [[s * x for x in r] for r in self.a])
+        s = self.field.coerce(s)
+        return self._reduced([[s * x for x in r] for r in self.a])
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        field = self.field
-        if other.field is not field:
-            raise FieldMismatch(f"operands over {field!r} and {other.field!r}")
-        out = raw_product(self.raw(), other.raw(), field.p)
-        zero = field.zero
-        return Mat._adopt(field, [[Scalar(field, v) if v else zero for v in r] for r in out])
+        if other.field is not self.field:
+            raise FieldMismatch(f"operands over {self.field!r} and {other.field!r}")
+        return Mat(self.field, raw_product(self.a, other.a, self.field.p))
 
     def apply(self, vec):
-        """Matrix times column vector (tuple of scalars)."""
+        """Matrix times column vector (a sequence of raw values), as a tuple."""
         if len(vec) != self.cols:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} applied to a {len(vec)}-vector")
-        z = self.field.zero
-        return tuple(sum((x * y for x, y in zip(r, vec) if x and y), z) for r in self.a)
+        out = [sum(x * y for x, y in zip(r, vec) if x) for r in self.a]
+        p = self.field.p
+        return tuple(out) if p is None else tuple(s % p for s in out)
 
     def is_zero(self):
         return all(not x for r in self.a for x in r)
@@ -114,15 +109,10 @@ class Mat:
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return (
-            self.field is other.field
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and all(x == y for r, s in zip(self.a, other.a) for x, y in zip(r, s))
-        )
+        return self.field is other.field and (self.rows, self.cols, self.a) == (other.rows, other.cols, other.a)
 
     def __hash__(self):
-        return hash((id(self.field), self.rows, self.cols, tuple(x.v for r in self.a for x in r)))
+        return hash((id(self.field), self.rows, self.cols, tuple(x for r in self.a for x in r)))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.a)
@@ -131,18 +121,13 @@ class Mat:
     def rref(self):
         """Reduced row echelon form: (matrix, pivot column list), the rows
         of the echelon of self in pivot order with zero rows below."""
-        field = self.field
-        ech = SparseEchelon(field, self.a)
+        ech = SparseEchelon(self.field, self.a)
         pivots = sorted(ech.pivots())
-        z = field.zero
-        out = []
-        for c in pivots:
-            r = [z] * self.cols
+        out = [[0] * self.cols for _ in range(self.rows)]
+        for r, c in zip(out, pivots):
             for k, x in ech.row(c).items():
-                r[k] = Scalar(field, x)
-            out.append(r)
-        out.extend([z] * self.cols for _ in range(self.rows - len(pivots)))
-        return Mat(field, out), pivots
+                r[k] = x
+        return Mat(self.field, out), pivots
 
     def rank(self):
         return SparseEchelon(self.field, self.a).rank
@@ -151,7 +136,7 @@ class Mat:
         if self.rows != self.cols:
             raise ValueError("inverse of a nonsquare matrix")
         n = self.rows
-        aug = Mat(self.field, [self.a[i] + Mat.identity(self.field, n).a[i] for i in range(n)])
+        aug = Mat(self.field, [row + [int(i == j) for j in range(n)] for i, row in enumerate(self.a)])
         red, piv = aug.rref()
         if piv != list(range(n)):
             raise HypothesisViolated("matrix is not invertible")
@@ -190,17 +175,19 @@ def raw_product(a, b, p=None):
 def integral(values):
     """(ints, d) with values = ints / d, for Fractions or ints: d is the
     lcm of their denominators (1 for ints)."""
+    values = list(values)
     d = math.lcm(*(x.denominator for x in values))
     return [x.numerator * (d // x.denominator) for x in values], d
 
 
 def solve(a: Mat, b):
-    """One solution x of a x = b (b a tuple), or None if inconsistent."""
+    """One solution x of a x = b (b a tuple of raw values), or None if
+    inconsistent."""
     aug = Mat(a.field, [list(row) + [bv] for row, bv in zip(a.a, b)])
     red, piv = aug.rref()
     if a.cols in piv:
         return None
-    x = [a.field.zero] * a.cols
+    x = [0] * a.cols
     for r, c in enumerate(piv):
         x[c] = red.a[r][a.cols]
     return tuple(x)
@@ -209,8 +196,7 @@ def solve(a: Mat, b):
 class Subspace:
     """A subspace of K^ambient_dim with its unique reduced echelon basis.
 
-    The spanning vectors may hold Scalars or raw values; the basis holds
-    Scalars.
+    The spanning vectors and the basis hold raw values.
     """
 
     __slots__ = ("field", "ambient_dim", "basis")
@@ -238,18 +224,18 @@ class Subspace:
         return len(self.basis)
 
     def coords(self, vec):
-        """Coordinates of vec in the echelon basis, or None if outside."""
-        vec = list(vec)
-        out = []
-        piv = [next(j for j, x in enumerate(b) if x) for b in self.basis]
-        for b, p in zip(self.basis, piv):
-            c = vec[p]
-            out.append(c)
+        """Coordinates of vec (raw values) in the echelon basis, or None
+        if outside.  The basis is reduced, so the coordinates are the
+        entries of vec at the pivots."""
+        p = self.field.p
+        vec = list(vec) if p is None else [x % p for x in vec]
+        out = tuple(vec[next(j for j, x in enumerate(b) if x)] for b in self.basis)
+        for c, b in zip(out, self.basis):
             if c:
                 vec = [x - c * y for x, y in zip(vec, b)]
-        if any(vec):
+        if any(x if p is None else x % p for x in vec):
             return None
-        return tuple(out)
+        return out
 
     def contains(self, vec):
         return self.coords(vec) is not None
@@ -264,7 +250,7 @@ class Subspace:
         )
 
     def __hash__(self):
-        return hash((id(self.field), self.ambient_dim, tuple(tuple(x.v for x in b) for b in self.basis)))
+        return hash((id(self.field), self.ambient_dim, self.basis))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
@@ -280,12 +266,13 @@ def column_space(m: Mat) -> Subspace:
 
 
 class Poly:
-    """A univariate polynomial, coefficients lowest degree first."""
+    """A univariate polynomial, raw coefficients lowest degree first; the
+    constructor coerces ints, Fractions and Scalars."""
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
-        cs = [field(c) for c in coeffs]
+        cs = [field.coerce(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.field = field
@@ -304,9 +291,8 @@ class Poly:
 
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [z] * (n - len(other.coeffs))
+        a = self.coeffs + (0,) * (n - len(self.coeffs))
+        b = other.coeffs + (0,) * (n - len(other.coeffs))
         return Poly(self.field, [x + y for x, y in zip(a, b)])
 
     def __sub__(self, other):
@@ -316,16 +302,15 @@ class Poly:
         return Poly(self.field, [-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, Scalar):
-            return Poly(self.field, [c * other for c in self.coeffs])
-        z = self.field.zero
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1) if self.coeffs and other.coeffs else []
+        """The product with a polynomial, or with a field value."""
+        if not isinstance(other, Poly):
+            s = self.field.coerce(other)
+            return Poly(self.field, [c * s for c in self.coeffs])
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1) if self.coeffs and other.coeffs else []
         for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            for j, d in enumerate(other.coeffs):
-                if d:
-                    out[i + j] = out[i + j] + c * d
+            if c:
+                for j, d in enumerate(other.coeffs):
+                    out[i + j] += c * d
         return Poly(self.field, out)
 
     def __divmod__(self, other):
@@ -333,11 +318,9 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         q = Poly(self.field, [])
         r = self
-        inv = other.coeffs[-1].inverse()
+        inv = self.field.inv(other.coeffs[-1])
         while not r.is_zero() and r.degree >= other.degree:
-            shift = r.degree - other.degree
-            c = r.coeffs[-1] * inv
-            t = Poly(self.field, [self.field.zero] * shift + [c])
+            t = Poly(self.field, [0] * (r.degree - other.degree) + [r.coeffs[-1] * inv])
             q = q + t
             r = r - t * other
         return q, r
@@ -354,19 +337,20 @@ class Poly:
         return self.field is other.field and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((id(self.field), tuple(c.v for c in self.coeffs)))
+        return hash((id(self.field), self.coeffs))
 
     def monic(self):
         if self.is_zero():
             return self
-        inv = self.coeffs[-1].inverse()
-        return Poly(self.field, [c * inv for c in self.coeffs])
+        return self * self.field.inv(self.coeffs[-1])
 
-    def eval_scalar(self, x: Scalar) -> Scalar:
-        acc = self.field.zero
+    def eval_scalar(self, x):
+        """The value at x (an int, Fraction or Scalar), as a Scalar."""
+        x = self.field.coerce(x)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
+        return self.field(acc)
 
     def __repr__(self):
         if self.is_zero():
@@ -404,7 +388,7 @@ def poly_gcd_bezout(a: Poly, b: Poly):
         r0, r1 = r1, r
         u0, u1 = u1, u0 - q * u1
         v0, v1 = v1, v0 - q * v1
-    lead = r0.coeffs[-1].inverse()
+    lead = field.inv(r0.coeffs[-1])
     return r0 * lead, u0 * lead, v0 * lead
 
 
@@ -425,7 +409,7 @@ def minimal_polynomial(m: Mat) -> Poly:
         raise ValueError("minimal polynomial of a nonsquare matrix")
     field = m.field
     n = m.rows
-    flat = lambda mm: [mm.a[i][j] for i in range(n) for j in range(n)]
+    flat = lambda mm: [x for row in mm.a for x in row]
     powers = [Mat.identity(field, n)]
     rows = [flat(powers[0])]
     while True:
@@ -437,12 +421,10 @@ def minimal_polynomial(m: Mat) -> Poly:
         powers.append(nxt)
         rows.append(flat(nxt))
     # m^k is a combination of lower powers: solve for the coefficients.
-    k = len(powers)
     target = flat(powers[-1] @ m)
     a = Mat(field, [list(col) for col in zip(*rows)])
     x = solve(a, tuple(target))
-    coeffs = [-c for c in x] + [field.one]
-    return Poly(field, coeffs)
+    return Poly(field, [-c for c in x] + [1])
 
 
 def complement_split(m_alpha: Mat, m_beta: Mat):
@@ -478,9 +460,9 @@ class SparseEchelon:
     row is kept fraction-free (Bareiss): integer entries whose content is
     1, with a positive pivot entry that is the row's denominator, so the
     row stands for entries / pivot entry and equal rows have equal dicts.
-    Vectors may come in as sparse dicts or dense sequences, with Scalar,
-    int or Fraction values; values leave raw through ``row`` and
-    ``reduce``.  ``vectors`` are inserted at construction.
+    Vectors come in as sparse dicts or dense sequences of raw values (any
+    int represents its residue over GF(p)) and leave raw through ``row``
+    and ``reduce``.  ``vectors`` are inserted at construction.
     """
 
     def __init__(self, field, vectors=()):
@@ -507,18 +489,11 @@ class SparseEchelon:
 
     def _integral(self, vec):
         """(a, den): an integer dict a without zeros, vec = a / den."""
-        field = self.field
-        vals = {}
-        for k, x in vec.items() if isinstance(vec, dict) else enumerate(vec):
-            if isinstance(x, Scalar):
-                if x.field is not field:
-                    raise FieldMismatch(f"{x!r} is not over {field!r}")
-                x = x.v
-            if x:
-                vals[k] = x
-        p = field.p
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        p = self.field.p
         if p is not None:
-            return {k: r for k, x in vals.items() if (r := x % p)}, 1
+            return {k: r for k, x in items if (r := x % p)}, 1
+        vals = {k: x for k, x in items if x}
         den = math.lcm(*(x.denominator for x in vals.values()))
         return {k: x.numerator * (den // x.denominator) for k, x in vals.items()}, den
 
@@ -613,10 +588,10 @@ class SparseEchelon:
 def null_space(field, rows, ncols):
     """Raw-valued basis of {x in K^ncols : r . x = 0 for every row r}.
 
-    Rows are dense sequences or sparse dicts (Scalar, int or Fraction
-    values).  There is one vector per free column f, in increasing order,
-    read off the reduced rows: x[f] = 1, x[q] = -(row q)[f] at every pivot
-    q, and zero elsewhere.  Entries are residues over GF(p) and Fractions
+    Rows are dense sequences or sparse dicts of raw values.  There is one
+    vector per free column f, in increasing order, read off the reduced
+    rows: x[f] = 1, x[q] = -(row q)[f] at every pivot q, and zero
+    elsewhere.  Entries are residues over GF(p) and Fractions
     (or the ints 0 and 1) over Q.
     """
     ech = SparseEchelon(field, rows)

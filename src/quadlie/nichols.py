@@ -23,6 +23,7 @@ from .tensoralg import (
     SplitTensorElem,
     TensorElem,
     _crossing_columns,
+    add_up,
     braided_mul_split,
     coproduct,
 )
@@ -117,7 +118,7 @@ class PrimitiveReport:
     def contains(self, t: TensorElem) -> bool:
         """Whether a normal-form element is primitive in the truncation."""
         pos = {w: i for i, w in enumerate(self.rep_words)}
-        vec = [t.space.field.zero] * len(self.rep_words)
+        vec = [0] * len(self.rep_words)
         for w, c in t.terms.items():
             if w not in pos:
                 return False
@@ -157,7 +158,7 @@ def primitives_of_quotient(pres: Presentation, N: int, buffer: int = 2, trunc: I
         field,
         len(reps),
         [
-            [field.one if reps[j] == (i,) else field.zero for j in range(len(reps))]
+            [int(reps[j] == (i,)) for j in range(len(reps))]
             for i in range(1, space.dim + 1)
             if (i,) in pos
         ],
@@ -192,9 +193,7 @@ def verify_qpower_coproduct(row: int, field, gamma=None, n_max: int = 4) -> bool
         raise ValueError("closed form applies to the diagonal-type rows 5, 6, 7")
     q = row_instance(row, field, gamma)
     space = q.space
-    q1 = space.c.a[0][0]
-    q2 = space.c.a[3][3]
-    q12 = space.c.a[1][2]
+    q1, q2, q12 = (field(space.c[ij]) for ij in ((0, 0), (3, 3), (1, 2)))
     pres = sq_presentation(space)
     trunc = ideal_truncation(pres, n_max, 1)
     for n1 in range(n_max + 1):
@@ -248,12 +247,8 @@ def verify_cx2_and_alpha(gamma: Scalar, n_max: int = 6) -> bool:
 
     # (a) crossing identity, computed through the block braiding.
     for n in range(n_max + 1):
-        cols = _crossing_columns(space, 1, n)
-        out = {}
-        for w, coeff in cols[(2,) * (n + 1)]:
-            key = (w[:n], w[n:])
-            out[key] = out.get(key, field.zero) + coeff
-        lhs = trunc.nf_split(SplitTensorElem(space, out))
+        crossing = _crossing_columns(space, 1, n)[(2,) * (n + 1)]
+        lhs = trunc.nf_split(SplitTensorElem(space, add_up(((w[:n], w[n:]), c) for w, c in crossing)))
         pairs = [((2,) * n, (2,), field.one)]
         if n >= 1:
             pairs.append(((1,) + (2,) * (n - 1), (1,), field(n) * gamma))

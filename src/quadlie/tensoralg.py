@@ -1,13 +1,15 @@
 """The braided tensor algebra at bounded degree.
 
-Elements are finitely supported maps from words over {1..n} to scalars;
-the empty word is the unit.  The coproduct is the unique algebra map
-T -> T (x) T sending letters x to x (x) 1 + 1 (x) x, where T (x) T
+Elements are finitely supported maps from words over {1..n} to raw field
+values; the empty word is the unit.  The coproduct is the unique algebra
+map T -> T (x) T sending letters x to x (x) 1 + 1 (x) x, where T (x) T
 multiplies through the block braiding of the middle factors; its (1,1)
 component is Id + c, so degree-two primitives agree with ker(c + Id).
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .braided import BraidedSpace, all_words, index_word, lift_to_slot, word_index
 from .linalg import Mat, Subspace, kernel
@@ -23,67 +25,57 @@ def sorted_terms(terms, n):
     return sorted(terms.items(), key=lambda it: (len(it[0]), word_index(it[0], n)))
 
 
+def add_up(pairs):
+    """The dict key -> sum of the values paired with the key, for (key,
+    raw value) pairs; the element constructors reduce it and drop zeros."""
+    out = {}
+    get = out.get
+    for k, v in pairs:
+        out[k] = get(k, 0) + v
+    return out
+
+
 class TensorElem:
-    """A finitely supported linear combination of words (filtered element)."""
+    """A finitely supported linear combination of words (filtered element),
+    with raw coefficients; the constructor coerces ints, Fractions and
+    Scalars and drops zero terms."""
 
     __slots__ = ("space", "terms")
 
     def __init__(self, space: BraidedSpace, terms=None):
         self.space = space
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                c = space.field(c)
-                if c:
-                    self.terms[tuple(w)] = c
+        coerce = space.field.coerce
+        self.terms = {tuple(w): x for w, c in (terms or {}).items() if (x := coerce(c))}
 
     @classmethod
     def unit(cls, space):
-        return cls(space, {(): space.field.one})
+        return cls(space, {(): 1})
 
     @classmethod
     def letter(cls, space, i):
         if not 1 <= i <= space.dim:
             raise ValueError(f"letter {i} out of range")
-        return cls(space, {(i,): space.field.one})
+        return cls(space, {(i,): 1})
 
     @classmethod
     def word(cls, space, w, coeff=1):
-        return cls(space, {tuple(w): space.field(coeff)})
+        return cls(space, {tuple(w): coeff})
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return TensorElem(self.space, out)
+        return TensorElem(self.space, add_up(chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other):
-        return self + other.scale(-self.space.field.one)
+        return self + other.scale(-1)
 
     def scale(self, s):
-        s = self.space.field(s)
-        if not s:
-            return TensorElem(self.space)
+        s = self.space.field.coerce(s)
         return TensorElem(self.space, {w: c * s for w, c in self.terms.items()})
 
     def __mul__(self, other):
         """Concatenation product of the tensor algebra."""
-        out = {}
-        for u, a in self.terms.items():
-            for v, b in other.terms.items():
-                w = u + v
-                s = out.get(w)
-                s = a * b if s is None else s + a * b
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-        return TensorElem(self.space, out)
+        return TensorElem(
+            self.space, add_up((u + v, a * b) for u, a in self.terms.items() for v, b in other.terms.items())
+        )
 
     def is_zero(self):
         return not self.terms
@@ -103,7 +95,7 @@ class TensorElem:
         return self.space is other.space and self.terms == other.terms
 
     def __hash__(self):
-        return hash((id(self.space), tuple(sorted((w, c.v) for w, c in self.terms.items()))))
+        return hash((id(self.space), tuple(sorted(self.terms.items()))))
 
     def sorted_terms(self):
         return sorted_terms(self.terms, self.space.dim)
@@ -119,45 +111,32 @@ class TensorElem:
 
 
 class SplitTensorElem:
-    """An element of T (x) T: a map from pairs of words to scalars."""
+    """An element of T (x) T: a map from pairs of words to raw values; the
+    constructor coerces as TensorElem's does."""
 
     __slots__ = ("space", "terms")
 
     def __init__(self, space, terms=None):
         self.space = space
-        self.terms = {}
-        if terms:
-            for (u, v), c in terms.items():
-                c = space.field(c)
-                if c:
-                    self.terms[(tuple(u), tuple(v))] = c
+        coerce = space.field.coerce
+        self.terms = {(tuple(u), tuple(v)): x for (u, v), c in (terms or {}).items() if (x := coerce(c))}
 
     @classmethod
     def unit(cls, space):
-        return cls(space, {((), ()): space.field.one})
+        return cls(space, {((), ()): 1})
 
     @classmethod
     def pure(cls, space, u, v, coeff=1):
-        return cls(space, {(tuple(u), tuple(v)): space.field(coeff)})
+        return cls(space, {(tuple(u), tuple(v)): coeff})
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return SplitTensorElem(self.space, out)
+        return SplitTensorElem(self.space, add_up(chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other):
-        return self + other.scale(-self.space.field.one)
+        return self + other.scale(-1)
 
     def scale(self, s):
-        s = self.space.field(s)
-        if not s:
-            return SplitTensorElem(self.space)
+        s = self.space.field.coerce(s)
         return SplitTensorElem(self.space, {k: c * s for k, c in self.terms.items()})
 
     def is_zero(self):
@@ -252,30 +231,19 @@ def braided_mul_split(x: SplitTensorElem, y: SplitTensorElem) -> SplitTensorElem
     if x.space is not y.space:
         raise ValueError("operands over different spaces")
     space = x.space
-    out = {}
-    for (u, v), a in x.terms.items():
-        for (u2, v2), b in y.terms.items():
-            ab = a * b
-            if not v or not u2:
-                w = (u + u2, v + v2)
-                s = out.get(w)
-                s = ab if s is None else s + ab
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-                continue
-            cols = _crossing_columns(space, len(v), len(u2))
-            for w, coeff in cols[v + u2]:
-                left = u + w[: len(u2)]
-                right = w[len(u2):] + v2
-                s = out.get((left, right))
-                s = ab * coeff if s is None else s + ab * coeff
-                if s:
-                    out[(left, right)] = s
-                else:
-                    out.pop((left, right), None)
-    return SplitTensorElem(space, out)
+
+    def terms():
+        for (u, v), a in x.terms.items():
+            for (u2, v2), b in y.terms.items():
+                ab = a * b
+                if not v or not u2:
+                    yield (u + u2, v + v2), ab
+                    continue
+                k = len(u2)
+                for w, coeff in _crossing_columns(space, len(v), k)[v + u2]:
+                    yield (u + w[:k], w[k:] + v2), ab * coeff
+
+    return SplitTensorElem(space, add_up(terms()))
 
 
 def _word_coproduct(space, w):
@@ -287,18 +255,18 @@ def _word_coproduct(space, w):
     else:
         head = _word_coproduct(space, w[:-1])
         i = w[-1]
-        xi = SplitTensorElem(space, {((i,), ()): space.field.one, ((), (i,)): space.field.one})
-        out = braided_mul_split(head, xi)
+        out = braided_mul_split(head, SplitTensorElem(space, {((i,), ()): 1, ((), (i,)): 1}))
     space._coproduct_cache[w] = out
     return out
 
 
 def coproduct(t: TensorElem) -> SplitTensorElem:
     """The braided-bialgebra coproduct, extended word by word."""
-    out = SplitTensorElem(t.space)
-    for w, c in t.terms.items():
-        out = out + _word_coproduct(t.space, w).scale(c)
-    return out
+    space = t.space
+    return SplitTensorElem(
+        space,
+        add_up((k, c * x) for w, c in t.terms.items() for k, x in _word_coproduct(space, w).terms.items()),
+    )
 
 
 def delta_component(t: TensorElem, a: int, b: int) -> SplitTensorElem:
@@ -318,8 +286,7 @@ def delta_component_matrix(space: BraidedSpace, a: int, b: int) -> Mat:
     d = space.dim
     rows = d ** (a + b)
     cols = d ** (a + b)
-    z = space.field.zero
-    out = [[z] * cols for _ in range(rows)]
+    out = [[0] * cols for _ in range(rows)]
     for j, w in enumerate(all_words(d, a + b)):
         comp = _word_coproduct(space, w).bidegree_part(a, b)
         for (u, v), c in comp.terms.items():

@@ -9,6 +9,11 @@ reduced, exactly as the fast structure defines them.
 oracle of ``Mat.rref``, ``rank``, ``kernel``, ``solve`` and ``inverse``,
 which all reduce through ``SparseEchelon``.
 
+The containers hold raw values (ints or Fractions over Q, residues over
+GF(p)).  The oracles wrap the entries they read as Scalars, compute on
+Scalars, and turn their results back into raw values (``Mat.from_rows``,
+``raw``) only to compare them with the core's.
+
 ``unit_bracket_space`` assembles the linear bracket axioms from eight unit
 brackets through dense Scalar products, kept as the oracle of
 ``quadlie.brackets.solve_linear_bracket_space``, which writes them as
@@ -40,6 +45,16 @@ from quadlie.braided import mat_tensor
 from quadlie.brackets import LiftedReport
 from quadlie.fields import GF
 from quadlie.linalg import HypothesisViolated, Mat
+
+
+def scalar_rows(m):
+    """The entries of a Mat as rows of Scalars."""
+    return [[m.field(x) for x in row] for row in m.a]
+
+
+def raw(field, values):
+    """A sequence of Scalars (or raw values) as a tuple of raw values."""
+    return tuple(field.coerce(x) for x in values)
 
 
 class ScalarEchelon:
@@ -112,7 +127,7 @@ class DenseOracle:
     @staticmethod
     def rref(m):
         """Reduced row echelon form: (matrix, pivot column list)."""
-        a = [row[:] for row in m.a]
+        a = scalar_rows(m)
         pivots = []
         r = 0
         for c in range(m.cols):
@@ -130,7 +145,7 @@ class DenseOracle:
             r += 1
             if r == m.rows:
                 break
-        return Mat(m.field, a), pivots
+        return Mat.from_rows(m.field, a), pivots
 
     @classmethod
     def rank(cls, m):
@@ -139,15 +154,16 @@ class DenseOracle:
     @classmethod
     def null_vectors(cls, m):
         """One null vector per free column: 1 there, minus the reduced
-        rows' entries of that column at the pivots."""
+        rows' entries of that column at the pivots (raw lists)."""
         red, piv = cls.rref(m)
+        red = scalar_rows(red)
         vecs = []
         for fc in (c for c in range(m.cols) if c not in piv):
             v = [m.field.zero] * m.cols
             v[fc] = m.field.one
             for r, pc in enumerate(piv):
-                v[pc] = -red.a[r][fc]
-            vecs.append(v)
+                v[pc] = -red[r][fc]
+            vecs.append(list(raw(m.field, v)))
         return vecs
 
     @classmethod
@@ -161,20 +177,21 @@ class DenseOracle:
 
     @classmethod
     def solve(cls, a, b):
-        aug = Mat(a.field, [list(row) + [bv] for row, bv in zip(a.a, b)])
+        """One solution of a x = b (raw values), as raw values, or None."""
+        aug = Mat.from_rows(a.field, [row + [a.field(bv)] for row, bv in zip(scalar_rows(a), b)])
         red, piv = cls.rref(aug)
         if a.cols in piv:
             return None
         x = [a.field.zero] * a.cols
         for r, c in enumerate(piv):
-            x[c] = red.a[r][a.cols]
-        return tuple(x)
+            x[c] = a.field(red.a[r][a.cols])
+        return raw(a.field, x)
 
     @classmethod
     def inverse(cls, m):
         n = m.rows
-        eye = Mat.identity(m.field, n)
-        red, piv = cls.rref(Mat(m.field, [m.a[i] + eye.a[i] for i in range(n)]))
+        eye = scalar_rows(Mat.identity(m.field, n))
+        red, piv = cls.rref(Mat.from_rows(m.field, [r + e for r, e in zip(scalar_rows(m), eye)]))
         if piv != list(range(n)):
             raise HypothesisViolated("matrix is not invertible")
         return Mat(m.field, [red.a[i][n:] for i in range(n)])
@@ -188,8 +205,10 @@ def dense_oracle():
 def dense_product(a, b):
     """a @ b with every entry the sum over the inner index, on Scalars."""
     z = a.field.zero
-    cols = list(zip(*b.a))
-    return Mat(a.field, [[sum((x * y for x, y in zip(row, col) if x and y), z) for col in cols] for row in a.a])
+    cols = list(zip(*scalar_rows(b)))
+    return Mat.from_rows(
+        a.field, [[sum((x * y for x, y in zip(row, col) if x and y), z) for col in cols] for row in scalar_rows(a)]
+    )
 
 
 def dense_lift(m, slot, n):
@@ -211,7 +230,7 @@ def unit_bracket_space(space):
     for u in range(n * n**2):
         r, k = divmod(u, n**2)
         beta = Mat.zero(field, n, n**2)
-        beta.a[r][k] = field.one
+        beta.a[r][k] = 1
         b1, b2 = dense_lift(beta, 1, n), dense_lift(beta, 2, n)
         chunks = [
             dense_product(beta, c + eye2),
@@ -260,7 +279,7 @@ class FourProductAxioms:
         c1, c2 = _int_lift12(self.c)
         eye8 = [[int(i == j) for j in range(8)] for i in range(8)]
         plus = [[x + y for x, y in zip(r, e)] for m in (c1, c2) for r, e in zip(m, eye8)]
-        self.e2bar = [[x.v for x in v] for v in DenseOracle.null_vectors(Mat.from_rows(GF(p), plus))]
+        self.e2bar = DenseOracle.null_vectors(Mat.from_rows(GF(p), plus))
         self.ck1 = tuple(tuple((x + (i == j)) % p for j, x in enumerate(r)) for i, r in enumerate(self.c))
         self.c12 = _int_matmul(c1, c2, p)
         self.c21 = _int_matmul(c2, c1, p)
@@ -312,7 +331,7 @@ def dense_verify_lifted(q):
     bracket_right = dense_product(c, b2) == dense_product(b1, dense_product(c2, c1))
     jac_map = dense_product(beta, b1 - b2)
     e2bar = DenseOracle.null_vectors((c1 + eye3).stack(c2 + eye3))
-    jacobi = all(not x for v in e2bar for x in jac_map.apply(v))
+    jacobi = not e2bar or dense_product(jac_map, Mat(q.field, [list(r) for r in zip(*e2bar)])).is_zero()
     return LiftedReport(antisym, bracket_left, bracket_right, jacobi)
 
 

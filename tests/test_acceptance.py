@@ -93,9 +93,9 @@ def test_criterion_01_table_reproduction():
 
 
 def _vec(space, vec_dict, length):
-    v = [QQ(0)] * space.dim**length
+    v = [0] * space.dim**length
     for w, c in vec_dict.items():
-        v[word_index(w, space.dim)] = QQ(c)
+        v[word_index(w, space.dim)] = c
     return tuple(v)
 
 
@@ -227,7 +227,7 @@ def test_criterion_07_classification_robustness():
                     [QQ(rng.randint(-3, 3)) / QQ(rng.randint(1, 3)) for _ in range(2)]
                     for _ in range(2)
                 ]
-                m = Mat(QQ, rows)
+                m = Mat.from_rows(QQ, rows)
                 if m.a[0][0] * m.a[1][1] - m.a[0][1] * m.a[1][0]:
                     return m
 
@@ -299,7 +299,7 @@ def test_criterion_11_unipotent_row_identities():
         q = row_instance(8, QQ, gamma)
         trunc = ideal_truncation(sq_presentation(q.space), 4, 1)
         d = trunc.nf_split(coproduct(TensorElem.word(q.space, (2, 2, 2))))
-        assert d.terms.get(((1,), (1, 2))) == QQ(3) * gamma
+        assert QQ(d.terms.get(((1,), (1, 2)))) == QQ(3) * gamma
 
 
 def test_criterion_12_bialgebra_axioms_at_truncation():

@@ -18,7 +18,7 @@ from quadlie.appendix import (
     udu_check,
     udu_identity_holds,
 )
-from quadlie.braided import BraidedSpace, braid_relation_holds, lift_rows
+from quadlie.braided import BraidedSpace, braid_relation_holds, lift_rows, split_minpoly
 from quadlie.brackets import QuadraticLieAlgebra, solve_linear_bracket_space, verify_lifted
 from quadlie.classify import conjugate
 from quadlie.fields import GF, QQ
@@ -116,11 +116,11 @@ def test_survey_determinism():
 
 
 def test_intersect_subspaces():
-    s1 = Subspace(QQ, 3, [(QQ(1), QQ(0), QQ(0)), (QQ(0), QQ(1), QQ(0))])
-    s2 = Subspace(QQ, 3, [(QQ(0), QQ(1), QQ(1)), (QQ(1), QQ(0), QQ(-1))])
+    s1 = Subspace(QQ, 3, [(1, 0, 0), (0, 1, 0)])
+    s2 = Subspace(QQ, 3, [(0, 1, 1), (1, 0, -1)])
     inter = _intersect(s1, s2)
     assert inter.dim == 1
-    assert inter.contains((QQ(1), QQ(1), QQ(0)))
+    assert inter.contains((1, 1, 0))
     zero = _intersect(s1, Subspace.zero(QQ, 3))
     assert zero.dim == 0
 
@@ -142,22 +142,22 @@ def test_integer_fast_path_matches_generic(dense_yang_baxter_oracle, dense_lifte
         sp = BraidedSpace(F, 2, cmat, check=False)
         data = _IntBraiding(c_rows, 5)
         assert braid_relation_holds(c_rows, 5) == dense_yang_baxter_oracle(sp)
-        assert lift_rows(c_rows, 1, 3, 2, 2, 2) == mat_tensor(F, cmat, eye).raw()
-        assert lift_rows(c_rows, 2, 3, 2, 2, 2) == mat_tensor(F, eye, cmat).raw()
+        assert lift_rows(c_rows, 1, 3, 2, 2, 2) == mat_tensor(F, cmat, eye).a
+        assert lift_rows(c_rows, 2, 3, 2, 2, 2) == mat_tensor(F, eye, cmat).a
         assert len(data.e2bar) == sp.e2bar().dim
         b_rows = tuple(tuple(rng.randrange(5) for _ in range(4)) for _ in range(2))
         q = QuadraticLieAlgebra(sp, Mat.from_rows(F, [list(r) for r in b_rows]))
-        assert lift_rows(b_rows, 1, 3, 2, 2, 1) == q.beta1().raw() == mat_tensor(F, q.beta, eye).raw()
-        assert lift_rows(b_rows, 2, 3, 2, 2, 1) == q.beta2().raw() == mat_tensor(F, eye, q.beta).raw()
+        assert lift_rows(b_rows, 1, 3, 2, 2, 1) == q.beta1().a == mat_tensor(F, q.beta, eye).a
+        assert lift_rows(b_rows, 2, 3, 2, 2, 1) == q.beta2().a == mat_tensor(F, eye, q.beta).a
 
     # axiom agreement, on braidings that do satisfy the braid relation:
     # the canonical rows with both genuine and random brackets
     agreements = 0
     for row in range(1, 9):
         inst = row_instance(row, F, default_gamma(row, F))
-        c_rows = tuple(tuple(x.v for x in r) for r in inst.space.c.a)
+        c_rows = tuple(map(tuple, inst.space.c.a))
         data = _IntBraiding(c_rows, 5)
-        candidates = [tuple(tuple(x.v for x in r) for r in inst.beta.a)]
+        candidates = [tuple(map(tuple, inst.beta.a))]
         for _ in range(10):
             candidates.append(tuple(tuple(rng.randrange(5) for _ in range(4)) for _ in range(2)))
         for b_rows in candidates:
@@ -194,8 +194,26 @@ def test_split_failures_other_than_double_root_propagate(monkeypatch):
     flip = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
     with pytest.raises(RuntimeError):
         _has_minus_one_simple_root(flip, GF(3))
+    # the survey splits the minimal polynomial at a braiding's first
+    # rank-two find; count every verified bracket as one
+    monkeypatch.setattr(appendix, "column_space", lambda m: Subspace.full(m.field, m.rows))
     with pytest.raises(RuntimeError):
         random_survey(GF(3), seed=0, max_brackets_per_braiding=5)
+
+
+def test_survey_splits_minpoly_only_for_rank_two_finds(monkeypatch):
+    # no rank-two bracket turns up at GF(3), so no split is computed, and
+    # the report is the same as with a split of every braiding
+    calls = []
+
+    def counted(space):
+        calls.append(space)
+        return split_minpoly(space)
+
+    monkeypatch.setattr(appendix, "split_minpoly", counted)
+    rep = random_survey(GF(3), seed=0, max_brackets_per_braiding=20)
+    assert rep.rank2_found == 0 and rep.verified > 0
+    assert calls == []
 
 
 def _dense_int_product(a, b, p):
@@ -284,7 +302,7 @@ def _table_instances(field):
 
 
 def _int_rows(m):
-    return [[x.v for x in r] for r in m.a]
+    return [list(r) for r in m.a]
 
 
 def _axioms_agree(c, beta, p):
@@ -373,7 +391,7 @@ def test_int_axioms_match_four_product_oracle(monkeypatch, four_product_axioms):
             self.oracle = four_product_axioms(c, p)
             rng = random.Random(repr(c))
             sp = BraidedSpace(field, 2, Mat.from_rows(field, [list(r) for r in c]), check=False)
-            basis = [[[x.v for x in r] for r in b.a] for b in solve_linear_bracket_space(sp)]
+            basis = [b.a for b in solve_linear_bracket_space(sp)]
             for _ in range(8):
                 beta = [[rng.randrange(p) for _ in range(4)] for _ in range(2)]
                 assert super().axioms(beta) == self.oracle.axioms(beta), (c, beta)

@@ -53,7 +53,7 @@ def test_zero_bracket_always_verifies():
 def test_corrupted_bracket_fails():
     q = row_instance(1, QQ)
     bad = [row[:] for row in q.beta.a]
-    bad[1][1] = QQ(1)  # extra second-row entry no longer kills Im(c + Id)
+    bad[1][1] = 1  # extra second-row entry no longer kills Im(c + Id)
     rep = verify_lifted(QuadraticLieAlgebra(q.space, Mat(QQ, bad)))
     assert not rep.antisym
     assert not rep.ok
@@ -87,7 +87,7 @@ def test_restrict_bracket_frozen_values():
     q8 = row_instance(8, QQ, 1)
     split8 = split_minpoly(q8.space)
     hc = h_of_c(q8.space, split8)
-    assert list(hc.col(1)) == [QQ(0), QQ(2), QQ(-2), QQ(0)]
+    assert list(hc.col(1)) == [0, 2, -2, 0]
     rb8 = restrict_bracket(q8, split8)
     assert rb8.beta_bar == Mat.from_rows(QQ, [[QQ(1) / QQ(2)], [0]])
 
@@ -147,7 +147,7 @@ def test_verify_qbracket_corrupted_row3():
     # sending x1(x)x1 to x2 is incompatible with the braiding
     q = row_instance(3, QQ, 1)
     e2 = q.space.e2()
-    assert e2.basis[0] == (QQ(1), QQ(0), QQ(0), QQ(0))
+    assert e2.basis[0] == (1, 0, 0, 0)
     bb = Mat.from_rows(QQ, [[0, -1], [1, 0]])  # e1 -> x2, e2 -> -x1
     rep = verify_qbracket(RestrictedBracket(q.space, e2, bb))
     assert not rep.bracket
@@ -336,13 +336,13 @@ def test_verify_lifted_flags_match_dense_oracle(dense_lifted_oracle):
             for i in range(2):
                 for j in range(4):
                     b = [r[:] for r in q.beta.a]
-                    b[i][j] += field.one
-                    bumped.append(QuadraticLieAlgebra(q.space, Mat(field, b)))
+                    b[i][j] += 1
+                    bumped.append(QuadraticLieAlgebra(q.space, Mat.from_rows(field, b)))
             for i in range(4):
                 for j in range(4):
                     c = [r[:] for r in q.space.c.a]
-                    c[i][j] += field.one
-                    bumped.append(QuadraticLieAlgebra(BraidedSpace(field, 2, Mat(field, c), check=False), q.beta))
+                    c[i][j] += 1
+                    bumped.append(QuadraticLieAlgebra(BraidedSpace(field, 2, Mat.from_rows(field, c), check=False), q.beta))
             for case in bumped:
                 rep = verify_lifted(case)
                 assert rep == dense_lifted_oracle(case), case
@@ -375,8 +375,8 @@ def test_verify_qbracket_matches_lifted_bracket(field):
         for i in range(2):
             for j in range(k):
                 b = [r[:] for r in genuine.a]
-                b[i][j] += field.one
-                candidates.append(Mat(field, b))
+                b[i][j] += 1
+                candidates.append(Mat.from_rows(field, b))
         for bb in candidates:
             rb = RestrictedBracket(space, space.e2(), bb)
             got = verify_qbracket(rb).ok

@@ -22,8 +22,9 @@ def random_invertible(field, rng, pool=3):
             a = [[QQ(rng.randint(-pool, pool)) / QQ(rng.randint(1, 2)) for _ in range(2)] for _ in range(2)]
         else:
             a = [[field(rng.randrange(field.p)) for _ in range(2)] for _ in range(2)]
-        m = Mat(field, a)
-        if m.a[0][0] * m.a[1][1] - m.a[0][1] * m.a[1][0]:
+        m = Mat.from_rows(field, a)
+        f = [[field(x) for x in r] for r in m.a]
+        if f[0][0] * f[1][1] - f[0][1] * f[1][0]:
             return m
 
 

@@ -267,7 +267,7 @@ def test_slice_dims_match_intersection_formula():
             for coord in range(trunc.order.size):
                 if trunc.order.degree_of(coord) <= k:
                     w_dim += 1
-                    ech.insert({coord: QQ(1)})
+                    ech.insert({coord: 1})
             union_rank = ech.rank
             assert trunc.dim_slice(k) == full_rank - union_rank + w_dim
         # basis rows of a slice stay inside the slice
@@ -300,7 +300,7 @@ def _oracle_relations(oracle, q, split):
     ech = oracle(space.field)
     for j in range(space.dim**2):
         gen = tensor_elem_from_vector(space, hc.col(j), 2) - tensor_elem_from_vector(space, q.beta.col(j), 1)
-        ech.insert(order.to_coords(gen))
+        ech.insert({k: space.field(x) for k, x in order.to_coords(gen).items()})
     return tuple(order.to_elem(space, ech.rows[p]) for p in sorted(ech.rows))
 
 
@@ -318,7 +318,7 @@ def _oracle_sandwich_span(oracle, pres, trunc):
                 for u in all_words(n, a):
                     for v in all_words(n, pad - a):
                         elem = TensorElem.word(space, u) * r * TensorElem.word(space, v)
-                        ech.insert(trunc.order.to_coords(elem))
+                        ech.insert({k: space.field(x) for k, x in trunc.order.to_coords(elem).items()})
     return ech
 
 

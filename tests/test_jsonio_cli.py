@@ -353,6 +353,8 @@ def test_cli_samples_below_one_exit_2(capsys, scope, samples):
         ["primitives", "--degree", "40"],
         ["nichols-check", "--degree", "40"],
         ["nichols-check", "--degree", "1000000000"],
+        ["nichols-check", "--degree", "-1"],
+        ["nichols-check", "--degree", "-5"],
     ],
     ids=" ".join,
 )

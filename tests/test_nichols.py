@@ -215,7 +215,7 @@ def test_alpha13_against_direct_coproduct():
     pres = sq_presentation(q.space)
     trunc = ideal_truncation(pres, 4, 1)
     d = trunc.nf_split(coproduct(TensorElem.word(q.space, (2, 2, 2))))
-    coeff = d.terms.get(((1,), (1, 2)))
+    coeff = QQ(d.terms.get(((1,), (1, 2))))
     assert coeff == QQ(3) * gamma
 
 

@@ -35,21 +35,21 @@ def test_block_braiding_flip_is_block_transposition():
     for m, n in [(1, 1), (1, 2), (2, 1), (2, 2)]:
         mat = block_braiding(sp, m, n)
         for w in all_words(2, m + n):
-            vin = [QQ(0)] * 2 ** (m + n)
-            vin[word_index(w, 2)] = QQ(1)
+            vin = [0] * 2 ** (m + n)
+            vin[word_index(w, 2)] = 1
             out = mat.apply(tuple(vin))
             moved = w[m:] + w[:m]
-            expect = [QQ(0)] * 2 ** (m + n)
-            expect[word_index(moved, 2)] = QQ(1)
+            expect = [0] * 2 ** (m + n)
+            expect[word_index(moved, 2)] = 1
             assert list(out) == expect
 
 
 def test_block_braiding_row8_column():
     q = row_instance(8, QQ, 1)
     col = block_braiding(q.space, 1, 1).col(word_index((2, 2), 2))
-    expect = [QQ(0)] * 4
-    expect[word_index((2, 2), 2)] = QQ(1)
-    expect[word_index((1, 1), 2)] = QQ(1)
+    expect = [0] * 4
+    expect[word_index((2, 2), 2)] = 1
+    expect[word_index((1, 1), 2)] = 1
     assert list(col) == expect
 
 
@@ -223,10 +223,10 @@ def test_tensor_elem_algebra():
     b = TensorElem(sp, {(): QQ(1), (2,): QQ(-1)})
     prod = a * b
     assert prod.terms == {
-        (1,): QQ(1),
-        (2, 1): QQ(2),
-        (1, 2): QQ(-1),
-        (2, 1, 2): QQ(-2),
+        (1,): 1,
+        (2, 1): 2,
+        (1, 2): -1,
+        (2, 1, 2): -2,
     }
     assert (a - a).is_zero()
-    assert a.homogeneous_part(2).terms == {(2, 1): QQ(2)}
+    assert a.homogeneous_part(2).terms == {(2, 1): 2}

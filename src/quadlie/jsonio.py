@@ -1,16 +1,18 @@
-"""JSON encoding of the library's values and schema-validated input.
+"""JSON encoding of the library's values and validated input.
 
 Rationals serialize as bare integers or "p/q" strings; prime-field
 elements as integers in [0, p).  Matrices are row-major lists of rows.
+
+``validate_input`` checks a document directly against the contract in
+``schemas/input.schema.json`` (the tests use that file, through
+jsonschema, as the oracle), with one deliberate difference: a float is
+never an integer here, so ``2.0`` is rejected as a dim or a scalar.
 """
 
 from __future__ import annotations
 
-import json
+import re
 from fractions import Fraction
-from importlib import resources
-
-import jsonschema
 
 from .braided import BraidedSpace
 from .brackets import QuadraticLieAlgebra
@@ -111,25 +113,54 @@ def tensor_elem_to_json(t):
     return [{"word": list(w), "coeff": scalar_to_json(c)} for w, c in t.sorted_terms()]
 
 
-_SCHEMA = None
+# the schema's patterns; as in the jsonschema oracle, "$" also matches
+# before a final newline, which int() and field_from_json strip
+_SCALAR = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
+_FIELD = re.compile(r"^(Q|GF\(?[0-9]+\)?)$")
+_SPACE_KEYS = frozenset(("field", "dim", "c"))
+_ALGEBRA_KEYS = frozenset(("space", "beta"))
 
 
-def input_schema():
-    global _SCHEMA
-    if _SCHEMA is None:
-        text = resources.files("quadlie.schemas").joinpath("input.schema.json").read_text()
-        _SCHEMA = json.loads(text)
-    return _SCHEMA
+def _fail(pointer, message):
+    raise InputError(f"at {pointer or '/'}: {message}")
+
+
+def _keys(obj):
+    return sorted(obj, key=str) if isinstance(obj, dict) else type(obj).__name__
+
+
+def _check_matrix(m, pointer):
+    if not isinstance(m, list) or not m:
+        _fail(pointer, f"expected a non-empty array of rows, got {m!r}")
+    for i, row in enumerate(m):
+        if not isinstance(row, list) or not row:
+            _fail(f"{pointer}/{i}", f"expected a non-empty array of scalars, got {row!r}")
+        for j, x in enumerate(row):
+            if not (type(x) is int or isinstance(x, str) and _SCALAR.match(x)):
+                _fail(f"{pointer}/{i}/{j}", f'{x!r} is not an integer or a "p/q" string')
+
+
+def _check_space(obj, pointer):
+    if not isinstance(obj, dict) or obj.keys() != _SPACE_KEYS:
+        _fail(pointer, f"expected the keys ['c', 'dim', 'field'], got {_keys(obj)}")
+    field, dim = obj["field"], obj["dim"]
+    if not isinstance(field, str) or not _FIELD.match(field):
+        _fail(f"{pointer}/field", f'{field!r} is not "Q" or "GF(p)"')
+    if type(dim) is not int or dim < 1:  # not a bool, not a float
+        _fail(f"{pointer}/dim", f"{dim!r} is not an integer of at least 1")
+    _check_matrix(obj["c"], f"{pointer}/c")
 
 
 def validate_input(obj):
-    """Validate an input document; raises InputError with a pointer path."""
-    validator = jsonschema.Draft202012Validator(input_schema())
-    errors = sorted(validator.iter_errors(obj), key=lambda e: (len(e.absolute_path), str(e.absolute_path)))
-    if errors:
-        err = jsonschema.exceptions.best_match(errors)
-        pointer = "/" + "/".join(str(p) for p in err.absolute_path)
-        raise InputError(f"at {pointer or '/'}: {err.message}")
+    """Check an input document against ``schemas/input.schema.json``;
+    raises InputError with a JSON-pointer path."""
+    if isinstance(obj, dict) and obj.keys() == _SPACE_KEYS:
+        _check_space(obj, "")
+    elif isinstance(obj, dict) and obj.keys() == _ALGEBRA_KEYS:
+        _check_space(obj["space"], "/space")
+        _check_matrix(obj["beta"], "/beta")
+    else:
+        _fail("", f"expected the keys ['c', 'dim', 'field'] or ['beta', 'space'], got {_keys(obj)}")
 
 
 def load_input(obj, *, check=True):

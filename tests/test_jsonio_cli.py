@@ -1,13 +1,18 @@
+import collections
 import io
 import json
 import multiprocessing
 import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quadlie import appendix, brackets, cli, envelope, nichols
+from quadlie import appendix, brackets, cli, envelope, jsonio, nichols
 from quadlie.braided import require_words
 from quadlie.brackets import BasisMismatch, Inconsistent, verify_lifted
 from quadlie.classify import canonical_form
@@ -398,3 +403,230 @@ def test_word_limits_admit_the_documented_degrees():
     # on one letter the count still grows with the length
     with pytest.raises(ValueError):
         require_words(1, 10**9, envelope.MAX_WORDS, "envelope")
+
+
+def _pointer(doc):
+    """None if validate_input accepts doc, else the pointer it reports."""
+    try:
+        validate_input(doc)
+    except InputError as exc:
+        msg = str(exc)
+        assert msg.startswith("at /"), msg
+        return msg[3 : msg.index(": ")]
+    return None
+
+
+@pytest.mark.parametrize("command", ["verify", "classify"])
+@pytest.mark.parametrize("wrap", [False, True], ids=["space", "algebra"])
+@pytest.mark.parametrize("where", ["dim", "scalar"])
+def test_cli_integral_float_exit_2(capsys, command, wrap, where):
+    # JSON Schema's "integer" admits 2.0; the input check does not, so a
+    # float dim no longer reaches range(dim) and a float scalar is reported
+    # at its pointer instead of as a bare "bad scalar 1.0"
+    space = algebra_to_json(row_instance(1, QQ))["space"]
+    if where == "dim":
+        space["dim"], pointer = 2.0, "/dim"
+    else:
+        space["c"][0][0], pointer = 1.0, "/c/0/0"
+    doc = {"space": space, "beta": [[0] * 4] * 2} if wrap else space
+    code, out, err = _run(capsys, [command, "--input", "-"], json.dumps(doc))
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: at {'/space' if wrap else ''}{pointer}: ")
+
+
+_SCALARS = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.from_regex(r"-?[0-9]{1,4}(/[1-9][0-9]{0,3})?", fullmatch=True),
+)
+_MATRICES = st.lists(st.lists(_SCALARS, min_size=1, max_size=2), min_size=1, max_size=2)
+_SPACES = st.fixed_dictionaries(
+    {
+        "field": st.sampled_from(["Q", "GF(5)", "GF7", "GF(11", "GF3)", "GF(18446744073709551629)"]),
+        "dim": st.integers(1, 9),
+        "c": _MATRICES,
+    }
+)
+_DOCS = st.one_of(_SPACES, st.fixed_dictionaries({"space": _SPACES, "beta": _MATRICES}))
+_BAD_FIELDS = ["R", "", "GF", "GF()", "gf(5)", "GF(5))", "Q ", "QQ", "GF(-5)", "GF(5.0)"]
+_BAD_SCALARS = ["x", "", "1/0", "1/-2", "1/", "/2", "1.5", "+1", "--1", " 1", "1/2/3", "0x10", "1e3", "½"]
+_WRONG = {
+    "root": [None, 5, "x", [], 1.5],
+    "space": [None, 5, "x", [], 1.5],
+    "field": [None, 5, [], {}, 1.5],
+    "dim": [None, "2", [], {}, 1.5],
+    "matrix": [None, 5, "x", {}, 1.5],
+    "row": [None, 5, "x", {}, 1.5],
+    "scalar": [None, [], {}, 1.5],
+}
+_KINDS = [
+    "none",
+    "missing key",
+    "extra key",
+    "wrong type",
+    "bad field",
+    "bad scalar",
+    "empty matrix",
+    "empty row",
+    "dim below one",
+    "boolean",
+    "integral float",
+]
+
+
+def _mutate(data, doc, kind):
+    """Apply one defect of the given kind to the valid doc, in place.
+    Returns the document and the pointer of its defect (None for none)."""
+    algebra = "space" in doc
+    space, at = (doc["space"], "/space") if algebra else (doc, "")
+    holder, key, m_at = data.draw(st.sampled_from([(space, "c", f"{at}/c")] + [(doc, "beta", "/beta")] * algebra))
+    m = holder[key]
+    i = data.draw(st.integers(0, len(m) - 1))
+    j = data.draw(st.integers(0, len(m[i]) - 1))
+    if kind == "none":
+        return doc, None
+    if kind in ("missing key", "extra key"):
+        obj, pointer = data.draw(st.sampled_from([(doc, "/"), (space, "/space")] if algebra else [(doc, "/")]))
+        if kind == "missing key":
+            del obj[data.draw(st.sampled_from(sorted(obj)))]
+        else:
+            # at the root only an unknown key: a key of the other shape with
+            # a bad value makes jsonschema's best match report that value
+            obj["x" if obj is doc else data.draw(st.sampled_from(["x", "space", "beta"]))] = 0
+        return doc, pointer
+    if kind == "wrong type":
+        where = data.draw(st.sampled_from(["root", "field", "dim", "matrix", "row", "scalar"] + ["space"] * algebra))
+        value = data.draw(st.sampled_from(_WRONG[where]))
+        if where == "root":
+            return value, "/"
+        if where == "space":
+            doc["space"] = value
+            return doc, "/space"
+        if where in ("field", "dim"):
+            space[where] = value
+            return doc, f"{at}/{where}"
+        if where == "matrix":
+            holder[key] = value
+            return doc, m_at
+        if where == "row":
+            m[i] = value
+            return doc, f"{m_at}/{i}"
+        m[i][j] = value
+        return doc, f"{m_at}/{i}/{j}"
+    if kind == "bad field":
+        space["field"] = data.draw(st.sampled_from(_BAD_FIELDS))
+        return doc, f"{at}/field"
+    if kind == "empty matrix":
+        m.clear()
+        return doc, m_at
+    if kind == "empty row":
+        m[i] = []
+        return doc, f"{m_at}/{i}"
+    if kind == "dim below one":
+        space["dim"] = data.draw(st.integers(-3, 0))
+        return doc, f"{at}/dim"
+    values = {
+        "bad scalar": st.sampled_from(_BAD_SCALARS),
+        "boolean": st.booleans(),
+        "integral float": st.integers(-5, 5).map(float),
+    }[kind]
+    if data.draw(st.booleans()) or kind == "bad scalar":
+        m[i][j] = data.draw(values)
+        return doc, f"{m_at}/{i}/{j}"
+    space["dim"] = data.draw(st.booleans() if kind == "boolean" else st.integers(1, 9).map(float))
+    return doc, f"{at}/dim"
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_validate_input_agrees_with_schema_oracle(kind):
+    # the shipped schema, through jsonschema, is the oracle of the direct
+    # check: accept/reject agree on every document and, since each document
+    # has at most one defect, so does the pointer; the one divergence is an
+    # integral float (2.0), which JSON Schema counts as an integer
+    jsonschema = pytest.importorskip("jsonschema")
+    schema_path = Path(jsonio.__file__).parent / "schemas" / "input.schema.json"
+    validator = jsonschema.Draft202012Validator(json.loads(schema_path.read_text()))
+
+    def oracle(doc):
+        errors = sorted(validator.iter_errors(doc), key=lambda e: (len(e.absolute_path), str(e.absolute_path)))
+        if not errors:
+            return None
+        return "/" + "/".join(str(p) for p in jsonschema.exceptions.best_match(errors).absolute_path)
+
+    seen = collections.Counter()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(_DOCS, st.data())
+    def check(doc, data):
+        doc, pointer = _mutate(data, doc, kind)
+        ours = _pointer(doc)
+        assert ours == pointer, doc
+        assert oracle(doc) == (None if kind == "integral float" else pointer), doc
+        seen["accepted" if ours is None else "rejected"] += 1
+
+    check()
+    # not vacuous: the valid documents are accepted, and each defect rejected
+    assert list(seen) == ["accepted" if kind == "none" else "rejected"]
+    assert seen.total() >= 40
+
+
+def _call(capsys, argv, stdin_text=None):
+    try:
+        code, out, _ = _run(capsys, argv, stdin_text)
+    except SystemExit as exc:  # argparse rejects a command line this way
+        code, out = exc.code, capsys.readouterr().out
+    return code, out
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["table", "--field", "Q", "--gamma", "0"], ["table", "--field", "Q"]),
+        (["nichols-check", "--input", "-", "--degree", "3"], ["nichols-check", "--input", "-"]),
+        (["table", "--field", "Q", "--gamma"], ["table", "--field", "Q"]),
+    ],
+    ids=["gamma", "degree", "argparse-error"],
+)
+def test_cli_reused_parser_keeps_no_values(capsys, first, second):
+    # main() builds its parser once per process; a value or an error of one
+    # call must not reach the next
+    doc = json.dumps(algebra_to_json(row_instance(2, QQ))["space"])
+    expected = []
+    for argv in (first, second):
+        cli.build_parser.cache_clear()  # as if this call came first in the process
+        expected.append(_call(capsys, argv, doc))
+    assert expected[0] != expected[1]
+    cli.build_parser.cache_clear()
+    assert [_call(capsys, argv, doc) for argv in (first, second)] == expected
+    assert cli.build_parser.cache_info()[:2] == (1, 1)  # (hits, misses): one parser, reused
+    code, out = expected[1]
+    assert code == 0
+    if first[0] == "nichols-check":
+        assert json.loads(out)["degrees"] == [0, 1, 2, 3, 4]
+    else:
+        assert [r["gamma"] for r in json.loads(out)["rows"]] == [None, None, 2, 2, None, 2, 2, 2]
+
+
+_WITHOUT_JSONSCHEMA = """
+import sys
+sys.modules["jsonschema"] = None  # from now on, importing jsonschema raises ImportError
+import quadlie.cli
+code = quadlie.cli.main(sys.argv[1:])
+loaded = [m for m in sys.modules if m.split(".")[0] in ("jsonschema", "referencing") and sys.modules[m] is not None]
+sys.exit(f"loaded {loaded}" if loaded else code)
+"""
+
+
+def test_cli_runs_without_jsonschema():
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def verify(doc):
+        argv = [sys.executable, "-c", _WITHOUT_JSONSCHEMA, "verify", "--input", "-"]
+        return subprocess.run(argv, input=json.dumps(doc), capture_output=True, text=True, env=env, timeout=60)
+
+    ok = verify(algebra_to_json(row_instance(3, QQ, 2)))
+    assert (ok.returncode, ok.stderr) == (0, "")
+    assert json.loads(ok.stdout)["ok"] is True
+    bad = verify({"field": "Q", "dim": 2})
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert bad.stderr.startswith("input error: at /: ")

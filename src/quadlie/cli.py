@@ -9,7 +9,6 @@ runs; all randomness flows from --seed.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -254,10 +253,7 @@ def cmd_search(args):
     raise InputError(f"unknown scope {args.scope!r}")
 
 
-@functools.cache
 def build_parser():
-    # built once per process, on the first main() call; parse_args keeps no
-    # state between calls
     ap = argparse.ArgumentParser(
         prog="quadlie",
         description="Exact verification and classification of quadratic Lie algebras on braided vector spaces.",

@@ -5,8 +5,11 @@ elements as integers in [0, p).  Matrices are row-major lists of rows.
 
 ``validate_input`` checks a document directly against the contract in
 ``schemas/input.schema.json`` (the tests use that file, through
-jsonschema, as the oracle), with one deliberate difference: a float is
-never an integer here, so ``2.0`` is rejected as a dim or a scalar.
+jsonschema, as the oracle).  It differs from an ECMA-262 reading of the
+schema in two ways: on purpose, a float is never an integer here, so
+``2.0`` is rejected as a dim or a scalar; and, as in jsonschema, a
+pattern's ``$`` also matches before a final newline, so ``"Q\n"`` and
+``"-3/2\n"`` are accepted.
 """
 
 from __future__ import annotations

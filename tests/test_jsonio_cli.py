@@ -569,43 +569,6 @@ def test_validate_input_agrees_with_schema_oracle(kind):
     assert seen.total() >= 40
 
 
-def _call(capsys, argv, stdin_text=None):
-    try:
-        code, out, _ = _run(capsys, argv, stdin_text)
-    except SystemExit as exc:  # argparse rejects a command line this way
-        code, out = exc.code, capsys.readouterr().out
-    return code, out
-
-
-@pytest.mark.parametrize(
-    "first, second",
-    [
-        (["table", "--field", "Q", "--gamma", "0"], ["table", "--field", "Q"]),
-        (["nichols-check", "--input", "-", "--degree", "3"], ["nichols-check", "--input", "-"]),
-        (["table", "--field", "Q", "--gamma"], ["table", "--field", "Q"]),
-    ],
-    ids=["gamma", "degree", "argparse-error"],
-)
-def test_cli_reused_parser_keeps_no_values(capsys, first, second):
-    # main() builds its parser once per process; a value or an error of one
-    # call must not reach the next
-    doc = json.dumps(algebra_to_json(row_instance(2, QQ))["space"])
-    expected = []
-    for argv in (first, second):
-        cli.build_parser.cache_clear()  # as if this call came first in the process
-        expected.append(_call(capsys, argv, doc))
-    assert expected[0] != expected[1]
-    cli.build_parser.cache_clear()
-    assert [_call(capsys, argv, doc) for argv in (first, second)] == expected
-    assert cli.build_parser.cache_info()[:2] == (1, 1)  # (hits, misses): one parser, reused
-    code, out = expected[1]
-    assert code == 0
-    if first[0] == "nichols-check":
-        assert json.loads(out)["degrees"] == [0, 1, 2, 3, 4]
-    else:
-        assert [r["gamma"] for r in json.loads(out)["rows"]] == [None, None, 2, 2, None, 2, 2, 2]
-
-
 _WITHOUT_JSONSCHEMA = """
 import sys
 sys.modules["jsonschema"] = None  # from now on, importing jsonschema raises ImportError

@@ -54,7 +54,7 @@ from .envelope import (
     sq_presentation,
     uq_relations,
 )
-from .fields import GF, QQ, CharTwo, DivisionByZero, Field, FieldMismatch, Scalar
+from .fields import GF, QQ, CharTwo, CheckFailed, DivisionByZero, Field, FieldMismatch, Scalar
 from .linalg import (
     HypothesisViolated,
     Mat,

@@ -55,14 +55,6 @@ def _require_at_least(value, limit, what):
         raise ValueError(f"{what} {value} is below the minimum {limit}")
 
 
-def _require_enumerable(field, max_p, what):
-    """Reject Q, GF(2) and primes above max_p for a p-element enumeration."""
-    field.require_odd_char()
-    if field.is_rationals:
-        raise ValueError(f"{what} need a prime field")
-    _require_at_most(field.p, max_p, f"{what}: prime")
-
-
 # ---------------------------------------------------------------------------
 # integer (mod p) data of one braiding for the enumeration hot paths
 # ---------------------------------------------------------------------------
@@ -135,7 +127,6 @@ def udu_check(field: Field, count: int = 100, seed: int = 0) -> bool:
 
 @dataclass
 class BranchReport:
-    name: str
     braidings: int = 0
     candidates: int = 0
     solutions: list = dc_field(default_factory=list)
@@ -173,9 +164,9 @@ def rank2_case_families(field: Field, shard: int = 0, nshards: int = 1) -> dict:
     five branch sweeps jointly prove the dim Im(c+Id) = 1 sub-case has no
     verified structure at all over this field.
     """
-    _require_enumerable(field, CASE_FAMILIES_MAX_P, "exhaustive case families")
+    field.require_enumerable(CASE_FAMILIES_MAX_P, "exhaustive case families")
     p = field.p
-    reports = {name: BranchReport(name) for name in _RANK2_BRANCHES}
+    reports = {name: BranchReport() for name in _RANK2_BRANCHES}
     independent = {}  # kernel dimension -> [i][j]: coefficient tuples i, j independent
     for c in _rank2_case_shapes(p, shard, nshards):
         ck1 = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(c)]  # c + Id
@@ -217,7 +208,7 @@ def rank2_case_families(field: Field, shard: int = 0, nshards: int = 1) -> dict:
                     if not splits_ok:
                         continue
                     rep.solutions.append({"c": [list(r) for r in c], "beta": [list(r) for r in beta]})
-    return {name: rep for name, rep in reports.items()}
+    return reports
 
 
 def _rank1_case_shapes(p, c00, shard=0, nshards=1):
@@ -238,13 +229,9 @@ def rank1_eliminated_branches(field: Field, shard: int = 0, nshards: int = 1) ->
     """The classification proof's eliminated rank-one branches over GF(p):
     zero corner entry with either a moved diagonal, or the antisymmetric
     bracket pair coinciding with a unit diagonal entry."""
-    _require_enumerable(field, CASE_FAMILIES_MAX_P, "exhaustive case families")
+    field.require_enumerable(CASE_FAMILIES_MAX_P, "exhaustive case families")
     p = field.p
-    reports = {
-        "case_2_1_1": BranchReport("case_2_1_1"),
-        "case_2_1_2": BranchReport("case_2_1_2"),
-        "case_2_2_1_1": BranchReport("case_2_2_1_1"),
-    }
+    reports = {name: BranchReport() for name in ("case_2_1_1", "case_2_1_2", "case_2_2_1_1")}
     for c in _rank1_case_shapes(p, 0, shard, nshards):
         if not _IntBraiding.yang_baxter(c, p):
             continue
@@ -277,21 +264,16 @@ def rank1_eliminated_branches(field: Field, shard: int = 0, nshards: int = 1) ->
     return reports
 
 
-def _rank2_worker(args):
-    p, shard, nshards = args
-    return rank2_case_families(Field(p), shard, nshards)
-
-
-def _rank1_worker(args):
-    p, shard, nshards = args
-    return rank1_eliminated_branches(Field(p), shard, nshards)
+def _shard_worker(args):
+    family, p, shard, nshards = args
+    return family(Field(p), shard, nshards)
 
 
 def _merge_reports(parts):
     out = {}
     for part in parts:
         for name, rep in part.items():
-            acc = out.setdefault(name, BranchReport(name))
+            acc = out.setdefault(name, BranchReport())
             acc.braidings += rep.braidings
             acc.candidates += rep.candidates
             acc.solutions.extend(rep.solutions)
@@ -304,20 +286,16 @@ def case_families(field: Field, jobs: int = 1) -> dict:
     Candidate braidings partition across workers by index stride and the
     shard reports merge in shard order, so output is job-count invariant.
     """
-    _require_enumerable(field, CASE_FAMILIES_MAX_P, "exhaustive case families")
-    args2 = [(field.p, s, jobs) for s in range(jobs)]
+    field.require_enumerable(CASE_FAMILIES_MAX_P, "exhaustive case families")
+    families = (rank2_case_families, rank1_eliminated_branches)
     if jobs <= 1:
-        parts2 = [rank2_case_families(field)]
-        parts1 = [rank1_eliminated_branches(field)]
+        parts = [family(field) for family in families]
     else:
         from multiprocessing import Pool
 
         with Pool(jobs) as pool:
-            parts2 = pool.map(_rank2_worker, args2)
-            parts1 = pool.map(_rank1_worker, args2)
-    out = _merge_reports(parts2)
-    out.update(_merge_reports(parts1))
-    return out
+            parts = pool.map(_shard_worker, [(family, field.p, s, jobs) for family in families for s in range(jobs)])
+    return _merge_reports(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +382,7 @@ def random_survey(field: Field, seed: int = 0, max_brackets_per_braiding: int = 
     """Sweep structured braiding families, harvest verified brackets, and
     check the rank-two conclusions (dim Im(c+Id) = 2 and the kernel
     decomposition through Im(c+Id) and Im h(c)) on every rank-two find."""
-    _require_enumerable(field, SURVEY_MAX_P, "the survey's braiding families")
+    field.require_enumerable(SURVEY_MAX_P, "the survey's braiding families")
     _require_at_least(max_brackets_per_braiding, 1, "the survey: brackets per braiding")
     rng = random.Random(seed)
     report = SurveyReport()

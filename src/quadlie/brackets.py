@@ -24,15 +24,15 @@ from .braided import (
     lift_to_slot,
     vec_tensor,
 )
-from .fields import Field
+from .fields import CheckFailed, Field
 from .linalg import HypothesisViolated, Mat, Subspace, column_space, integral, null_space, raw_product, solve
 
 
-class BasisMismatch(ValueError):
+class BasisMismatch(CheckFailed, ValueError):
     """Supplied primitive basis is not the canonical one."""
 
 
-class Inconsistent(ValueError):
+class Inconsistent(CheckFailed, ValueError):
     """Bracket does not vanish on the image of c + Id."""
 
 
@@ -322,18 +322,12 @@ def dim1_instance(field: Field, gamma, lam) -> QuadraticLieAlgebra:
 DIM1_RIGIDITY_MAX_P = 257
 
 
-def check_dim1_rigidity(field: Field, exhaustive: bool = True) -> bool:
+def check_dim1_rigidity(field: Field) -> bool:
     """Every verified one-dimensional bracket is zero (char != 2).
 
-    Exhaustive mode enumerates all (gamma, lambda) over a prime field.
+    Enumerates all (gamma, lambda) over a prime field.
     """
-    field.require_odd_char()
-    if not exhaustive or field.is_rationals:
-        raise ValueError("exhaustive rigidity check needs a prime field")
-    if field.p > DIM1_RIGIDITY_MAX_P:
-        raise ValueError(
-            f"the rigidity check: GF({field.p}) exceeds the limit GF({DIM1_RIGIDITY_MAX_P}) of the p^2 enumeration"
-        )
+    field.require_enumerable(DIM1_RIGIDITY_MAX_P, "the rigidity check's p^2 candidates")
     for gamma in field.elements():
         for lam in field.elements():
             q = dim1_instance(field, gamma, lam)

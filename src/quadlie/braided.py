@@ -12,15 +12,15 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fields import Field, Scalar
+from .fields import CheckFailed, Field, Scalar
 from .linalg import Mat, Poly, Subspace, eval_poly_at, integral, kernel, minimal_polynomial, null_space
 
 
-class NotYangBaxter(ValueError):
+class NotYangBaxter(CheckFailed, ValueError):
     """The proposed braiding fails the Yang-Baxter equation."""
 
 
-class MinusOneNotSimple(ValueError):
+class MinusOneNotSimple(CheckFailed, ValueError):
     """-1 is a multiple root of the braiding's minimal polynomial."""
 
 

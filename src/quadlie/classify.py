@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .braided import BraidedSpace, mat_tensor, split_minpoly
 from .brackets import QuadraticLieAlgebra, verify_lifted
+from .fields import CheckFailed
 from .linalg import Mat, column_space
 from .table import row_instance
 
@@ -22,7 +23,7 @@ class PreconditionViolated(ValueError):
     """Input outside the scope of this classification."""
 
 
-class InternalContradiction(RuntimeError):
+class InternalContradiction(CheckFailed, RuntimeError):
     """An axiom-eliminated branch was reached: the input was corrupt."""
 
 

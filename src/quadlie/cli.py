@@ -12,12 +12,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import appendix, classify, envelope, nichols
-from .braided import MinusOneNotSimple, NotYangBaxter, require_words, split_minpoly
-from .brackets import BasisMismatch, Inconsistent, QuadraticLieAlgebra, check_dim1_rigidity, verify_lifted
-from .envelope import Unstabilized
-from .fields import CharTwo
+from .braided import require_words, split_minpoly
+from .brackets import QuadraticLieAlgebra, check_dim1_rigidity, verify_lifted
+from .fields import CheckFailed
 from .jsonio import (
     InputError,
     field_from_json,
@@ -25,9 +25,7 @@ from .jsonio import (
     scalar_from_json,
     tensor_elem_to_json,
 )
-from .linalg import HypothesisViolated
 from .table import table_emit
-from .tensoralg import DegreeMismatch
 
 DEFAULT_SEED = 12345
 
@@ -75,94 +73,73 @@ def _emit_text(obj, out, indent=0):
         out.write(f"{pad}{obj}\n")
 
 
-def _load_algebra(args, *, check=True):
-    obj = _read_input(args.input)
-    thing = load_input(obj, check=check)
-    return thing
+def _violated(checks):
+    """The sorted names of the failed checks in a {name: bool} dict."""
+    return sorted(k for k, v in checks.items() if not v)
+
+
+def _axiom_failure(q):
+    """The report of a bracket that fails an axiom, or None."""
+    violated = _violated(verify_lifted(q).as_dict())
+    return {"ok": False, "violated": violated} if violated else None
+
+
+def _presentation(thing):
+    """The quadratic presentation of a bracketed structure or of a bare space."""
+    if isinstance(thing, QuadraticLieAlgebra):
+        return envelope.presentation_for(thing, split_minpoly(thing.space))
+    return envelope.sq_presentation(thing)
 
 
 def cmd_verify(args):
     # verify reports a Yang-Baxter violation instead of refusing the input
-    thing = _load_algebra(args, check=False)
+    thing = load_input(_read_input(args.input), check=False)
     if isinstance(thing, QuadraticLieAlgebra):
-        space, q = thing.space, thing
+        report = {"yang_baxter": thing.space.check_yang_baxter(), **verify_lifted(thing).as_dict()}
     else:
-        space, q = thing, None
-    report = {"yang_baxter": space.check_yang_baxter()}
-    violated = [] if report["yang_baxter"] else ["yang_baxter"]
-    if q is not None:
-        rep = verify_lifted(q)
-        report.update(rep.as_dict())
-        violated.extend(k for k, v in rep.as_dict().items() if not v)
-    report["ok"] = not violated
-    report["violated"] = sorted(violated)
-    _emit(report, args.format)
-    return EXIT_OK if not violated else EXIT_CHECK_FAILED
+        report = {"yang_baxter": thing.check_yang_baxter()}
+    violated = _violated(report)
+    return {**report, "ok": not violated, "violated": violated}, not violated
 
 
 def cmd_classify(args):
-    thing = _load_algebra(args)
+    thing = load_input(_read_input(args.input))
     if not isinstance(thing, QuadraticLieAlgebra):
         raise InputError("classification needs a bracketed structure ({space, beta})")
-    rep = verify_lifted(thing)
-    if not rep.ok:
-        report = {"ok": False, "violated": sorted(k for k, v in rep.as_dict().items() if not v)}
-        _emit(report, args.format)
-        return EXIT_CHECK_FAILED
-    try:
-        res = classify.canonical_form(thing)
-    except classify.PreconditionViolated as exc:
-        raise InputError(str(exc)) from exc
-    out = res.as_dict()
-    out["ok"] = True
-    _emit(out, args.format)
-    return EXIT_OK
+    failure = _axiom_failure(thing)
+    if failure:
+        return failure, False
+    return {**classify.canonical_form(thing).as_dict(), "ok": True}, True
 
 
 def cmd_envelope(args):
-    thing = _load_algebra(args)
-    report = {}
+    thing = load_input(_read_input(args.input))
+    space = thing
     if isinstance(thing, QuadraticLieAlgebra):
-        q = thing
-        rep = verify_lifted(q)
-        if not rep.ok:
-            _emit({"ok": False, "violated": sorted(k for k, v in rep.as_dict().items() if not v)}, args.format)
-            return EXIT_CHECK_FAILED
-        split = split_minpoly(q.space)
-        pres = envelope.presentation_for(q, split)
-        space = q.space
-    else:
-        space = thing
-        pres = envelope.sq_presentation(space)
+        failure = _axiom_failure(thing)
+        if failure:
+            return failure, False
+        space = thing.space
+    pres = _presentation(thing)
     trunc = envelope.ideal_truncation(pres, args.degree, args.buffer)
     fil = envelope.filtration_dims(pres, args.degree, trunc=trunc)
     sq = envelope.sq_graded_dims(space, args.degree)
     bg = envelope.bg_conditions(pres)
-    pbw = fil == sq
-    report.update(
-        {
-            "relations": [tensor_elem_to_json(r) for r in pres.relations],
-            "ideal_slice_dims": trunc.slice_dims,
-            "stabilization_buffer": trunc.buffer_used,
-            "filtration_dims": fil,
-            "sq_graded_dims": sq,
-            "bg_conditions": bg,
-            "pbw": pbw,
-            "coproduct_descends": envelope.coproduct_descends(trunc),
-        }
-    )
-    _emit(report, args.format)
-    ok = pbw and bg["I"] and bg["J"] and report["coproduct_descends"]
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    report = {
+        "relations": [tensor_elem_to_json(r) for r in pres.relations],
+        "ideal_slice_dims": trunc.slice_dims,
+        "stabilization_buffer": trunc.buffer_used,
+        "filtration_dims": fil,
+        "sq_graded_dims": sq,
+        "bg_conditions": bg,
+        "pbw": fil == sq,
+        "coproduct_descends": envelope.coproduct_descends(trunc),
+    }
+    return report, report["pbw"] and bg["I"] and bg["J"] and report["coproduct_descends"]
 
 
 def cmd_primitives(args):
-    thing = _load_algebra(args)
-    if isinstance(thing, QuadraticLieAlgebra):
-        split = split_minpoly(thing.space)
-        pres = envelope.presentation_for(thing, split)
-    else:
-        pres = envelope.sq_presentation(thing)
+    pres = _presentation(load_input(_read_input(args.input)))
     rep = nichols.primitives_of_quotient(pres, args.degree, args.buffer)
     report = {
         "degree_cap": rep.degree_cap,
@@ -173,12 +150,11 @@ def cmd_primitives(args):
         },
         "primitives_equal_generators": rep.verdict,
     }
-    _emit(report, args.format)
-    return EXIT_OK
+    return report, True
 
 
 def cmd_nichols_check(args):
-    thing = _load_algebra(args)
+    thing = load_input(_read_input(args.input))
     space = thing.space if isinstance(thing, QuadraticLieAlgebra) else thing
     require_words(space.dim, args.degree, nichols.MAX_SYMMETRIZER_WORDS, "nichols-check")
     dims = envelope.sq_graded_dims(space, args.degree)
@@ -190,8 +166,7 @@ def cmd_nichols_check(args):
         "sq_graded_dims": dims,
         "quadratic_at_truncation": ok,
     }
-    _emit(report, args.format)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return report, ok
 
 
 def cmd_table(args):
@@ -205,9 +180,37 @@ def cmd_table(args):
             pass
         gamma = scalar_from_json(field, raw)
     rows = table_emit(field, gamma)
-    report = {"field": args.field, "rows": [r.as_dict() for r in rows]}
-    _emit(report, args.format)
-    return EXIT_OK
+    return {"field": args.field, "rows": [r.as_dict() for r in rows]}, True
+
+
+def _search_udu(field, args):
+    ok = appendix.udu_check(field, count=args.samples, seed=args.seed)
+    return {"samples": args.samples, "ok": ok}, ok
+
+
+def _search_case_families(field, args):
+    reports = appendix.case_families(field, jobs=args.jobs)
+    ok = not any(rep.solutions for rep in reports.values())
+    return {"branches": {name: asdict(rep) for name, rep in reports.items()}, "all_empty": ok}, ok
+
+
+def _search_random_survey(field, args):
+    rep = appendix.random_survey(field, seed=args.seed, max_brackets_per_braiding=args.samples)
+    return asdict(rep), rep.rank2_conclusions_hold
+
+
+def _search_dim1_rigidity(field, args):
+    ok = check_dim1_rigidity(field)
+    return {"field": args.field, "ok": ok}, ok
+
+
+#: The search scopes: each maps (field, args) to its report and verdict.
+SCOPES = {
+    "udu": _search_udu,
+    "case_families": _search_case_families,
+    "random_survey": _search_random_survey,
+    "dim1_rigidity": _search_dim1_rigidity,
+}
 
 
 def cmd_search(args):
@@ -215,42 +218,9 @@ def cmd_search(args):
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise InputError(f"--jobs must lie between 1 and the CPU count {cpus}, got {args.jobs}")
-    if args.scope == "udu":
-        ok = appendix.udu_check(field, count=args.samples, seed=args.seed)
-        _emit({"scope": "udu", "samples": args.samples, "ok": ok}, args.format)
-        return EXIT_OK if ok else EXIT_CHECK_FAILED
-    if args.scope == "case_families":
-        reports = appendix.case_families(field, jobs=args.jobs)
-        out = {
-            name: {
-                "braidings": rep.braidings,
-                "candidates": rep.candidates,
-                "solutions": rep.solutions,
-            }
-            for name, rep in sorted(reports.items())
-        }
-        ok = all(not rep.solutions for rep in reports.values())
-        _emit({"scope": "case_families", "branches": out, "all_empty": ok}, args.format)
-        return EXIT_OK if ok else EXIT_CHECK_FAILED
-    if args.scope == "random_survey":
-        rep = appendix.random_survey(field, seed=args.seed, max_brackets_per_braiding=args.samples)
-        report = {
-            "scope": "random_survey",
-            "braidings_tried": rep.braidings_tried,
-            "brackets_checked": rep.brackets_checked,
-            "verified": rep.verified,
-            "rank2_found": rep.rank2_found,
-            "rank2_outside_hypothesis": rep.rank2_outside_hypothesis,
-            "rank2_conclusions_hold": rep.rank2_conclusions_hold,
-            "rank2_instances": rep.rank2_instances,
-        }
-        _emit(report, args.format)
-        return EXIT_OK if rep.rank2_conclusions_hold else EXIT_CHECK_FAILED
-    if args.scope == "dim1_rigidity":
-        ok = check_dim1_rigidity(field)
-        _emit({"scope": "dim1_rigidity", "field": args.field, "ok": ok}, args.format)
-        return EXIT_OK if ok else EXIT_CHECK_FAILED
-    raise InputError(f"unknown scope {args.scope!r}")
+    report, ok = SCOPES[args.scope](field, args)
+    report["scope"] = args.scope
+    return report, ok
 
 
 def build_parser():
@@ -299,11 +269,7 @@ def build_parser():
     p = sub.add_parser("search", help="exhaustive and sampled verification sweeps")
     common(p, needs_input=False)
     p.add_argument("--field", required=True)
-    p.add_argument(
-        "--scope",
-        required=True,
-        choices=("udu", "case_families", "random_survey", "dim1_rigidity"),
-    )
+    p.add_argument("--scope", required=True, choices=SCOPES)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--jobs", type=int, default=1)
@@ -313,26 +279,18 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (
-        CharTwo,
-        NotYangBaxter,
-        MinusOneNotSimple,
-        Unstabilized,
-        HypothesisViolated,
-        BasisMismatch,
-        Inconsistent,
-        DegreeMismatch,
-        classify.InternalContradiction,
-    ) as exc:
+        report, ok = args.func(args)
+    except CheckFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (InputError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # outside the try: an error while writing the report is not an input error
+    _emit(report, args.format)
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

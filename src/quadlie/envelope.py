@@ -18,6 +18,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .braided import BraidedSpace, MinpolySplit, all_words, h_of_c, require_words
 from .brackets import QuadraticLieAlgebra
+from .fields import CheckFailed
 from .linalg import SparseEchelon, integral
 from .tensoralg import (
     SplitTensorElem,
@@ -33,7 +34,7 @@ from .tensoralg import (
 MAX_WORDS = 2**14
 
 
-class Unstabilized(RuntimeError):
+class Unstabilized(CheckFailed, RuntimeError):
     """Ideal slice dimensions kept changing as the buffer grew."""
 
 

@@ -22,7 +22,13 @@ class DivisionByZero(ZeroDivisionError):
     """Division or inversion of a zero field element."""
 
 
-class CharTwo(ValueError):
+class CheckFailed(Exception):
+    """A mathematical check failed; the command line exits 1 on it.
+
+    Every such failure also keeps a ValueError or RuntimeError base."""
+
+
+class CharTwo(CheckFailed, ValueError):
     """The operation assumes characteristic different from 2."""
 
 
@@ -112,6 +118,14 @@ class Field:
         """Reject GF(2); the bracket-level theory assumes char != 2."""
         if self.p == 2:
             raise CharTwo("operation requires characteristic != 2")
+
+    def require_enumerable(self, max_p, what):
+        """Reject Q, GF(2) and primes above max_p for a p-element enumeration."""
+        self.require_odd_char()
+        if self.p is None:
+            raise ValueError(f"{what} need a prime field")
+        if self.p > max_p:
+            raise ValueError(f"{what}: prime {self.p} exceeds the limit {max_p}")
 
     def coerce(self, value):
         """The raw value of an int, a Fraction (over Q) or a Scalar of this

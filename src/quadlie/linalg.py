@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .fields import FieldMismatch
+from .fields import CheckFailed, FieldMismatch
 
 
-class HypothesisViolated(ValueError):
+class HypothesisViolated(CheckFailed, ValueError):
     """A caller-supplied hypothesis fails (detected from its consequences)."""
 
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 from itertools import chain
 
 from .braided import BraidedSpace, all_words, index_word, lift_to_slot, word_index
+from .fields import CheckFailed
 from .linalg import Mat, Subspace, kernel
 
 
-class DegreeMismatch(ValueError):
+class DegreeMismatch(CheckFailed, ValueError):
     """Element is not homogeneous of the expected degree."""
 
 

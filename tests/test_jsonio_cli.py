@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadlie import appendix, brackets, cli, envelope, jsonio, nichols
-from quadlie.braided import require_words
+from quadlie.braided import IndexOutOfRange, MinusOneNotSimple, NotYangBaxter, require_words
 from quadlie.brackets import BasisMismatch, Inconsistent, verify_lifted
-from quadlie.classify import canonical_form
+from quadlie.classify import InternalContradiction, PreconditionViolated, UnsupportedField, canonical_form
 from quadlie.cli import main
-from quadlie.fields import GF, QQ
+from quadlie.envelope import Unstabilized
+from quadlie.fields import GF, QQ, CharTwo, CheckFailed, DivisionByZero, FieldMismatch
 from quadlie.jsonio import (
     InputError,
     algebra_from_json,
@@ -232,6 +233,15 @@ def test_cli_bad_input_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "envelope"])
+def test_cli_input_path_directory_exit_2(capsys, tmp_path, command):
+    # an OSError other than a missing file is an input error too
+    code, out, err = _run(capsys, [command, "--input", str(tmp_path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
+
+
 def test_cli_oversized_modulus_exit_2(capsys):
     code, _, err = _run(capsys, ["table", "--field", f"GF({2**64 + 13})"])
     assert code == 2
@@ -245,6 +255,11 @@ def test_cli_oversized_modulus_exit_2(capsys):
         (BasisMismatch, 1, "check failed"),
         (Inconsistent, 1, "check failed"),
         (DegreeMismatch, 1, "check failed"),
+        (CharTwo, 1, "check failed"),
+        (NotYangBaxter, 1, "check failed"),
+        (MinusOneNotSimple, 1, "check failed"),
+        (Unstabilized, 1, "check failed"),
+        (InternalContradiction, 1, "check failed"),
         (ValueError, 2, "input error"),
         (InputError, 2, "input error"),
     ],
@@ -259,6 +274,79 @@ def test_cli_exit_code_of_raised_error(capsys, monkeypatch, exc, code, label):
     assert got == code
     assert out == ""
     assert err == f"{label}: raised inside the command\n"
+
+
+_CHECK_FAILURES = [
+    (CharTwo, ValueError),
+    (NotYangBaxter, ValueError),
+    (MinusOneNotSimple, ValueError),
+    (Unstabilized, RuntimeError),
+    (HypothesisViolated, ValueError),
+    (BasisMismatch, ValueError),
+    (Inconsistent, ValueError),
+    (DegreeMismatch, ValueError),
+    (InternalContradiction, RuntimeError),
+]
+
+
+def test_check_failures_share_one_base():
+    # the command line exits 1 on exactly CheckFailed; library callers that
+    # catch the old bases still catch every failure
+    for exc, old_base in _CHECK_FAILURES:
+        err = exc("x")
+        assert isinstance(err, CheckFailed) and isinstance(err, old_base), exc
+    for exc in (InputError, PreconditionViolated, UnsupportedField, FieldMismatch, DivisionByZero, IndexOutOfRange):
+        assert not issubclass(exc, CheckFailed), exc
+
+
+_NON_BRAID = {"field": "Q", "dim": 2, "c": [[1, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 2]]}
+_ROW1 = algebra_to_json(row_instance(1, QQ))
+_BAD_BRACKET = {**_ROW1, "beta": [list(_ROW1["beta"][0]), [0, 1, 0, 0]]}  # beta[1][1] = 1 breaks antisymmetry
+_ANTISYMMETRY_FAILED = '{\n  "ok": false,\n  "violated": [\n    "antisymmetry"\n  ]\n}\n'
+
+# stdout bytes and exit codes that no benchmark digest covers
+_PINNED = {
+    "dim1_rigidity": (
+        ["search", "--scope", "dim1_rigidity", "--field", "GF(5)"],
+        None,
+        0,
+        '{\n  "field": "GF(5)",\n  "ok": true,\n  "scope": "dim1_rigidity"\n}\n',
+    ),
+    "verify_text": (
+        ["verify", "--input", "-", "--format", "text"],
+        _ROW1,
+        0,
+        "antisymmetry   True\nbracket_left   True\nbracket_right  True\njacobi         True\n"
+        "ok             True\nviolated:\nyang_baxter    True\n",
+    ),
+    "udu_text": (
+        ["search", "--scope", "udu", "--field", "Q", "--format", "text"],
+        None,
+        0,
+        "ok       True\nsamples  100\nscope    udu\n",
+    ),
+    "verify_non_braid": (
+        ["verify", "--input", "-"],
+        _NON_BRAID,
+        1,
+        '{\n  "ok": false,\n  "violated": [\n    "yang_baxter"\n  ],\n  "yang_baxter": false\n}\n',
+    ),
+    "classify_bad_bracket": (["classify", "--input", "-"], _BAD_BRACKET, 1, _ANTISYMMETRY_FAILED),
+    "envelope_bad_bracket": (["envelope", "--input", "-"], _BAD_BRACKET, 1, _ANTISYMMETRY_FAILED),
+    "classify_bad_bracket_text": (
+        ["classify", "--input", "-", "--format", "text"],
+        _BAD_BRACKET,
+        1,
+        "ok        False\nviolated:\n  antisymmetry\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED))
+def test_cli_pinned_output(capsys, case):
+    argv, doc, code, stdout = _PINNED[case]
+    got, out, err = _run(capsys, argv, None if doc is None else json.dumps(doc))
+    assert (got, out, err) == (code, stdout, "")
 
 
 def test_cli_text_format(capsys):

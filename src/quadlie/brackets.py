@@ -22,6 +22,7 @@ from .braided import (
     lift_columns,
     lift_rows,
     lift_to_slot,
+    per_space,
     vec_tensor,
 )
 from .fields import CheckFailed, Field
@@ -94,21 +95,17 @@ class LiftedReport:
         }
 
 
+@per_space
 def _linear_rows(space):
     """linear_axiom_rows of the space's braiding, built once per space."""
-    rows = space._block_cache.get("linear_axioms")
-    if rows is None:
-        rows = space._block_cache["linear_axioms"] = linear_axiom_rows(space.c.a, space.dim, space.field.p)
-    return rows
+    return linear_axiom_rows(space.c.a, space.dim, space.field.p)
 
 
+@per_space
 def _e2bar_integral(space):
     """A basis of the joint (-1)-eigenspace with integer entries (residues
     over GF(p))."""
-    vecs = space._block_cache.get("e2bar")
-    if vecs is None:
-        vecs = space._block_cache["e2bar"] = [integral(v)[0] for v in space.e2bar().basis]
-    return vecs
+    return [integral(v)[0] for v in space.e2bar().basis]
 
 
 def verify_lifted(q: QuadraticLieAlgebra) -> LiftedReport:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .fields import CheckFailed, Field, Scalar
 from .linalg import Mat, Poly, Subspace, eval_poly_at, integral, kernel, minimal_polynomial, null_space
@@ -218,24 +218,37 @@ def joint_minus_one_rows(c, n):
     return rows
 
 
+_MISSING = object()
+
+
+def per_space(fn):
+    """Memoise fn(space, *args) in the space: computed once per space and
+    positional arguments, then returned as is.  An error is not stored, so
+    a failing call raises again.  The memo is keyed by the function's
+    dotted name, so a space still pickles."""
+    name = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def memoised(space, *args):
+        key = (name, args)
+        value = space._memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = space._memo[key] = fn(space, *args)
+        return value
+
+    return memoised
+
+
 class BraidedSpace:
     """A finite-dimensional vector space with a Yang-Baxter operator.
 
     The braiding need not be invertible.  The Yang-Baxter identity is
     verified at construction unless ``check=False`` (enumeration paths
-    filter candidates first and check lazily).
+    filter candidates first and check lazily).  What is derived from the
+    braiding is kept in one memo, filled through ``per_space``.
     """
 
-    __slots__ = (
-        "field",
-        "dim",
-        "c",
-        "_block_cache",
-        "_coproduct_cache",
-        "_minpoly",
-        "_e2",
-        "_e2bar",
-    )
+    __slots__ = ("field", "dim", "c", "_memo")
 
     def __init__(self, field: Field, dim: int, c: Mat, *, check: bool = True):
         if dim < 1:
@@ -247,45 +260,32 @@ class BraidedSpace:
         self.field = field
         self.dim = dim
         self.c = c
-        self._block_cache = {}
-        self._coproduct_cache = {}
-        self._minpoly = None
-        self._e2 = None
-        self._e2bar = None
+        self._memo = {}
         if check and not self.check_yang_baxter():
             raise NotYangBaxter("braiding fails the Yang-Baxter equation")
 
+    @per_space
     def braiding_at(self, slot: int, total: int) -> Mat:
         """The braiding acting on adjacent factors (slot, slot+1) of V^(x)total."""
-        key = ("slot", slot, total)
-        cached = self._block_cache.get(key)
-        if cached is None:
-            cached = lift_to_slot(self.c, slot, total, self.dim, 2, 2)
-            self._block_cache[key] = cached
-        return cached
+        return lift_to_slot(self.c, slot, total, self.dim, 2, 2)
 
     def check_yang_baxter(self) -> bool:
         return braid_relation_holds(self.c.a, self.field.p)
 
+    @per_space
     def minpoly(self) -> Poly:
-        if self._minpoly is None:
-            self._minpoly = minimal_polynomial(self.c)
-        return self._minpoly
+        return minimal_polynomial(self.c)
 
+    @per_space
     def e2(self) -> Subspace:
         """Degree-two primitives: the kernel of c + Id on V^(x)2."""
-        if self._e2 is None:
-            eye = Mat.identity(self.field, self.dim**2)
-            self._e2 = kernel(self.c + eye)
-        return self._e2
+        return kernel(self.c + Mat.identity(self.field, self.dim**2))
 
+    @per_space
     def e2bar(self) -> Subspace:
         """Vectors of V^(x)3 sent to their negative by both adjacent braidings."""
-        if self._e2bar is None:
-            n3 = self.dim**3
-            rows = joint_minus_one_rows(self.c.a, self.dim)
-            self._e2bar = Subspace(self.field, n3, null_space(self.field, rows, n3))
-        return self._e2bar
+        n3 = self.dim**3
+        return Subspace(self.field, n3, null_space(self.field, joint_minus_one_rows(self.c.a, self.dim), n3))
 
     def __repr__(self):
         return f"BraidedSpace(dim {self.dim} over {self.field!r})"

@@ -11,6 +11,7 @@ fails loudly instead of misclassifying.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .braided import BraidedSpace, mat_tensor, split_minpoly
 from .brackets import QuadraticLieAlgebra, verify_lifted
@@ -287,22 +288,18 @@ def iso_bruteforce(a: QuadraticLieAlgebra, b: QuadraticLieAlgebra, mode: str):
         if field.is_rationals:
             raise UnsupportedField("exhaustive enumeration needs a finite field")
         p = field.p
-        for a11 in range(p):
-            for a12 in range(p):
-                for a21 in range(p):
-                    for a22 in range(p):
-                        det = (a11 * a22 - a12 * a21) % p
-                        if det == 0:
-                            continue
-                        alpha = Mat.from_rows(field, [[a11, a12], [a21, a22]])
-                        ainv = alpha.inverse()
-                        tinv = mat_tensor(field, ainv, ainv)
-                        # the bracket transform is the cheaper mismatch filter
-                        if alpha @ a.beta @ tinv != b.beta:
-                            continue
-                        t = mat_tensor(field, alpha, alpha)
-                        if t @ a.space.c @ tinv == b.space.c:
-                            return alpha
+        for a11, a12, a21, a22 in product(range(p), repeat=4):
+            if (a11 * a22 - a12 * a21) % p == 0:
+                continue
+            alpha = Mat.from_rows(field, [[a11, a12], [a21, a22]])
+            ainv = alpha.inverse()
+            tinv = mat_tensor(field, ainv, ainv)
+            # the bracket transform is the cheaper mismatch filter
+            if alpha @ a.beta @ tinv != b.beta:
+                continue
+            t = mat_tensor(field, alpha, alpha)
+            if t @ a.space.c @ tinv == b.space.c:
+                return alpha
         return None
     if mode == "rational_structured":
         ra = canonical_form(a)

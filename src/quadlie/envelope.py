@@ -133,7 +133,7 @@ class IdealTruncation:
     order: EliminationOrder
     echelon: SparseEchelon
     slice_dims: list  # dim(ideal intersect T^{<=k}) for k = 0..N
-    _nf_cache: dict = dc_field(default_factory=dict)
+    _nf_cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def space(self):

@@ -6,10 +6,8 @@ elements as integers in [0, p).  Matrices are row-major lists of rows.
 ``validate_input`` checks a document directly against the contract in
 ``schemas/input.schema.json`` (the tests use that file, through
 jsonschema, as the oracle).  It differs from an ECMA-262 reading of the
-schema in two ways: on purpose, a float is never an integer here, so
-``2.0`` is rejected as a dim or a scalar; and, as in jsonschema, a
-pattern's ``$`` also matches before a final newline, so ``"Q\n"`` and
-``"-3/2\n"`` are accepted.
+schema in one way, on purpose: a float is never an integer here, so
+``2.0`` is rejected as a dim or a scalar.
 """
 
 from __future__ import annotations
@@ -116,8 +114,7 @@ def tensor_elem_to_json(t):
     return [{"word": list(w), "coeff": scalar_to_json(c)} for w, c in t.sorted_terms()]
 
 
-# the schema's patterns; as in the jsonschema oracle, "$" also matches
-# before a final newline, which int() and field_from_json strip
+# the schema's patterns, matched against the whole string
 _SCALAR = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
 _FIELD = re.compile(r"^(Q|GF\(?[0-9]+\)?)$")
 _SPACE_KEYS = frozenset(("field", "dim", "c"))
@@ -139,7 +136,7 @@ def _check_matrix(m, pointer):
         if not isinstance(row, list) or not row:
             _fail(f"{pointer}/{i}", f"expected a non-empty array of scalars, got {row!r}")
         for j, x in enumerate(row):
-            if not (type(x) is int or isinstance(x, str) and _SCALAR.match(x)):
+            if not (type(x) is int or isinstance(x, str) and _SCALAR.fullmatch(x)):
                 _fail(f"{pointer}/{i}/{j}", f'{x!r} is not an integer or a "p/q" string')
 
 
@@ -147,7 +144,7 @@ def _check_space(obj, pointer):
     if not isinstance(obj, dict) or obj.keys() != _SPACE_KEYS:
         _fail(pointer, f"expected the keys ['c', 'dim', 'field'], got {_keys(obj)}")
     field, dim = obj["field"], obj["dim"]
-    if not isinstance(field, str) or not _FIELD.match(field):
+    if not isinstance(field, str) or not _FIELD.fullmatch(field):
         _fail(f"{pointer}/field", f'{field!r} is not "Q" or "GF(p)"')
     if type(dim) is not int or dim < 1:  # not a bool, not a float
         _fail(f"{pointer}/dim", f"{dim!r} is not an integer of at least 1")

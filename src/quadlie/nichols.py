@@ -175,10 +175,7 @@ def primitives_of_quotient(pres: Presentation, N: int, buffer: int = 2, trunc: I
 
 def _nf_split_of_pairs(trunc, pairs):
     """Normal form of a sum of pure (left word, right word, coeff) terms."""
-    s = SplitTensorElem(trunc.space)
-    for u, v, c in pairs:
-        s = s + SplitTensorElem.pure(trunc.space, u, v, c)
-    return trunc.nf_split(s)
+    return trunc.nf_split(SplitTensorElem(trunc.space, add_up(((u, v), c) for u, v, c in pairs)))
 
 
 def verify_qpower_coproduct(row: int, field, gamma=None, n_max: int = 4) -> bool:

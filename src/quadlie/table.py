@@ -202,11 +202,10 @@ def table_emit(field: Field, gamma=None) -> list:
 
     out = []
     for row in ROW_INDICES:
-        g = gamma if GAMMA_RULES[row] is not None else None
-        if g is not None and not gamma_allowed(row, field, g):
-            g = default_gamma(row, field)
-        elif g is None and GAMMA_RULES[row] is not None:
-            g = default_gamma(row, field)
+        if GAMMA_RULES[row] is None:
+            g = None
+        else:
+            g = gamma if gamma is not None and gamma_allowed(row, field, gamma) else default_gamma(row, field)
         q = row_instance(row, field, g)
         rep = verify_lifted(q)
         if not rep.ok:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .braided import BraidedSpace, all_words, index_word, lift_to_slot, word_index
+from .braided import BraidedSpace, all_words, index_word, lift_to_slot, per_space, word_index
 from .fields import CheckFailed
 from .linalg import Mat, Subspace, kernel
 
@@ -36,12 +36,48 @@ def add_up(pairs):
     return out
 
 
-class TensorElem:
+def _mono(w):
+    return "".join(f"x{i}" for i in w) or "1"
+
+
+class _Combination:
+    """A finitely supported linear combination with raw coefficients over
+    a braided space: the arithmetic that TensorElem and SplitTensorElem
+    share.  Each subclass builds its own terms in its constructor."""
+
+    __slots__ = ("space", "terms")
+
+    def __add__(self, other):
+        return type(self)(self.space, add_up(chain(self.terms.items(), other.terms.items())))
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, s):
+        s = self.space.field.coerce(s)
+        return type(self)(self.space, {k: c * s for k, c in self.terms.items()})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.space is other.space and self.terms == other.terms
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        return " + ".join(f"{c}*{self._key_str(k)}" for k, c in self.sorted_terms())
+
+
+class TensorElem(_Combination):
     """A finitely supported linear combination of words (filtered element),
     with raw coefficients; the constructor coerces ints, Fractions and
     Scalars and drops zero terms."""
 
-    __slots__ = ("space", "terms")
+    __slots__ = ()
+    _key_str = staticmethod(_mono)
 
     def __init__(self, space: BraidedSpace, terms=None):
         self.space = space
@@ -62,24 +98,11 @@ class TensorElem:
     def word(cls, space, w, coeff=1):
         return cls(space, {tuple(w): coeff})
 
-    def __add__(self, other):
-        return TensorElem(self.space, add_up(chain(self.terms.items(), other.terms.items())))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, s):
-        s = self.space.field.coerce(s)
-        return TensorElem(self.space, {w: c * s for w, c in self.terms.items()})
-
     def __mul__(self, other):
         """Concatenation product of the tensor algebra."""
         return TensorElem(
             self.space, add_up((u + v, a * b) for u, a in self.terms.items() for v, b in other.terms.items())
         )
-
-    def is_zero(self):
-        return not self.terms
 
     def degrees(self):
         return sorted({len(w) for w in self.terms})
@@ -90,37 +113,27 @@ class TensorElem:
     def homogeneous_part(self, d):
         return TensorElem(self.space, {w: c for w, c in self.terms.items() if len(w) == d})
 
-    def __eq__(self, other):
-        if not isinstance(other, TensorElem):
-            return NotImplemented
-        return self.space is other.space and self.terms == other.terms
-
     def __hash__(self):
         return hash((id(self.space), tuple(sorted(self.terms.items()))))
 
     def sorted_terms(self):
         return sorted_terms(self.terms, self.space.dim)
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w, c in self.sorted_terms():
-            mono = "1" if not w else "".join(f"x{i}" for i in w)
-            parts.append(f"{c}*{mono}")
-        return " + ".join(parts)
 
-
-class SplitTensorElem:
+class SplitTensorElem(_Combination):
     """An element of T (x) T: a map from pairs of words to raw values; the
-    constructor coerces as TensorElem's does."""
+    constructor coerces as TensorElem's does.  Unhashable."""
 
-    __slots__ = ("space", "terms")
+    __slots__ = ()
 
     def __init__(self, space, terms=None):
         self.space = space
         coerce = space.field.coerce
         self.terms = {(tuple(u), tuple(v)): x for (u, v), c in (terms or {}).items() if (x := coerce(c))}
+
+    @staticmethod
+    def _key_str(k):
+        return f"{_mono(k[0])}(x){_mono(k[1])}"
 
     @classmethod
     def unit(cls, space):
@@ -129,24 +142,6 @@ class SplitTensorElem:
     @classmethod
     def pure(cls, space, u, v, coeff=1):
         return cls(space, {(tuple(u), tuple(v)): coeff})
-
-    def __add__(self, other):
-        return SplitTensorElem(self.space, add_up(chain(self.terms.items(), other.terms.items())))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, s):
-        s = self.space.field.coerce(s)
-        return SplitTensorElem(self.space, {k: c * s for k, c in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, SplitTensorElem):
-            return NotImplemented
-        return self.space is other.space and self.terms == other.terms
 
     def bidegree_part(self, a, b):
         return SplitTensorElem(
@@ -166,19 +161,11 @@ class SplitTensorElem:
             ),
         )
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-
-        def mono(w):
-            return "1" if not w else "".join(f"x{i}" for i in w)
-
-        return " + ".join(f"{c}*{mono(u)}(x){mono(v)}" for (u, v), c in self.sorted_terms())
-
     def __mul__(self, other):
         return braided_mul_split(self, other)
 
 
+@per_space
 def block_braiding(space: BraidedSpace, m: int, n: int) -> Mat:
     """The braid lift moving the first m tensor factors past the last n.
 
@@ -187,31 +174,22 @@ def block_braiding(space: BraidedSpace, m: int, n: int) -> Mat:
     """
     if m < 0 or n < 0:
         raise ValueError("negative block sizes")
-    key = (m, n)
-    cached = space._block_cache.get(key)
-    if cached is not None:
-        return cached
     d = space.dim
     if m == 0 or n == 0:
-        out = Mat.identity(space.field, d ** (m + n))
-    elif m == 1:
+        return Mat.identity(space.field, d ** (m + n))
+    if m == 1:
         out = Mat.identity(space.field, d ** (1 + n))
         for i in range(1, n + 1):
             out = space.braiding_at(i, 1 + n) @ out
-    else:
-        inner = lift_to_slot(block_braiding(space, 1, n), m, m + n, d, 1 + n, 1 + n)
-        outer = lift_to_slot(block_braiding(space, m - 1, n), 1, m + n, d, m - 1 + n, m - 1 + n)
-        out = outer @ inner
-    space._block_cache[key] = out
-    return out
+        return out
+    inner = lift_to_slot(block_braiding(space, 1, n), m, m + n, d, 1 + n, 1 + n)
+    outer = lift_to_slot(block_braiding(space, m - 1, n), 1, m + n, d, m - 1 + n, m - 1 + n)
+    return outer @ inner
 
 
+@per_space
 def _crossing_columns(space, m, n):
     """Sparse columns of c^(m,n): word -> list of (word, coeff)."""
-    key = ("cols", m, n)
-    cached = space._block_cache.get(key)
-    if cached is not None:
-        return cached
     mat = block_braiding(space, m, n)
     d = space.dim
     cols = {}
@@ -223,7 +201,6 @@ def _crossing_columns(space, m, n):
             if s:
                 col.append((index_word(i, d, m + n), s))
         cols[w] = col
-    space._block_cache[key] = cols
     return cols
 
 
@@ -247,18 +224,13 @@ def braided_mul_split(x: SplitTensorElem, y: SplitTensorElem) -> SplitTensorElem
     return SplitTensorElem(space, add_up(terms()))
 
 
+@per_space
 def _word_coproduct(space, w):
-    cached = space._coproduct_cache.get(w)
-    if cached is not None:
-        return cached
     if not w:
-        out = SplitTensorElem.unit(space)
-    else:
-        head = _word_coproduct(space, w[:-1])
-        i = w[-1]
-        out = braided_mul_split(head, SplitTensorElem(space, {((i,), ()): 1, ((), (i,)): 1}))
-    space._coproduct_cache[w] = out
-    return out
+        return SplitTensorElem.unit(space)
+    i = w[-1]
+    letter = SplitTensorElem(space, {((i,), ()): 1, ((), (i,)): 1})
+    return braided_mul_split(_word_coproduct(space, w[:-1]), letter)
 
 
 def coproduct(t: TensorElem) -> SplitTensorElem:

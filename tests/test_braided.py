@@ -16,7 +16,7 @@ from quadlie.braided import (
     word_index,
 )
 from quadlie.fields import GF, QQ
-from quadlie.linalg import Mat, Poly, Subspace, column_space
+from quadlie.linalg import Mat, Poly, Subspace, column_space, minimal_polynomial
 from quadlie.table import default_gamma, row_instance
 
 
@@ -297,3 +297,58 @@ def test_braid_relation_matches_dense_oracle(n, field, dense_yang_baxter_oracle)
         assert seen == {True: 30}
     else:
         assert seen[True] and seen[False], seen
+
+
+def test_memo_returns_the_same_object():
+    from quadlie.tensoralg import _word_coproduct, block_braiding
+
+    sp = row_instance(2, QQ).space
+    assert sp.e2bar() is sp.e2bar()
+    assert block_braiding(sp, 2, 2) is block_braiding(sp, 2, 2)
+    assert _word_coproduct(sp, (2, 1)) is _word_coproduct(sp, (2, 1))
+
+
+def test_memo_computes_minpoly_once(monkeypatch):
+    from quadlie import braided
+
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return minimal_polynomial(c)
+
+    monkeypatch.setattr(braided, "minimal_polynomial", counted)
+    sp = row_instance(2, QQ).space
+    assert sp.minpoly() is sp.minpoly()
+    assert len(calls) == 1
+
+
+def test_memo_is_per_space():
+    from quadlie.tensoralg import block_braiding
+
+    c = row_instance(2, QQ).space.c
+    one, two = BraidedSpace(QQ, 2, c), BraidedSpace(QQ, 2, c)
+    for get in (BraidedSpace.e2bar, BraidedSpace.minpoly, lambda sp: block_braiding(sp, 2, 2)):
+        assert get(one) == get(two)
+        assert get(one) is not get(two)
+
+
+def test_space_with_a_filled_memo_pickles():
+    import pickle
+
+    from quadlie.tensoralg import block_braiding
+
+    sp = row_instance(2, QQ).space
+    mat = block_braiding(sp, 2, 1)
+    copy = pickle.loads(pickle.dumps(sp))
+    assert block_braiding(copy, 2, 1) == mat
+    assert copy.e2bar() == sp.e2bar()
+
+
+def test_memo_keeps_no_error():
+    from quadlie.tensoralg import block_braiding
+
+    sp = flip_space()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="negative block sizes"):
+            block_braiding(sp, -1, 1)

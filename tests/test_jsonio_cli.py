@@ -242,6 +242,21 @@ def test_cli_input_path_directory_exit_2(capsys, tmp_path, command):
     assert err.startswith("input error:")
 
 
+@pytest.mark.parametrize(
+    "field, scalar, pointer",
+    [("Q\n", "-3/2\n", "/field"), ("Q", "-3/2\n", "/c/0/0")],
+    ids=["field", "scalar"],
+)
+def test_cli_trailing_newline_exit_2(capsys, field, scalar, pointer):
+    # a pattern matches the whole string: "$" does not also match before a
+    # final newline, as it does in Python's re.match
+    doc = {"field": field, "dim": 1, "c": [[scalar]]}
+    code, out, err = _run(capsys, ["verify", "--input", "-"], json.dumps(doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"input error: at {pointer}: ")
+
+
 def test_cli_oversized_modulus_exit_2(capsys):
     code, _, err = _run(capsys, ["table", "--field", f"GF({2**64 + 13})"])
     assert code == 2

@@ -1,4 +1,7 @@
 import random
+from fractions import Fraction
+
+import pytest
 
 from quadlie.braided import BraidedSpace, all_words, mat_tensor, word_index
 from quadlie.fields import QQ
@@ -230,3 +233,20 @@ def test_tensor_elem_algebra():
     }
     assert (a - a).is_zero()
     assert a.homogeneous_part(2).terms == {(2, 1): 2}
+
+
+def test_tensor_elem_values_pinned():
+    # values of the parent implementation, before the two element classes
+    # shared one base
+    sp = row_instance(2, QQ).space
+    assert repr(TensorElem.word(sp, (2, 1), Fraction(-3, 2)) + TensorElem.unit(sp)) == "1*1 + -3/2*x2x1"
+    assert (
+        repr(coproduct(TensorElem.word(sp, (2, 1))))
+        == "1*x2x1(x)1 + 1*x1(x)x1 + 1*x1(x)x2 + 1*x2(x)x1 + 1*1(x)x2x1"
+    )
+    assert repr(TensorElem(sp)) == repr(SplitTensorElem(sp)) == "0"
+    assert (TensorElem(sp) == SplitTensorElem(sp)) is False
+    assert (SplitTensorElem(sp) == TensorElem(sp)) is False
+    assert hash(TensorElem.unit(sp)) == hash(TensorElem.unit(sp))
+    with pytest.raises(TypeError):
+        hash(SplitTensorElem(sp))

@@ -17,11 +17,12 @@ import random
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
-from .braided import BraidedSpace, MinusOneNotSimple, braid_relation_holds, h_of_c, joint_minus_one_rows, split_minpoly
+from .braided import BraidedSpace, MinusOneNotSimple, braid_relation_holds, h_of_c, split_minpoly
 from .brackets import (
     QuadraticLieAlgebra,
+    _e2bar_integral,
+    _linear_rows,
     jacobi_holds,
-    linear_axiom_rows,
     rows_vanish,
     solve_linear_bracket_space,
     verify_lifted,
@@ -62,7 +63,7 @@ def _require_at_least(value, limit, what):
 class _IntBraiding:
     """Precomputed integer data for one braiding candidate."""
 
-    __slots__ = ("p", "e2bar", "linear")
+    __slots__ = ("p", "space", "e2bar", "linear")
 
     #: The enumerations filter a bare shape through this name before they
     #: build its _IntBraiding; bench/tracing.py counts the survivors here.
@@ -71,10 +72,11 @@ class _IntBraiding:
     def __init__(self, c, p):
         self.p = p
         field = Field(p)
-        # the joint (-1)-eigenspace, ker (c1 + Id) meet ker (c2 + Id)
-        self.e2bar = null_space(field, joint_minus_one_rows(c, 2), 8)
-        # echelon rows of antisymmetry and both bracket identities mod p
-        rows = [r for group in linear_axiom_rows(c, 2, p) for r in group]
+        self.space = BraidedSpace(field, 2, Mat(field, c), check=False)
+        # the joint (-1)-eigenspace, and the echelon rows of antisymmetry
+        # and both bracket identities, from the space's memo
+        self.e2bar = _e2bar_integral(self.space)
+        rows = [r for group in _linear_rows(self.space) for r in group]
         self.linear = list(SparseEchelon(field, rows).rows.values())
 
     def axioms(self, beta):
@@ -90,10 +92,6 @@ def _split_or_none(space):
         return split_minpoly(space)
     except MinusOneNotSimple:
         return None
-
-
-def _has_minus_one_simple_root(c_rows, field):
-    return _split_or_none(BraidedSpace(field, 2, Mat.from_rows(field, c_rows), check=False)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +130,35 @@ class BranchReport:
     solutions: list = dc_field(default_factory=list)
 
 
+def _sweep(field, shapes, reports, candidates):
+    """Count the candidate brackets of every braiding shape into reports.
+
+    A shape that passes the Yang-Baxter filter is a braiding c, and
+    candidates(c) maps the branches that count c to their candidate
+    brackets.  A candidate that passes the axioms is a solution when -1 is
+    a simple root of the minimal polynomial of c, which is split once per
+    braiding, at its first axiom survivor.
+    """
+    p = field.p
+    for c in shapes:
+        if not _IntBraiding.yang_baxter(c, p):
+            continue
+        data = _IntBraiding(c, p)
+        split = False  # not split yet
+        for name, betas in candidates(c).items():
+            rep = reports[name]
+            rep.braidings += 1
+            for beta in betas:
+                rep.candidates += 1
+                if not data.axioms(beta):
+                    continue
+                if split is False:
+                    split = _split_or_none(data.space)
+                if split is not None:
+                    rep.solutions.append({"c": [list(r) for r in c], "beta": [list(r) for r in beta]})
+    return reports
+
+
 def _rank2_case_shapes(p, shard=0, nshards=1):
     """Braiding shapes of the rank-two analysis: dim Im(c+Id) = 1 with both
     x_i (x) x_i in the complement of Im(c+Id)."""
@@ -166,59 +193,38 @@ def rank2_case_families(field: Field, shard: int = 0, nshards: int = 1) -> dict:
     """
     field.require_enumerable(CASE_FAMILIES_MAX_P, "exhaustive case families")
     p = field.p
-    reports = {name: BranchReport() for name in _RANK2_BRANCHES}
-    independent = {}  # kernel dimension -> [i][j]: coefficient tuples i, j independent
-    for c in _rank2_case_shapes(p, shard, nshards):
-        ck1 = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(c)]  # c + Id
-        if SparseEchelon(field, ck1).rank != 1:
-            continue
-        if not _IntBraiding.yang_baxter(c, p):
-            continue
-        data = _IntBraiding(c, p)
-        lk = null_space(field, zip(*ck1), 4)  # v with v (c + Id) = 0
-        if not lk:
-            continue
-        splits_ok = None  # computed lazily, only for axiom survivors
-        coeffs = list(product(range(p), repeat=len(lk)))
-        if len(lk) not in independent:
-            # lk is a basis, so rank(r1, r2) is the rank of their coefficients
-            independent[len(lk)] = [[SparseEchelon(field, (a, b)).rank == 2 for b in coeffs] for a in coeffs]
-        pair_ok = independent[len(lk)]
-        rows = []
-        for combo in coeffs:
-            row = [0, 0, 0, 0]
-            for s, k in zip(combo, lk):
-                if s:
-                    for j in range(4):
-                        row[j] = (row[j] + s * k[j]) % p
-            rows.append(tuple(row))
-        for name, pred in _RANK2_BRANCHES.items():
-            rep = reports[name]
-            rep.braidings += 1
-            for r1, ok1 in zip(rows, pair_ok):
-                for r2, ok in zip(rows, ok1):
-                    if not ok or not pred(r1, r2):
-                        continue
-                    rep.candidates += 1
-                    beta = (r1, r2)
-                    if not data.axioms(beta):
-                        continue
-                    if splits_ok is None:
-                        splits_ok = _has_minus_one_simple_root([list(r) for r in c], field)
-                    if not splits_ok:
-                        continue
-                    rep.solutions.append({"c": [list(r) for r in c], "beta": [list(r) for r in beta]})
-    return reports
+    coeffs = list(product(range(p), repeat=3))
+    independent = []  # [i][j]: coefficient tuples i, j independent; built at the first survivor
+
+    def left_kernel(c):
+        """A basis of the v with v (c + Id) = 0."""
+        ck1 = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(c)]
+        return null_space(field, zip(*ck1), 4)
+
+    def candidates(c):
+        # the brackets with both rows in the left kernel, a basis, so
+        # rank(r1, r2) is the rank of their coefficients
+        if not independent:
+            independent.extend([SparseEchelon(field, (a, b)).rank == 2 for b in coeffs] for a in coeffs)
+        lk = left_kernel(c)
+        rows = [[sum(s * k[j] for s, k in zip(combo, lk)) % p for j in range(4)] for combo in coeffs]
+        pairs = [(r1, r2) for r1, ok1 in zip(rows, independent) for r2, ok in zip(rows, ok1) if ok]
+        return {name: [beta for beta in pairs if pred(*beta)] for name, pred in _RANK2_BRANCHES.items()}
+
+    # dim Im(c + Id) = 1: a three-dimensional left kernel
+    shapes = (c for c in _rank2_case_shapes(p, shard, nshards) if len(left_kernel(c)) == 3)
+    return _sweep(field, shapes, {name: BranchReport() for name in _RANK2_BRANCHES}, candidates)
 
 
-def _rank1_case_shapes(p, c00, shard=0, nshards=1):
-    """Braiding shapes of the rank-one analysis (categorical image)."""
+def _rank1_case_shapes(p, shard=0, nshards=1):
+    """Braiding shapes of the rank-one analysis (categorical image) with a
+    zero corner entry."""
     rng = range(p)
     for idx, (c01, c02, c03, c12, c13, c21, c23, c33) in enumerate(product(rng, repeat=8)):
         if idx % nshards != shard:
             continue
         yield (
-            (c00, c01, c02, c03),
+            (0, c01, c02, c03),
             (0, 0, c12, c13),
             (0, c21, 0, c23),
             (0, 0, 0, c33),
@@ -231,37 +237,18 @@ def rank1_eliminated_branches(field: Field, shard: int = 0, nshards: int = 1) ->
     bracket pair coinciding with a unit diagonal entry."""
     field.require_enumerable(CASE_FAMILIES_MAX_P, "exhaustive case families")
     p = field.p
+    zero = (0, 0, 0, 0)
+
+    def candidates(c):
+        if c[3][3] != 1:
+            return {
+                "case_2_1_1": [((0, 0, b12, 1), zero) for b12 in range(p)],
+                "case_2_1_2": [((0, 1, b12, b22), zero) for b12 in range(p) for b22 in range(p)],
+            }
+        return {"case_2_2_1_1": [((0, b, p - b, 1), zero) for b in range(1, p)]}
+
     reports = {name: BranchReport() for name in ("case_2_1_1", "case_2_1_2", "case_2_2_1_1")}
-    for c in _rank1_case_shapes(p, 0, shard, nshards):
-        if not _IntBraiding.yang_baxter(c, p):
-            continue
-        data = _IntBraiding(c, p)
-        c33 = c[3][3]
-        betas = {name: [] for name in reports}
-        if c33 != 1:
-            for b12 in range(p):
-                betas["case_2_1_1"].append(((0, 0, b12, 1), (0, 0, 0, 0)))
-            for b12 in range(p):
-                for b22 in range(p):
-                    betas["case_2_1_2"].append(((0, 1, b12, b22), (0, 0, 0, 0)))
-        else:
-            for b in range(1, p):
-                betas["case_2_2_1_1"].append(((0, b, (p - b) % p, 1), (0, 0, 0, 0)))
-        splits_ok = None
-        for name, blist in betas.items():
-            rep = reports[name]
-            if blist:
-                rep.braidings += 1
-            for beta in blist:
-                rep.candidates += 1
-                if not data.axioms(beta):
-                    continue
-                if splits_ok is None:
-                    splits_ok = _has_minus_one_simple_root([list(r) for r in c], field)
-                if not splits_ok:
-                    continue
-                rep.solutions.append({"c": [list(r) for r in c], "beta": [list(r) for r in beta]})
-    return reports
+    return _sweep(field, _rank1_case_shapes(p, shard, nshards), reports, candidates)
 
 
 def _shard_worker(args):

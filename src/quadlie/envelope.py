@@ -265,44 +265,32 @@ def ideal_truncation(pres: Presentation, N: int, buffer: int = 2) -> IdealTrunca
 def filtration_dims(pres: Presentation, N: int, buffer: int = 2, trunc=None):
     """Dimensions of the standard-filtration layers of the quotient.
 
-    Entry k is dim of (image of T^{<=k}) modulo (image of T^{<=k-1}).
+    Entry k is dim of (image of T^{<=k}) modulo (image of T^{<=k-1}): the
+    n^k words of length k less what the ideal slice gains at k.
     """
     if trunc is None:
         trunc = ideal_truncation(pres, N, buffer)
     n = pres.space.dim
-    cum = []
-    total_words = 0
-    for k in range(N + 1):
-        total_words += n**k
-        cum.append(total_words - trunc.dim_slice(k))
-    out = []
-    prev = 0
-    for k in range(N + 1):
-        out.append(cum[k] - prev)
-        prev = cum[k]
-    return out
+    slices = [0] + [trunc.dim_slice(k) for k in range(N + 1)]
+    return [n**k - (slices[k + 1] - slices[k]) for k in range(N + 1)]
 
 
 def sq_graded_dims(space: BraidedSpace, N: int):
     """Graded dimensions of the quadratic symmetric algebra.
 
     Degree m: dim V^(x)m minus the span of all slot placements of the
-    degree-two primitives.
+    degree-two primitives.  The degrees share one echelon: their rows have
+    no coordinate in common, so each degree adds its own rank.
     """
     n = space.dim
-    e2 = space.e2()
     order = EliminationOrder(n, N)
-    e_elems = [tensor_elem_from_vector(space, v, 2) for v in e2.basis]
+    e_elems = [tensor_elem_from_vector(space, v, 2) for v in space.e2().basis]
+    ech = SparseEchelon(space.field)
     out = []
     for m in range(N + 1):
-        if m < 2 or e2.dim == 0:
-            out.append(n**m)
-            continue
-        ech = SparseEchelon(space.field)
-        for t in e_elems:
-            for vec in _sandwiches(order, t, n, ((i, m - 2 - i) for i in range(m - 1))):
-                ech.insert(vec)
-        out.append(n**m - ech.rank)
+        rank = ech.rank
+        _insert_sandwiches(ech, order, n, e_elems, m)
+        out.append(n**m - (ech.rank - rank))
     return out
 
 

@@ -24,9 +24,9 @@ class Mat:
     """A dense rows x cols matrix of raw values over one field: ints or
     Fractions over Q, residues in [0, p) over GF(p).
 
-    The constructor takes raw rows as they are; ``from_rows`` coerces ints,
-    Fractions and Scalars.  Treated as immutable: operations return fresh
-    matrices.
+    The constructor takes raw rows as they are, without coercion, because
+    it runs inside every operation; ``from_rows`` coerces ints, Fractions
+    and Scalars.  Treated as immutable: operations return fresh matrices.
     """
 
     __slots__ = ("field", "rows", "cols", "a")
@@ -96,9 +96,11 @@ class Mat:
         return Mat(self.field, raw_product(self.a, other.a, self.field.p))
 
     def apply(self, vec):
-        """Matrix times column vector (a sequence of raw values), as a tuple."""
+        """Matrix times column vector (a sequence of values that
+        ``Field.coerce`` takes), as a tuple of raw values."""
         if len(vec) != self.cols:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} applied to a {len(vec)}-vector")
+        vec = [self.field.coerce(x) for x in vec]
         out = [sum(x * y for x, y in zip(r, vec) if x) for r in self.a]
         p = self.field.p
         return tuple(out) if p is None else tuple(s % p for s in out)
@@ -181,9 +183,10 @@ def integral(values):
 
 
 def solve(a: Mat, b):
-    """One solution x of a x = b (b a tuple of raw values), or None if
-    inconsistent."""
-    aug = Mat(a.field, [list(row) + [bv] for row, bv in zip(a.a, b)])
+    """One solution x of a x = b (b a sequence of values that
+    ``Field.coerce`` takes) as raw values, or None if inconsistent."""
+    coerce = a.field.coerce
+    aug = Mat(a.field, [list(row) + [coerce(bv)] for row, bv in zip(a.a, b)])
     red, piv = aug.rref()
     if a.cols in piv:
         return None
@@ -224,11 +227,11 @@ class Subspace:
         return len(self.basis)
 
     def coords(self, vec):
-        """Coordinates of vec (raw values) in the echelon basis, or None
-        if outside.  The basis is reduced, so the coordinates are the
-        entries of vec at the pivots."""
+        """Coordinates of vec (values that ``Field.coerce`` takes) in the
+        echelon basis, as raw values, or None if outside.  The basis is
+        reduced, so the coordinates are the entries of vec at the pivots."""
         p = self.field.p
-        vec = list(vec) if p is None else [x % p for x in vec]
+        vec = [self.field.coerce(x) for x in vec]
         out = tuple(vec[next(j for j, x in enumerate(b) if x)] for b in self.basis)
         for c, b in zip(out, self.basis):
             if c:

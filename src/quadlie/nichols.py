@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .braided import BraidedSpace, mat_tensor
-from .envelope import IdealTruncation, Presentation, ideal_truncation, sq_presentation
+from .envelope import IdealTruncation, Presentation, ideal_truncation, sq_graded_dims, sq_presentation
 from .fields import Scalar
 from .linalg import Mat, Subspace, null_space
 from .table import row_instance
@@ -32,19 +32,6 @@ from .tensoralg import (
 #: Largest number of words of length <= the degree of nichols-check, whose
 #: symmetrizers are dense n^d x n^d matrices: degree 8 on two letters.
 MAX_SYMMETRIZER_WORDS = 2**9
-
-
-def _reduced_word(perm, leftmost=True):
-    """A reduced word for a permutation, by sorting at descents."""
-    p = list(perm)
-    word = []
-    while True:
-        descents = [i for i in range(len(p) - 1) if p[i] > p[i + 1]]
-        if not descents:
-            return word
-        i = descents[0] if leftmost else descents[-1]
-        word.append(i + 1)
-        p[i], p[i + 1] = p[i + 1], p[i]
 
 
 def braid_lift(space: BraidedSpace, word, total: int) -> Mat:
@@ -84,8 +71,6 @@ def symmetrizer_rank(space: BraidedSpace, n: int) -> int:
 def nichols_quadratic_at(space: BraidedSpace, N: int) -> bool:
     """Whether the Nichols algebra looks quadratic up to degree N:
     symmetrizer ranks match the quadratic symmetric algebra dimensions."""
-    from .envelope import sq_graded_dims
-
     dims = sq_graded_dims(space, N)
     return all(symmetrizer_rank(space, n) == dims[n] for n in range(N + 1))
 

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from quadlie import appendix, cli
 from quadlie.appendix import (
-    _has_minus_one_simple_root,
+    BranchReport,
     _intersect,
     _rank1_case_shapes,
     _rank2_case_shapes,
@@ -20,10 +21,10 @@ from quadlie.appendix import (
 )
 from quadlie.braided import BraidedSpace, braid_relation_holds, lift_rows, split_minpoly
 from quadlie.brackets import QuadraticLieAlgebra, solve_linear_bracket_space, verify_lifted
-from quadlie.classify import conjugate
+from quadlie.classify import canonical_form, conjugate
 from quadlie.fields import GF, QQ
 from quadlie.linalg import Mat, Subspace, raw_product
-from quadlie.table import GAMMA_RULES, gamma_allowed, row_instance
+from quadlie.table import GAMMA_RULES, gamma_allowed, gamma_canonical, row_instance
 
 from conftest import dense_verify_lifted
 
@@ -174,6 +175,11 @@ def test_rejects_rationals():
         random_survey(QQ)
 
 
+def _has_minus_one_simple_root(c_rows, field):
+    space = BraidedSpace(field, 2, Mat.from_rows(field, c_rows), check=False)
+    return appendix._split_or_none(space) is not None
+
+
 def test_minus_one_root_classification():
     F = GF(5)
     flip = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
@@ -253,8 +259,6 @@ def test_int_matmul_matches_dense_reference():
 
 
 def test_int_yang_baxter_matches_generic_on_all_corner_shapes(generic_yang_baxter):
-    from itertools import product
-
     passed = 0
     for a, g, q, qi, h, b in product(range(3), repeat=6):
         c = ((a, 0, 0, g), (0, 0, q, 0), (0, qi, 0, 0), (h, 0, 0, b))
@@ -271,7 +275,7 @@ def test_int_yang_baxter_matches_generic_on_case_shapes(p, pool, family, generic
     # product, and so is a seeded sample of the shapes it rejects; over
     # GF(3) the filter sees every shape, over GF(5) a seeded pool of them
     rng = random.Random(f"{family}:{p}")
-    shapes = list(_rank1_case_shapes(p, 0) if family == "rank1" else _rank2_case_shapes(p))
+    shapes = list(_rank1_case_shapes(p) if family == "rank1" else _rank2_case_shapes(p))
     if pool is not None:
         shapes = rng.sample(shapes, pool)
     passes = [appendix._IntBraiding.yang_baxter(c, p) for c in shapes]
@@ -415,3 +419,50 @@ def test_int_axioms_match_four_product_oracle(monkeypatch, four_product_axioms):
     # the eliminated branches hold no solution; some points of the linear
     # spaces pass, so the agreement covers both answers
     assert seen["accepted"] == 0 and seen["linear"] > 0
+
+
+# ---------------------------------------------------------------------------
+# positive control of the sweep: rank-one branches that are not eliminated
+# ---------------------------------------------------------------------------
+
+def _nonzero_corner_shapes(p):
+    """The shapes of _rank1_case_shapes, with a nonzero corner entry."""
+    for c00, c01, c02, c03, c12, c13, c21, c23, c33 in product(range(1, p), *[range(p)] * 8):
+        yield ((c00, c01, c02, c03), (0, 0, c12, c13), (0, c21, 0, c23), (0, 0, 0, c33))
+
+
+def test_sweep_finds_every_canonical_row_on_branches_not_eliminated():
+    # the loop that reports the eliminated branches empty must find every
+    # canonical row where the rank-one analysis keeps solutions
+    p = 3
+    field = GF(p)
+    zero = (0, 0, 0, 0)
+
+    def unit_corner(c):
+        return {"unit": [((0, 1, b, 0), zero) for b in range(p)]} if c[3][3] == 1 else {}
+
+    def moved_corner(c):
+        return {"antisymmetric": [((0, 1, p - 1, 0), zero)], "corner": [((0, 0, 0, 1), zero)]}
+
+    reports = {
+        **appendix._sweep(field, _rank1_case_shapes(p), {"unit": BranchReport()}, unit_corner),
+        **appendix._sweep(
+            field, _nonzero_corner_shapes(p), {"antisymmetric": BranchReport(), "corner": BranchReport()}, moved_corner
+        ),
+    }
+    found = set()
+    for rep in reports.values():
+        for sol in rep.solutions:
+            space = BraidedSpace(field, 2, Mat.from_rows(field, sol["c"]))
+            q = QuadraticLieAlgebra(space, Mat.from_rows(field, sol["beta"]))
+            assert verify_lifted(q).ok, sol
+            res = canonical_form(q)
+            found.add((res.row, None if res.gamma is None else res.gamma.v))
+    expected = {
+        (row, g)
+        for row, rule in GAMMA_RULES.items()
+        for g in ([None] if rule is None else range(p))
+        if gamma_canonical(row, field, g)
+    }
+    assert found == expected
+    assert {name: len(rep.solutions) for name, rep in reports.items()} == {"unit": 10, "antisymmetric": 14, "corner": 9}

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from conftest import raw
 
-from quadlie.fields import GF, QQ, FieldMismatch
+from quadlie.fields import GF, QQ, FieldMismatch, Scalar
 from quadlie.linalg import (
     HypothesisViolated,
     Mat,
@@ -299,6 +299,37 @@ def test_matmul_shape_and_field_mismatch():
         Mat.zero(QQ, 2, 3) @ Mat.zero(QQ, 2, 3)
     with pytest.raises(FieldMismatch):
         Mat.identity(GF(5), 2) @ Mat.identity(GF(7), 2)
+
+
+# The vector arguments of apply, solve and coords go through Field.coerce:
+# Scalars of the field come back raw, a Scalar of another field is refused.
+
+def test_apply_takes_scalars_over_q():
+    out = Mat.identity(QQ, 2).apply((QQ(1), QQ(2)))
+    assert out == (1, 2) and not any(isinstance(x, Scalar) for x in out)
+
+
+def test_apply_takes_scalars_over_gf():
+    F = GF(5)
+    assert Mat.identity(F, 2).apply((F(1), F(7))) == (1, 2)
+
+
+def test_solve_takes_scalars():
+    x = solve(Mat.identity(QQ, 2), (QQ(1), QQ(2)))
+    assert x == (1, 2) and not any(isinstance(v, Scalar) for v in x)
+
+
+def test_coords_take_scalars():
+    assert Subspace(GF(5), 2, [(1, 0)]).coords((GF(5)(3), 0)) == (3,)
+
+
+def test_vectors_over_another_field_are_refused():
+    with pytest.raises(FieldMismatch):
+        Mat.identity(QQ, 2).apply((GF(5)(1), 0))
+    with pytest.raises(FieldMismatch):
+        solve(Mat.identity(QQ, 2), (GF(5)(1), 0))
+    with pytest.raises(FieldMismatch):
+        Subspace(QQ, 2, [(1, 0)]).coords((GF(5)(3), 0))
 
 
 # (rows, cols, rank bound or None): tall, wide, square, single row and

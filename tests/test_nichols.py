@@ -9,7 +9,6 @@ from quadlie.envelope import ideal_truncation, sq_graded_dims, sq_presentation, 
 from quadlie.fields import GF, QQ
 from quadlie.linalg import Mat
 from quadlie.nichols import (
-    _reduced_word,
     braid_lift,
     nichols_quadratic_at,
     primitives_of_quotient,
@@ -23,6 +22,20 @@ from quadlie.nichols import (
 )
 from quadlie.table import default_gamma, row_instance
 from quadlie.tensoralg import TensorElem, coproduct
+
+
+def _reduced_word(perm, leftmost=True):
+    """A reduced word for a permutation, by sorting at descents: the
+    leftmost or the rightmost descent first."""
+    p = list(perm)
+    word = []
+    while True:
+        descents = [i for i in range(len(p) - 1) if p[i] > p[i + 1]]
+        if not descents:
+            return word
+        i = descents[0] if leftmost else descents[-1]
+        word.append(i + 1)
+        p[i], p[i + 1] = p[i + 1], p[i]
 
 
 def _permutation_sum(space, n):

@@ -9,15 +9,21 @@ and checks the forced conclusions on each.
 
 Enumeration hot paths run on plain integer residues; survivors are
 re-checked through the generic exact machinery before being reported.
+The braidings of each shape family are solved for, not searched: the
+Yang-Baxter equation (and, for the rank-two family, the rank of c + Id)
+is written once as integer polynomials in the shape's parameters, which
+are then fixed one at a time mod p by backtracking.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from itertools import product
+from functools import lru_cache, reduce
+from itertools import combinations, product
+from math import prod
 
-from .braided import BraidedSpace, MinusOneNotSimple, braid_relation_holds, h_of_c, split_minpoly
+from .braided import BraidedSpace, MinusOneNotSimple, _slot_index, braid_relation_holds, h_of_c, split_minpoly
 from .brackets import (
     QuadraticLieAlgebra,
     _e2bar_integral,
@@ -32,8 +38,8 @@ from .linalg import Mat, SparseEchelon, Subspace, column_space, kernel, null_spa
 from .table import GAMMA_RULES, gamma_allowed, row_instance
 
 
-#: Largest p accepted by the exhaustive case families (p^8 braiding shapes;
-#: 5.8 million at GF(7)).
+#: Largest p accepted by the exhaustive case families (p^8 braiding shapes
+#: per family, solved for by backtracking; GF(7) takes about 76 s).
 CASE_FAMILIES_MAX_P = 7
 
 #: Largest p accepted by the survey (p^6 corner shapes and p^4 diagonal
@@ -63,21 +69,27 @@ def _require_at_least(value, limit, what):
 class _IntBraiding:
     """Precomputed integer data for one braiding candidate."""
 
-    __slots__ = ("p", "space", "e2bar", "linear")
+    __slots__ = ("p", "space", "linear")
 
-    #: The enumerations filter a bare shape through this name before they
-    #: build its _IntBraiding; bench/tracing.py counts the survivors here.
+    #: The sweep re-checks each braiding of a shape family through this
+    #: name before it builds its _IntBraiding; bench/tracing.py counts the
+    #: braidings that pass here.
     yang_baxter = staticmethod(braid_relation_holds)
 
     def __init__(self, c, p):
         self.p = p
         field = Field(p)
         self.space = BraidedSpace(field, 2, Mat(field, c), check=False)
-        # the joint (-1)-eigenspace, and the echelon rows of antisymmetry
-        # and both bracket identities, from the space's memo
-        self.e2bar = _e2bar_integral(self.space)
+        # the echelon rows of antisymmetry and both bracket identities, from
+        # the space's memo
         rows = [r for group in _linear_rows(self.space) for r in group]
         self.linear = list(SparseEchelon(field, rows).rows.values())
+
+    @property
+    def e2bar(self):
+        """The joint (-1)-eigenspace, from the space's memo: computed at the
+        first bracket that passes the linear axioms."""
+        return _e2bar_integral(self.space)
 
     def axioms(self, beta):
         """antisym + both bracket identities (dot products with the
@@ -92,6 +104,156 @@ def _split_or_none(space):
         return split_minpoly(space)
     except MinusOneNotSimple:
         return None
+
+
+# ---------------------------------------------------------------------------
+# shape families: the braidings of a template, by backtracking mod p
+# ---------------------------------------------------------------------------
+#
+# A template is a 4x4 braiding shape whose entries are integer constants or
+# parameter names.  The parameters are numbered in row-major order of first
+# appearance, the order in which each family enumerates them.  A polynomial
+# in the parameters is a dict {monomial: integer coefficient}, a monomial
+# the sorted tuple of the parameter numbers it multiplies.
+
+def _poly_mul(a, b):
+    out = {}
+    for (m1, x), (m2, y) in product(a.items(), b.items()):
+        m = tuple(sorted(m1 + m2))
+        out[m] = out.get(m, 0) + x * y
+    return {m: x for m, x in out.items() if x}
+
+
+def _poly_add(a, b, scale=1):
+    out = dict(a)
+    for m, y in b.items():
+        out[m] = out.get(m, 0) + scale * y
+    return {m: x for m, x in out.items() if x}
+
+
+def _template_polys(template):
+    """The template's entries as polynomials, and its parameter names."""
+    names = list(dict.fromkeys(x for row in template for x in row if isinstance(x, str)))
+    rows = [[{(names.index(x),): 1} if isinstance(x, str) else {(): x} if x else {} for x in row] for row in template]
+    return rows, names
+
+
+def _equation(poly):
+    """A hashable form of the polynomial equation poly = 0, its sign fixed
+    so that an equation and its negative coincide."""
+    terms = sorted(poly.items())
+    sign = 1 if terms[0][1] > 0 else -1
+    return tuple((m, sign * x) for m, x in terms)
+
+
+@lru_cache(maxsize=None)
+def _yang_baxter_equations(template):
+    """The entries of c1 c2 c1 - c2 c1 c2 on V^(x)3 for the template c, as
+    polynomial equations in its parameters: they vanish mod p exactly on
+    the template's braidings over GF(p)."""
+    rows, _ = _template_polys(template)
+    cols = [[(o, row[i]) for o, row in enumerate(rows) if row[i]] for i in range(4)]
+    c1 = _slot_index(2, 1, 3, 2, 4, 4)
+    c2 = _slot_index(2, 2, 3, 2, 4, 4)
+
+    def apply(lift, vec):
+        lo, index = lift
+        out = {}
+        for k, x in vec.items():
+            i, base = index[k]
+            for o, v in cols[i]:
+                o = base + lo * o
+                out[o] = _poly_add(out.get(o, {}), _poly_mul(x, v))
+        return out
+
+    equations = []
+    for k in range(8):
+        e = {k: {(): 1}}
+        left, right = apply(c1, apply(c2, apply(c1, e))), apply(c2, apply(c1, apply(c2, e)))
+        for o in sorted(left.keys() | right.keys()):
+            diff = _poly_add(left.get(o, {}), right.get(o, {}), -1)
+            if diff and _equation(diff) not in equations:
+                equations.append(_equation(diff))
+    return tuple(equations)
+
+
+@lru_cache(maxsize=None)
+def _rank_one_plus_identity_equations(template):
+    """The 2x2 minors of c + Id for the template c: they vanish exactly when
+    dim Im(c + Id) <= 1."""
+    rows, _ = _template_polys(template)
+    m = [[_poly_add(x, {(): 1}) if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    equations = []
+    for (r1, r2), (k1, k2) in product(combinations(range(4), 2), repeat=2):
+        minor = _poly_add(_poly_mul(m[r1][k1], m[r2][k2]), _poly_mul(m[r1][k2], m[r2][k1]), -1)
+        if minor and _equation(minor) not in equations:
+            equations.append(_equation(minor))
+    return tuple(equations)
+
+
+@lru_cache(maxsize=None)
+def _solving_plan(equations, k):
+    """(order, levels): the k parameters in the order they are fixed, those
+    in the most equations first (ties in parameter order), and for each
+    depth d the equations whose last parameter fixed is order[d], shortest
+    first, each as its coefficients of order[d]^0, order[d]^1, ...: lists
+    of (integer, monomial in the parameters fixed before it).  A constant
+    equation is checked at depth 0."""
+    occurs = [sum(any(i in m for m, _ in eq) for eq in equations) for i in range(k)]
+    order = sorted(range(k), key=lambda i: (-occurs[i], i))
+    depth = {i: d for d, i in enumerate(order)}
+    levels = [[] for _ in range(k)]
+    for eq in sorted(equations, key=len):
+        d = max((depth[i] for m, _ in eq for i in m), default=0)
+        x = order[d]
+        coeffs = [[] for _ in range(1 + max(m.count(x) for m, _ in eq))]
+        for m, a in eq:
+            coeffs[m.count(x)].append((a, tuple(i for i in m if i != x)))
+        levels[d].append(coeffs)
+    return order, levels
+
+
+def _template_points(template, equations, p, shard=0, nshards=1):
+    """The template's matrices over GF(p) on which every equation vanishes,
+    in the order of product(range(p), repeat=k) over its k parameters,
+    keeping the index idx of that order with idx % nshards == shard.
+
+    The parameters are fixed one at a time: each equation is solved for its
+    last parameter as soon as all the others in it are fixed, so a partial
+    assignment that leaves an equation without a root is not extended.
+    The points found are few, and are sorted into parameter order.
+    """
+    _, names = _template_polys(template)
+    k = len(names)
+    order, levels = _solving_plan(equations, k)
+    vals = [0] * k
+    roots = {}  # coefficients mod p -> the set of their roots in range(p)
+    points = []
+
+    def allowed(d):
+        out = range(p)
+        for eq in levels[d]:
+            co = tuple(sum(a * prod(map(vals.__getitem__, m)) for a, m in terms) % p for terms in eq)
+            r = roots.get(co)
+            if r is None:
+                r = roots[co] = {v for v in range(p) if sum(a * v**j for j, a in enumerate(co)) % p == 0}
+            out = [v for v in out if v in r]
+            if not out:
+                break
+        return out
+
+    def extend(d):
+        if d == k:
+            points.append(tuple(vals))
+            return
+        for v in allowed(d):
+            vals[order[d]] = v
+            extend(d + 1)
+
+    extend(0)
+    for point in sorted(points):
+        if reduce(lambda idx, v: idx * p + v, point) % nshards == shard:
+            yield tuple(tuple(point[names.index(x)] if isinstance(x, str) else x % p for x in row) for row in template)
 
 
 # ---------------------------------------------------------------------------
@@ -159,19 +321,22 @@ def _sweep(field, shapes, reports, candidates):
     return reports
 
 
+_RANK2_TEMPLATE = (
+    (-1, "c01", "c02", 0),
+    (0, "c11", "c12", 0),
+    (0, "c21", "c22", 0),
+    (0, "c31", "c32", -1),
+)
+
+
 def _rank2_case_shapes(p, shard=0, nshards=1):
-    """Braiding shapes of the rank-two analysis: dim Im(c+Id) = 1 with both
+    """Braidings of the rank-two analysis: dim Im(c+Id) = 1 with both
     x_i (x) x_i in the complement of Im(c+Id)."""
-    rng = range(p)
-    for idx, (c01, c02, c11, c12, c21, c22, c31, c32) in enumerate(product(rng, repeat=8)):
-        if idx % nshards != shard:
-            continue
-        yield (
-            (p - 1, c01, c02, 0),
-            (0, c11, c12, 0),
-            (0, c21, c22, 0),
-            (0, c31, c32, p - 1),
-        )
+    equations = _yang_baxter_equations(_RANK2_TEMPLATE) + _rank_one_plus_identity_equations(_RANK2_TEMPLATE)
+    minus_identity = tuple(tuple(p - 1 if i == j else 0 for j in range(4)) for i in range(4))
+    for c in _template_points(_RANK2_TEMPLATE, equations, p, shard, nshards):
+        if c != minus_identity:  # Im(c + Id) = 0
+            yield c
 
 
 #: branch -> predicate on (row1, row2) of the bracket after normalization.
@@ -196,39 +361,33 @@ def rank2_case_families(field: Field, shard: int = 0, nshards: int = 1) -> dict:
     coeffs = list(product(range(p), repeat=3))
     independent = []  # [i][j]: coefficient tuples i, j independent; built at the first survivor
 
-    def left_kernel(c):
-        """A basis of the v with v (c + Id) = 0."""
-        ck1 = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(c)]
-        return null_space(field, zip(*ck1), 4)
-
     def candidates(c):
-        # the brackets with both rows in the left kernel, a basis, so
-        # rank(r1, r2) is the rank of their coefficients
+        # the brackets with both rows in the left kernel of c + Id, a
+        # basis, so rank(r1, r2) is the rank of their coefficients
         if not independent:
             independent.extend([SparseEchelon(field, (a, b)).rank == 2 for b in coeffs] for a in coeffs)
-        lk = left_kernel(c)
+        ck1 = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(c)]
+        lk = null_space(field, zip(*ck1), 4)
         rows = [[sum(s * k[j] for s, k in zip(combo, lk)) % p for j in range(4)] for combo in coeffs]
         pairs = [(r1, r2) for r1, ok1 in zip(rows, independent) for r2, ok in zip(rows, ok1) if ok]
         return {name: [beta for beta in pairs if pred(*beta)] for name, pred in _RANK2_BRANCHES.items()}
 
-    # dim Im(c + Id) = 1: a three-dimensional left kernel
-    shapes = (c for c in _rank2_case_shapes(p, shard, nshards) if len(left_kernel(c)) == 3)
-    return _sweep(field, shapes, {name: BranchReport() for name in _RANK2_BRANCHES}, candidates)
+    reports = {name: BranchReport() for name in _RANK2_BRANCHES}
+    return _sweep(field, _rank2_case_shapes(p, shard, nshards), reports, candidates)
+
+
+_RANK1_TEMPLATE = (
+    (0, "c01", "c02", "c03"),
+    (0, 0, "c12", "c13"),
+    (0, "c21", 0, "c23"),
+    (0, 0, 0, "c33"),
+)
 
 
 def _rank1_case_shapes(p, shard=0, nshards=1):
-    """Braiding shapes of the rank-one analysis (categorical image) with a
-    zero corner entry."""
-    rng = range(p)
-    for idx, (c01, c02, c03, c12, c13, c21, c23, c33) in enumerate(product(rng, repeat=8)):
-        if idx % nshards != shard:
-            continue
-        yield (
-            (0, c01, c02, c03),
-            (0, 0, c12, c13),
-            (0, c21, 0, c23),
-            (0, 0, 0, c33),
-        )
+    """Braidings of the rank-one analysis (categorical image) with a zero
+    corner entry."""
+    return _template_points(_RANK1_TEMPLATE, _yang_baxter_equations(_RANK1_TEMPLATE), p, shard, nshards)
 
 
 def rank1_eliminated_branches(field: Field, shard: int = 0, nshards: int = 1) -> dict:
@@ -324,19 +483,18 @@ def _diagonal_braidings(field):
         yield rows
 
 
+_CORNER_TEMPLATE = (
+    ("a", 0, 0, "g"),
+    (0, 0, "q", 0),
+    (0, "qi", 0, 0),
+    ("h", 0, 0, "b"),
+)
+
+
 def _corner_braidings(field):
-    """Swap-type braidings with both corner perturbations, Yang-Baxter
-    filtered over the integers before any exact machinery runs."""
-    p = field.p
-    for a, g, q, qi, h, b in product(range(p), repeat=6):
-        rows = (
-            (a, 0, 0, g),
-            (0, 0, q, 0),
-            (0, qi, 0, 0),
-            (h, 0, 0, b),
-        )
-        if braid_relation_holds(rows, p):
-            yield [list(r) for r in rows]
+    """Swap-type braidings with both corner perturbations."""
+    for c in _template_points(_CORNER_TEMPLATE, _yang_baxter_equations(_CORNER_TEMPLATE), field.p):
+        yield [list(r) for r in c]
 
 
 def _survey_braidings(field):
@@ -375,7 +533,7 @@ def random_survey(field: Field, seed: int = 0, max_brackets_per_braiding: int = 
     report = SurveyReport()
     for rows in _survey_braidings(field):
         report.braidings_tried += 1
-        # Yang-Baxter already guaranteed or integer-filtered by _survey_braidings.
+        # Yang-Baxter already guaranteed or solved for by _survey_braidings.
         space = BraidedSpace(field, 2, Mat.from_rows(field, rows), check=False)
         split = False  # computed at the braiding's first rank-two find
         basis = solve_linear_bracket_space(space)

@@ -120,10 +120,12 @@ class Field:
             raise CharTwo("operation requires characteristic != 2")
 
     def require_enumerable(self, max_p, what):
-        """Reject Q, GF(2) and primes above max_p for a p-element enumeration."""
-        self.require_odd_char()
+        """Reject Q, GF(2) and primes above max_p for a p-element enumeration,
+        each as an input error (a ValueError, not a check failure)."""
         if self.p is None:
             raise ValueError(f"{what} need a prime field")
+        if self.p == 2:
+            raise ValueError(f"{what} need an odd prime field")
         if self.p > max_p:
             raise ValueError(f"{what}: prime {self.p} exceeds the limit {max_p}")
 

@@ -23,7 +23,7 @@ from quadlie.braided import BraidedSpace, braid_relation_holds, lift_rows, split
 from quadlie.brackets import QuadraticLieAlgebra, solve_linear_bracket_space, verify_lifted
 from quadlie.classify import canonical_form, conjugate
 from quadlie.fields import GF, QQ
-from quadlie.linalg import Mat, Subspace, raw_product
+from quadlie.linalg import Mat, SparseEchelon, Subspace, raw_product
 from quadlie.table import GAMMA_RULES, gamma_allowed, gamma_canonical, row_instance
 
 from conftest import dense_verify_lifted
@@ -268,14 +268,97 @@ def test_int_yang_baxter_matches_generic_on_all_corner_shapes(generic_yang_baxte
     assert 0 < passed < 729
 
 
+# ---------------------------------------------------------------------------
+# the shape families, solved by backtracking, against brute force
+# ---------------------------------------------------------------------------
+
+def _template_shapes(template, p, values=None):
+    """Every shape of a template over GF(p), in product order over its
+    parameters; parameter i takes the values values[i], all residues by
+    default."""
+    names = list(dict.fromkeys(x for row in template for x in row if isinstance(x, str)))
+    for point in product(*(values or [range(p)] * len(names))):
+        yield tuple(tuple(point[names.index(x)] if isinstance(x, str) else x % p for x in row) for row in template)
+
+
+def _rank_one_plus_identity(c, p):
+    """dim Im(c + Id) = 1."""
+    return SparseEchelon(GF(p), [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(c)]).rank == 1
+
+
+def _corner_points(p):
+    return (tuple(map(tuple, c)) for c in appendix._corner_braidings(GF(p)))
+
+
+#: family -> (its template, its solver points over GF(p), its rank condition)
+_FAMILIES = {
+    "rank1": (appendix._RANK1_TEMPLATE, _rank1_case_shapes, lambda c, p: True),
+    "rank2": (appendix._RANK2_TEMPLATE, _rank2_case_shapes, _rank_one_plus_identity),
+    "corner": (appendix._CORNER_TEMPLATE, _corner_points, lambda c, p: True),
+}
+
+
+def _brute_force(family, p, values=None):
+    """The family's shapes that pass the generic Yang-Baxter test and its
+    rank condition, with their indices in product order."""
+    template, _, rank = _FAMILIES[family]
+    shapes = enumerate(_template_shapes(template, p, values))
+    return [(idx, c) for idx, c in shapes if braid_relation_holds(c, p) and rank(c, p)]
+
+
+@pytest.mark.parametrize("family, p", [("rank1", 3), ("rank2", 3), ("corner", 3), ("corner", 5)])
+def test_solver_points_match_brute_force(family, p):
+    # every shape of the family's template, in order, and each shard of the
+    # index stride on its own
+    _, points, _ = _FAMILIES[family]
+    expect = _brute_force(family, p)
+    assert list(points(p)) == [c for _, c in expect]
+    if family != "corner":
+        for shard in range(3):
+            assert list(points(p, shard, 3)) == [c for idx, c in expect if idx % 3 == shard]
+
+
+@pytest.mark.parametrize("family", ["rank1", "rank2"])
+def test_solver_points_match_brute_force_on_gf5_boxes(family):
+    # the 5^8 shapes are too many for brute force: compare on seeded boxes,
+    # each parameter taking 0 and two other residues
+    p = 5
+    template, points, _ = _FAMILIES[family]
+    points = list(points(p))
+    rng = random.Random(f"box:{family}")
+    found = 0
+    for _ in range(3):
+        values = [sorted({0, *rng.sample(range(1, p), 2)}) for _ in range(8)]
+        box = set(_template_shapes(template, p, values))
+        expect = [c for _, c in _brute_force(family, p, values)]
+        assert [c for c in points if c in box] == expect
+        found += len(expect)
+    assert found
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_solver_finds_every_table_row_that_fits_a_template(p):
+    # a planted solution: each canonical braiding that a family's template
+    # takes is among the family's points (none fits the rank-two template)
+    planted = {}
+    for family, (template, points, _) in _FAMILIES.items():
+        found = set(points(p))
+        for q in _table_instances(GF(p)):
+            c = tuple(map(tuple, q.space.c.a))
+            if all(isinstance(x, str) or x % p == y for trow, crow in zip(template, c) for x, y in zip(trow, crow)):
+                assert c in found, (family, c)
+                planted[family] = planted.get(family, 0) + 1
+    assert set(planted) == {"rank1", "corner"}
+
+
 @pytest.mark.parametrize("p, pool", [(3, None), (5, 20000)])
 @pytest.mark.parametrize("family", ["rank1", "rank2"])
 def test_int_yang_baxter_matches_generic_on_case_shapes(p, pool, family, generic_yang_baxter):
-    # every shape the filter passes is re-checked by the dense triple
-    # product, and so is a seeded sample of the shapes it rejects; over
-    # GF(3) the filter sees every shape, over GF(5) a seeded pool of them
+    # every template shape the filter passes is re-checked by the dense
+    # triple product, and so is a seeded sample of the shapes it rejects;
+    # over GF(3) the filter sees every shape, over GF(5) a seeded pool
     rng = random.Random(f"{family}:{p}")
-    shapes = list(_rank1_case_shapes(p) if family == "rank1" else _rank2_case_shapes(p))
+    shapes = list(_template_shapes(_FAMILIES[family][0], p))
     if pool is not None:
         shapes = rng.sample(shapes, pool)
     passes = [appendix._IntBraiding.yang_baxter(c, p) for c in shapes]
@@ -425,30 +508,45 @@ def test_int_axioms_match_four_product_oracle(monkeypatch, four_product_axioms):
 # positive control of the sweep: rank-one branches that are not eliminated
 # ---------------------------------------------------------------------------
 
-def _nonzero_corner_shapes(p):
-    """The shapes of _rank1_case_shapes, with a nonzero corner entry."""
-    for c00, c01, c02, c03, c12, c13, c21, c23, c33 in product(range(1, p), *[range(p)] * 8):
-        yield ((c00, c01, c02, c03), (0, 0, c12, c13), (0, c21, 0, c23), (0, 0, 0, c33))
+def _solved(template, p):
+    """The braidings of a template over GF(p), from the solver."""
+    return appendix._template_points(template, appendix._yang_baxter_equations(template), p)
 
 
-def test_sweep_finds_every_canonical_row_on_branches_not_eliminated():
-    # the loop that reports the eliminated branches empty must find every
-    # canonical row where the rank-one analysis keeps solutions
-    p = 3
+#: the rank-one template with a unit diagonal entry
+_UNIT_CORNER_TEMPLATE = (
+    (0, "c01", "c02", "c03"),
+    (0, 0, "c12", "c13"),
+    (0, "c21", 0, "c23"),
+    (0, 0, 0, 1),
+)
+
+#: the rank-one template with a free corner entry, kept where it is nonzero
+_MOVED_CORNER_TEMPLATE = (
+    ("c00", "c01", "c02", "c03"),
+    (0, 0, "c12", "c13"),
+    (0, "c21", 0, "c23"),
+    (0, 0, 0, "c33"),
+)
+
+
+def _positive_control(p):
+    """Sweep the rank-one branches that are not eliminated over GF(p),
+    check that the solutions found are every canonical (row, gamma), and
+    return the number of solutions per branch."""
     field = GF(p)
     zero = (0, 0, 0, 0)
 
     def unit_corner(c):
-        return {"unit": [((0, 1, b, 0), zero) for b in range(p)]} if c[3][3] == 1 else {}
+        return {"unit": [((0, 1, b, 0), zero) for b in range(p)]}
 
     def moved_corner(c):
         return {"antisymmetric": [((0, 1, p - 1, 0), zero)], "corner": [((0, 0, 0, 1), zero)]}
 
+    moved = (c for c in _solved(_MOVED_CORNER_TEMPLATE, p) if c[0][0])
     reports = {
-        **appendix._sweep(field, _rank1_case_shapes(p), {"unit": BranchReport()}, unit_corner),
-        **appendix._sweep(
-            field, _nonzero_corner_shapes(p), {"antisymmetric": BranchReport(), "corner": BranchReport()}, moved_corner
-        ),
+        **appendix._sweep(field, _solved(_UNIT_CORNER_TEMPLATE, p), {"unit": BranchReport()}, unit_corner),
+        **appendix._sweep(field, moved, {"antisymmetric": BranchReport(), "corner": BranchReport()}, moved_corner),
     }
     found = set()
     for rep in reports.values():
@@ -465,4 +563,14 @@ def test_sweep_finds_every_canonical_row_on_branches_not_eliminated():
         if gamma_canonical(row, field, g)
     }
     assert found == expected
-    assert {name: len(rep.solutions) for name, rep in reports.items()} == {"unit": 10, "antisymmetric": 14, "corner": 9}
+    return {name: len(rep.solutions) for name, rep in reports.items()}
+
+
+def test_sweep_finds_every_canonical_row_on_branches_not_eliminated():
+    # the loop that reports the eliminated branches empty must find every
+    # canonical row where the rank-one analysis keeps solutions
+    assert _positive_control(3) == {"unit": 10, "antisymmetric": 14, "corner": 9}
+
+
+def test_sweep_finds_every_canonical_row_on_branches_not_eliminated_gf5():
+    assert _positive_control(5) == {"unit": 28, "antisymmetric": 44, "corner": 25}

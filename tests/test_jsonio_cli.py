@@ -400,6 +400,16 @@ def test_cli_search_enumeration_limit_exit_2(capsys, scope, field):
     assert "input error" in err and "exceeds the limit" in err
 
 
+@pytest.mark.parametrize("scope", ["case_families", "random_survey", "dim1_rigidity"])
+def test_cli_search_characteristic_two_exit_2(capsys, scope):
+    # GF(2) is refused by the same input check as Q and primes above the
+    # limit, not reported as a failed check
+    code, out, err = _run(capsys, ["search", "--field", "GF(2)", "--scope", scope])
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "odd prime field" in err
+
+
 def test_cli_search_large_prime_rejected_fast(capsys):
     start = time.perf_counter()
     code, _, err = _run(capsys, ["search", "--field", "GF(1000003)", "--scope", "dim1_rigidity"])

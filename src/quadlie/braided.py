@@ -8,6 +8,7 @@ n = 2, k = 2 this is x1(x)x1, x2(x)x1, x1(x)x2, x2(x)x2, so published
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, wraps
@@ -46,8 +47,9 @@ def index_word(idx, n, length):
 
 
 def all_words(n, length):
-    """All words of one length, in tensor-basis order."""
-    return [index_word(i, n, length) for i in range(n**length)]
+    """All words of one length, in tensor-basis order (the first letter
+    varies fastest)."""
+    return [w[::-1] for w in itertools.product(range(1, n + 1), repeat=length)]
 
 
 def require_words(n, length, limit, what):

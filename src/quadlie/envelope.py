@@ -1,10 +1,14 @@
 """Enveloping-algebra presentations and degree-truncated ideal computation.
 
 The two-sided ideal of an inhomogeneous quadratic presentation is
-approximated by the span of monomial sandwiches u r v up to a working
-degree N + buffer; raising the buffer must leave the dimensions of the
-degree slices up to N unchanged, which certifies the truncation
-(top-degree cancellations can leak relations into lower degrees).
+spanned by the monomial sandwiches u r v, taken up to a working degree
+N + buffer.  When the relations' leading words have length 2 and their
+degree-3 overlaps resolve, the sandwiches of degree <= k span the
+ideal's slice at k for every k (G. Bergman's diamond lemma), so the
+slices up to N are exact once degree max(N, 3) is in.  Otherwise raising
+the buffer must leave the dimensions of the degree slices up to N
+unchanged (top-degree cancellations can leak relations into lower
+degrees).
 
 Coordinates are ordered with longer words first, so the rows of the
 reduced echelon span whose pivot has degree <= k form a canonical basis
@@ -133,6 +137,7 @@ class IdealTruncation:
     order: EliminationOrder
     echelon: SparseEchelon
     slice_dims: list  # dim(ideal intersect T^{<=k}) for k = 0..N
+    overlaps_resolved: bool  # certified by the diamond lemma, not by stabilization
     _nf_cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -204,12 +209,30 @@ def _insert_sandwiches(ech, order, n, rels, degree):
             ech.insert(vec)
 
 
+def _overlaps_resolve(order, ech, rels):
+    """Bergman's diamond-lemma certificate on an echelon holding every
+    sandwich of degree <= 3: each relation's pivot (its leading word in
+    the monomial order of ``order``) has length 2, and each pivot of
+    degree <= 3 contains one of those leading words as a factor.  The
+    reducible words are always pivots, so then every overlap a b c
+    resolves, and the sandwiches of degree <= k span the whole ideal
+    intersect T^{<=k} for every k."""
+    leads = {order.word(min(order.to_coords(r))) for r in rels}
+    if any(len(w) != 2 for w in leads):
+        return False
+    return all(w[:2] in leads or w[1:] in leads for w in map(order.word, ech.rows) if len(w) <= 3)
+
+
 def ideal_truncation(pres: Presentation, N: int, buffer: int = 2) -> IdealTruncation:
     """Certified slices of the two-sided ideal up to degree N.
 
-    Builds the sandwich span at working degree N + buffer, then keeps
-    raising the buffer (at most twice) until the slice dimensions up to N
-    stop changing; raises Unstabilized otherwise.
+    Inserts the sandwiches degree by degree up to the working degree
+    N + buffer.  If the relations' overlaps resolve once degree
+    max(N, 3) <= N + buffer is in (``_overlaps_resolve``), the slices up
+    to N are final: it stops there and reports the buffer as used.
+    Otherwise it keeps raising the buffer (at most twice) until the slice
+    dimensions up to N stop changing; raises Unstabilized if they never
+    do.
     """
     if N < 0 or buffer < 1:
         raise ValueError("need N >= 0 and buffer >= 1")
@@ -220,8 +243,12 @@ def ideal_truncation(pres: Presentation, N: int, buffer: int = 2) -> IdealTrunca
     order = EliminationOrder(n, cap)
     ech = SparseEchelon(pres.space.field)
     rels = pres.relations
+    resolved = False
     for d in range(0, N + buffer + 1):
         _insert_sandwiches(ech, order, n, rels, d)
+        if d == max(N, 3) and _overlaps_resolve(order, ech, rels):
+            resolved = True
+            break
 
     def dims():
         out = [0] * (N + 1)
@@ -240,8 +267,8 @@ def ideal_truncation(pres: Presentation, N: int, buffer: int = 2) -> IdealTrunca
     current = dims()
     used = buffer
     for extra in range(1, max_extra + 1):
-        if pres.is_homogeneous_quadratic():
-            break  # graded ideal: slices cannot leak downward
+        if resolved or pres.is_homogeneous_quadratic():
+            break  # exact slices, or a graded ideal: slices cannot leak downward
         _insert_sandwiches(ech, order, n, rels, N + buffer + extra)
         nxt = dims()
         if nxt == current:
@@ -259,6 +286,7 @@ def ideal_truncation(pres: Presentation, N: int, buffer: int = 2) -> IdealTrunca
         order=order,
         echelon=ech,
         slice_dims=current,
+        overlaps_resolved=resolved,
     )
 
 

@@ -57,6 +57,15 @@ def raw(field, values):
     return tuple(field.coerce(x) for x in values)
 
 
+def diagonal_type(n, q):
+    """c(x_i (x) x_j) = q[i][j] x_j (x) x_i, a solution for any q."""
+    c = [[0] * n**2 for _ in range(n**2)]
+    for i in range(n):
+        for j in range(n):
+            c[j + n * i][i + n * j] = q[i][j]
+    return c
+
+
 class ScalarEchelon:
     def __init__(self, field):
         self.field = field

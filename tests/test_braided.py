@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import diagonal_type
 
 from quadlie.braided import (
     BraidedSpace,
@@ -30,6 +31,14 @@ def test_word_index_convention():
     assert index_word(5, 2, 3) == (2, 1, 2)
     assert word_index((2, 1, 2), 2) == 5
     assert all_words(2, 2) == [(1, 1), (2, 1), (1, 2), (2, 2)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_all_words_in_word_index_order(n):
+    for length in range(6):
+        words = all_words(n, length)
+        assert [word_index(w, n) for w in words] == list(range(n**length))
+        assert all(len(w) == length and set(w) <= set(range(1, n + 1)) for w in words)
 
 
 def test_slot_lift_base_cases():
@@ -256,15 +265,6 @@ def test_raw_lift_matches_mat_lift(n):
     assert checked == {1: 45, 2: 45, 3: 26}[n]
 
 
-def _diagonal_type(n, q):
-    """c(x_i (x) x_j) = q[i][j] x_j (x) x_i, a solution for any q."""
-    c = [[0] * n**2 for _ in range(n**2)]
-    for i in range(n):
-        for j in range(n):
-            c[j + n * i][i + n * j] = q[i][j]
-    return c
-
-
 @pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=str)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_braid_relation_matches_dense_oracle(n, field, dense_yang_baxter_oracle):
@@ -284,7 +284,7 @@ def test_braid_relation_matches_dense_oracle(n, field, dense_yang_baxter_oracle)
         if kind == 2:
             c = [[entry() if rng.random() < 0.3 else 0 for _ in range(n**2)] for _ in range(n**2)]
         else:
-            c = _diagonal_type(n, [[entry() for _ in range(n)] for _ in range(n)])
+            c = diagonal_type(n, [[entry() for _ in range(n)] for _ in range(n)])
             if kind == 1:
                 c[rng.randrange(n**2)][rng.randrange(n**2)] += 1
         space = BraidedSpace(field, n, Mat.from_rows(field, c), check=False)

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from conftest import diagonal_type
 
+from quadlie import envelope
 from quadlie.braided import BraidedSpace, all_words, h_of_c, split_minpoly
 from quadlie.brackets import QuadraticLieAlgebra, RestrictedBracket, lift_bracket
 from quadlie.classify import conjugate
@@ -305,8 +307,9 @@ def _oracle_relations(oracle, q, split):
 
 
 def _oracle_sandwich_span(oracle, pres, trunc):
-    """Every sandwich u r v that ideal_truncation inserted, built as a
-    TensorElem product and put into the Scalar oracle echelon."""
+    """Every sandwich u r v that ideal_truncation inserted on its
+    stabilization path, built as a TensorElem product and put into the
+    Scalar oracle echelon."""
     space = pres.space
     n = space.dim
     top = trunc.degree_cap + trunc.buffer_used + (0 if pres.is_homogeneous_quadratic() else 1)
@@ -322,19 +325,49 @@ def _oracle_sandwich_span(oracle, pres, trunc):
     return ech
 
 
-def _assert_truncation_matches_oracle(scalar_echelon, pres, N):
-    trunc = ideal_truncation(pres, N)
-    space, order = pres.space, trunc.order
-    oracle = _oracle_sandwich_span(scalar_echelon, pres, trunc)
-    assert sorted(trunc.echelon.rows) == sorted(oracle.rows)
-    for p, row in oracle.rows.items():
+def _assert_rows_match_oracle(trunc, oracle, low_only):
+    """The echelon rows (only those with pivot degree <= N if low_only),
+    the slice dimensions and the normal forms of the words of length <= N
+    equal the oracle's."""
+    space, order, N = trunc.space, trunc.order, trunc.degree_cap
+    expected = oracle.rows
+    got = set(trunc.echelon.rows)
+    if low_only:
+        expected = {p: row for p, row in expected.items() if order.degree_of(p) <= N}
+        got = {p for p in got if order.degree_of(p) <= N}
+    assert got == set(expected)
+    for p, row in expected.items():
         assert trunc.echelon.row(p) == {k: x.v for k, x in row.items()}
-    degrees = [order.degree_of(p) for p in oracle.rows]
+    degrees = [order.degree_of(p) for p in expected]
     assert trunc.slice_dims == [sum(d <= k for d in degrees) for k in range(N + 1)]
     for length in range(N + 1):
         for w in all_words(space.dim, length):
             expect = order.to_elem(space, oracle.reduce({order.coord(w): space.field.one}))
             assert trunc.nf_word(w) == expect, w
+
+
+def _sandwich_path(pres, N, monkeypatch):
+    """ideal_truncation with the overlap certificate forced off."""
+    with monkeypatch.context() as m:
+        m.setattr(envelope, "_overlaps_resolve", lambda *args: False)
+        return ideal_truncation(pres, N)
+
+
+def _assert_truncation_matches_oracle(scalar_echelon, monkeypatch, pres, N):
+    """With the certificate forced off, ideal_truncation inserts every
+    sandwich up to its stabilized buffer, and all its rows equal the
+    oracle's span of those sandwiches.  As it comes, it reports the same
+    buffer, and on the certified path, which never builds the buffer
+    degrees, the rows with pivot degree <= N equal the oracle's.  Returns
+    whether that path was certified."""
+    forced = _sandwich_path(pres, N, monkeypatch)
+    assert not forced.overlaps_resolved
+    oracle = _oracle_sandwich_span(scalar_echelon, pres, forced)
+    _assert_rows_match_oracle(forced, oracle, low_only=False)
+    trunc = ideal_truncation(pres, N)
+    assert trunc.buffer_used == forced.buffer_used
+    _assert_rows_match_oracle(trunc, oracle, low_only=trunc.overlaps_resolved)
+    return trunc.overlaps_resolved
 
 
 def _random_integer_basis_change(rng, field):
@@ -348,8 +381,9 @@ def _random_integer_basis_change(rng, field):
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
-def test_ideal_truncation_matches_scalar_oracle(field, scalar_echelon):
+def test_ideal_truncation_matches_scalar_oracle(field, scalar_echelon, monkeypatch):
     rng = random.Random(f"truncation:{field!r}")
+    certified = set()
     for row in range(1, 9):
         canon = row_instance(row, field, default_gamma(row, field))
         for q in (canon, conjugate(canon, _random_integer_basis_change(rng, field))):
@@ -357,6 +391,77 @@ def test_ideal_truncation_matches_scalar_oracle(field, scalar_echelon):
             pres = uq_relations(q, split)
             assert pres.relations == _oracle_relations(scalar_echelon, q, split), row
             for N in range(5 if q is canon else 4):
-                _assert_truncation_matches_oracle(scalar_echelon, pres, N)
+                certified.add(_assert_truncation_matches_oracle(scalar_echelon, monkeypatch, pres, N))
     # the homogeneous case stops at N + buffer
-    _assert_truncation_matches_oracle(scalar_echelon, sq_presentation(row_instance(2, field).space), 4)
+    sq = sq_presentation(row_instance(2, field).space)
+    certified.add(_assert_truncation_matches_oracle(scalar_echelon, monkeypatch, sq, 4))
+    assert certified == {True, False}
+
+
+#: Diagonal braidings on three letters: the quantum linear space with
+#: q_ii = -1, the flip, and Cartan type A2 at q = -1 times A1.
+DIAGONAL_N3 = {
+    "quantum linear space": [[-1, 1, 1], [1, -1, 1], [1, 1, -1]],
+    "flip": [[1, 1, 1], [1, 1, 1], [1, 1, 1]],
+    "A2 x A1": [[-1, -1, 1], [1, -1, 1], [1, 1, -1]],
+}
+
+
+def _assert_certified_matches_sandwiches(pres, N, monkeypatch):
+    """ideal_truncation as it comes against the same with the certificate
+    forced off; returns whether the first was certified."""
+    trunc = ideal_truncation(pres, N)
+    forced = _sandwich_path(pres, N, monkeypatch)
+    order = trunc.order
+
+    def low_rows(t):
+        return {p: t.echelon.row(p) for p in t.echelon.rows if order.degree_of(p) <= N}
+
+    assert trunc.slice_dims == forced.slice_dims
+    assert trunc.buffer_used == forced.buffer_used
+    assert low_rows(trunc) == low_rows(forced)
+    assert trunc.quotient_words(N) == forced.quotient_words(N)
+    for length in range(N + 1):
+        for w in all_words(pres.space.dim, length):
+            assert trunc.nf_word(w) == forced.nf_word(w), w
+    return trunc.overlaps_resolved
+
+
+def test_certified_truncation_matches_sandwich_path(monkeypatch):
+    rng = random.Random("certified truncation")
+    cases = []
+    for field in (QQ, GF(3), GF(5), GF(7)):
+        for row in range(1, 9):
+            canon = row_instance(row, field, default_gamma(row, field))
+            conj = conjugate(canon, _random_integer_basis_change(rng, field))
+            cases.append((f"{field!r} row {row}", uq_relations(canon, split_minpoly(canon.space))))
+            cases.append((f"{field!r} row {row} conjugate", uq_relations(conj, split_minpoly(conj.space))))
+            cases.append((f"{field!r} row {row} sq", sq_presentation(conj.space)))
+    # the row-2 conjugate by [[-1, -1], [1, 0]] (a bench basis change)
+    # does not resolve its overlaps
+    fallback = conjugate(row_instance(2, QQ), Mat.from_rows(QQ, [[-1, -1], [1, 0]]))
+    cases.append(("Q row 2 fallback", uq_relations(fallback, split_minpoly(fallback.space))))
+    # two presentations whose overlaps leak relations into lower degrees:
+    # x1 x1 - x2, and the lift of a bracket that fails Jacobi
+    sp = row_instance(1, QQ).space
+    cases.append(("x1 x1 - x2", Presentation(sp, [TensorElem(sp, {(1, 1): QQ(1), (2,): QQ(-1)})])))
+    _, split, bad = _corrupted_row3()
+    cases.append(("Jacobi violation", uq_relations(bad, split)))
+    for name, q in DIAGONAL_N3.items():
+        cases.append((name, sq_presentation(BraidedSpace(QQ, 3, Mat.from_rows(QQ, diagonal_type(3, q))))))
+    # U(sl2) on the flip: [x1, x2] = x3, [x3, x1] = 2 x1, [x3, x2] = -2 x2
+    flip = BraidedSpace(QQ, 3, Mat.from_rows(QQ, diagonal_type(3, DIAGONAL_N3["flip"])))
+    beta = [[0] * 9 for _ in range(3)]
+    for i, j, k, coeff in ((1, 2, 3, 1), (3, 1, 1, 2), (3, 2, 2, -2)):
+        beta[k - 1][i - 1 + 3 * (j - 1)] += coeff
+        beta[k - 1][j - 1 + 3 * (i - 1)] -= coeff
+    sl2 = QuadraticLieAlgebra(flip, Mat.from_rows(QQ, beta))
+    cases.append(("U(sl2)", uq_relations(sl2, split_minpoly(flip))))
+    certified = {}
+    for name, pres in cases:
+        for N in range(5):
+            certified[name, N] = _assert_certified_matches_sandwiches(pres, N, monkeypatch)
+    # positive control: both paths run
+    assert not certified["Q row 2 fallback", 4]
+    assert not certified["x1 x1 - x2", 4]
+    assert all(certified[name, 4] for name in ("Q row 1", *DIAGONAL_N3, "U(sl2)"))

@@ -20,10 +20,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, reduce
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import prod
 
-from .braided import BraidedSpace, MinusOneNotSimple, _slot_index, braid_relation_holds, h_of_c, split_minpoly
+from .braided import BraidedSpace, MinusOneNotSimple, _slot_index, braid_relation_holds, diagonal_braiding, h_of_c, split_minpoly
 from .brackets import (
     QuadraticLieAlgebra,
     _e2bar_integral,
@@ -339,14 +339,10 @@ def _rank2_case_shapes(p, shard=0, nshards=1):
             yield c
 
 
-#: branch -> predicate on (row1, row2) of the bracket after normalization.
-_RANK2_BRANCHES = {
-    "case_1": lambda r1, r2: r2[0] == 1,
-    "case_2_1": lambda r1, r2: r2[0] == 0 and r1[3] == 1,
-    "case_2_2_1": lambda r1, r2: r2[0] == 0 and r1[3] == 0 and r2[1] == 1,
-    "case_2_2_2": lambda r1, r2: r2[0] == 0 and r1[3] == 0 and r2[1] == 0 and r2[2] == 1,
-    "case_residual": lambda r1, r2: r2[0] == 0 and r1[3] == 0 and r2[1] == 0 and r2[2] == 0 and r2[3] == 1,
-}
+#: The rank-two branches in order, each with the entry (row, column) of the
+#: normalized bracket (row1, row2) that decides it: a bracket belongs to
+#: the branch of its first nonzero entry among these, if that entry is 1.
+_RANK2_BRANCHES = {"case_1": (1, 0), "case_2_1": (0, 3), "case_2_2_1": (1, 1), "case_2_2_2": (1, 2), "case_residual": (1, 3)}
 
 
 def rank2_case_families(field: Field, shard: int = 0, nshards: int = 1) -> dict:
@@ -369,8 +365,16 @@ def rank2_case_families(field: Field, shard: int = 0, nshards: int = 1) -> dict:
         ck1 = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(c)]
         lk = null_space(field, zip(*ck1), 4)
         rows = [[sum(s * k[j] for s, k in zip(combo, lk)) % p for j in range(4)] for combo in coeffs]
-        pairs = [(r1, r2) for r1, ok1 in zip(rows, independent) for r2, ok in zip(rows, ok1) if ok]
-        return {name: [beta for beta in pairs if pred(*beta)] for name, pred in _RANK2_BRANCHES.items()}
+        branches = {name: [] for name in _RANK2_BRANCHES}
+        for r1, ok1 in zip(rows, independent):
+            for r2 in compress(rows, ok1):
+                beta = (r1, r2)
+                for name, (i, j) in _RANK2_BRANCHES.items():
+                    if x := beta[i][j]:
+                        if x == 1:
+                            branches[name].append(beta)
+                        break
+        return branches
 
     reports = {name: BranchReport() for name in _RANK2_BRANCHES}
     return _sweep(field, _rank2_case_shapes(p, shard, nshards), reports, candidates)
@@ -470,17 +474,11 @@ class SurveyReport:
 
 
 def _diagonal_braidings(field):
-    """All braidings c(x_i (x) x_j) = q_ij x_j (x) x_i over a prime field.
-
-    These satisfy Yang-Baxter identically."""
-    p = field.p
-    for q11, q21, q12, q22 in product(range(p), repeat=4):
-        rows = [[0] * 4 for _ in range(4)]
-        # column (i,j) carries q_ij at row (j,i)
-        cols = {(0, 0): q11, (1, 0): q21, (0, 1): q12, (1, 1): q22}
-        for (i, j), q in cols.items():
-            rows[j + 2 * i][i + 2 * j] = q
-        yield rows
+    """All braidings c(x_i (x) x_j) = q_ij x_j (x) x_i over a prime field,
+    in the order of (q11, q21, q12, q22).  These satisfy Yang-Baxter
+    identically."""
+    for q11, q21, q12, q22 in product(range(field.p), repeat=4):
+        yield diagonal_braiding(2, [[q11, q12], [q21, q22]])
 
 
 _CORNER_TEMPLATE = (

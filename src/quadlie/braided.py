@@ -220,6 +220,16 @@ def joint_minus_one_rows(c, n):
     return rows
 
 
+def diagonal_braiding(n, q):
+    """The rows of the braiding c(x_i (x) x_j) = q[i][j] x_j (x) x_i on n
+    letters, a Yang-Baxter operator for any q."""
+    c = [[0] * n**2 for _ in range(n**2)]
+    for i in range(n):
+        for j in range(n):
+            c[j + n * i][i + n * j] = q[i][j]
+    return c
+
+
 _MISSING = object()
 
 

@@ -51,26 +51,35 @@ def _emit(report, fmt, out=None):
         _emit_text(report, out)
 
 
+def _text(v):
+    """One line's text of a scalar, of an empty container (as in JSON) or
+    of a row of scalars (entries separated by spaces)."""
+    if isinstance(v, list) and v:
+        return " ".join(map(_text, v))
+    return json.dumps(v) if v is None or v == [] or v == {} else str(v)
+
+
 def _emit_text(obj, out, indent=0):
     pad = "  " * indent
     if isinstance(obj, dict):
         width = max((len(str(k)) for k in obj), default=0)
         for k in sorted(obj, key=str):
             v = obj[k]
-            if isinstance(v, (dict, list)):
+            if isinstance(v, (dict, list)) and v:
                 out.write(f"{pad}{k}:\n")
                 _emit_text(v, out, indent + 1)
             else:
-                out.write(f"{pad}{str(k).ljust(width)}  {v}\n")
+                out.write(f"{pad}{str(k).ljust(width)}  {_text(v)}\n")
     elif isinstance(obj, list):
         for v in obj:
-            if isinstance(v, (dict, list)):
+            # a row of scalars stays on one line
+            if isinstance(v, dict) and v or isinstance(v, list) and any(isinstance(x, (dict, list)) for x in v):
                 _emit_text(v, out, indent)
                 out.write("\n" if indent == 0 else "")
             else:
-                out.write(f"{pad}{v}\n")
+                out.write(f"{pad}{_text(v)}\n")
     else:
-        out.write(f"{pad}{obj}\n")
+        out.write(f"{pad}{_text(obj)}\n")
 
 
 def _violated(checks):
@@ -84,11 +93,14 @@ def _axiom_failure(q):
     return {"ok": False, "violated": violated} if violated else None
 
 
-def _presentation(thing):
-    """The quadratic presentation of a bracketed structure or of a bare space."""
-    if isinstance(thing, QuadraticLieAlgebra):
-        return envelope.presentation_for(thing, split_minpoly(thing.space))
-    return envelope.sq_presentation(thing)
+def _presentation(thing, args):
+    """The quadratic presentation of a bracketed structure or of a bare
+    space, once the words of length <= degree + buffer + 2 are within
+    envelope.MAX_WORDS."""
+    bracketed = isinstance(thing, QuadraticLieAlgebra)
+    space = thing.space if bracketed else thing
+    require_words(space.dim, args.degree + args.buffer + 2, envelope.MAX_WORDS, "ideal truncation")
+    return envelope.presentation_for(thing, split_minpoly(space)) if bracketed else envelope.sq_presentation(space)
 
 
 def cmd_verify(args):
@@ -114,16 +126,15 @@ def cmd_classify(args):
 
 def cmd_envelope(args):
     thing = load_input(_read_input(args.input))
-    space = thing
     if isinstance(thing, QuadraticLieAlgebra):
         failure = _axiom_failure(thing)
         if failure:
             return failure, False
-        space = thing.space
-    pres = _presentation(thing)
+    pres = _presentation(thing, args)
     trunc = envelope.ideal_truncation(pres, args.degree, args.buffer)
     fil = envelope.filtration_dims(pres, args.degree, trunc=trunc)
-    sq = envelope.sq_graded_dims(space, args.degree)
+    # a bare space's presentation is the quadratic symmetric algebra's own
+    sq = fil if pres.space is thing else envelope.sq_graded_dims(pres.space, args.degree)
     bg = envelope.bg_conditions(pres)
     report = {
         "relations": [tensor_elem_to_json(r) for r in pres.relations],
@@ -139,7 +150,7 @@ def cmd_envelope(args):
 
 
 def cmd_primitives(args):
-    pres = _presentation(load_input(_read_input(args.input)))
+    pres = _presentation(load_input(_read_input(args.input)), args)
     rep = nichols.primitives_of_quotient(pres, args.degree, args.buffer)
     report = {
         "degree_cap": rep.degree_cap,

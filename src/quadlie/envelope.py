@@ -5,10 +5,10 @@ spanned by the monomial sandwiches u r v, taken up to a working degree
 N + buffer.  When the relations' leading words have length 2 and their
 degree-3 overlaps resolve, the sandwiches of degree <= k span the
 ideal's slice at k for every k (G. Bergman's diamond lemma), so the
-slices up to N are exact once degree max(N, 3) is in.  Otherwise raising
-the buffer must leave the dimensions of the degree slices up to N
-unchanged (top-degree cancellations can leak relations into lower
-degrees).
+slices up to N are exact once degree max(N, 3) is in, as are those of a
+graded ideal.  Otherwise raising the buffer must leave the dimensions of
+the degree slices up to N unchanged (top-degree cancellations can leak
+relations into lower degrees).
 
 Coordinates are ordered with longer words first, so the rows of the
 reduced echelon span whose pivot has degree <= k form a canonical basis
@@ -19,6 +19,7 @@ elements are canonical coset representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate
 
 from .braided import BraidedSpace, MinpolySplit, all_words, h_of_c, require_words
 from .brackets import QuadraticLieAlgebra
@@ -33,8 +34,10 @@ from .tensoralg import (
 )
 
 
-#: Largest number of words of length <= N + buffer + 2 that
-#: ideal_truncation indexes: up to degree 9 at buffer 2 on two letters.
+#: Largest number of words that ideal_truncation indexes (all words of
+#: length <= its cap).  The command line holds envelope and primitives to
+#: the words of length <= N + buffer + 2: up to degree 9 at buffer 2 on
+#: two letters.
 MAX_WORDS = 2**14
 
 
@@ -227,17 +230,19 @@ def ideal_truncation(pres: Presentation, N: int, buffer: int = 2) -> IdealTrunca
     """Certified slices of the two-sided ideal up to degree N.
 
     Inserts the sandwiches degree by degree up to the working degree
-    N + buffer.  If the relations' overlaps resolve once degree
-    max(N, 3) <= N + buffer is in (``_overlaps_resolve``), the slices up
-    to N are final: it stops there and reports the buffer as used.
-    Otherwise it keeps raising the buffer (at most twice) until the slice
-    dimensions up to N stop changing; raises Unstabilized if they never
-    do.
+    N + buffer.  Once degree max(N, 3) <= N + buffer is in, the slices up
+    to N are final if the relations' overlaps resolve
+    (``_overlaps_resolve``), or if the presentation is graded (a sandwich
+    of degree d lies in T^d, so higher degrees never reach them): it stops
+    there and reports the buffer as used.  Otherwise it keeps raising the
+    buffer (at most twice) until the slice dimensions up to N stop
+    changing; raises Unstabilized if they never do.
     """
     if N < 0 or buffer < 1:
         raise ValueError("need N >= 0 and buffer >= 1")
     max_extra = 2
-    cap = N + buffer + max_extra
+    graded = pres.is_homogeneous_quadratic()
+    cap = max(N, 3) if graded else N + buffer + max_extra
     n = pres.space.dim
     require_words(n, cap, MAX_WORDS, "ideal truncation")
     order = EliminationOrder(n, cap)
@@ -246,29 +251,24 @@ def ideal_truncation(pres: Presentation, N: int, buffer: int = 2) -> IdealTrunca
     resolved = False
     for d in range(0, N + buffer + 1):
         _insert_sandwiches(ech, order, n, rels, d)
-        if d == max(N, 3) and _overlaps_resolve(order, ech, rels):
-            resolved = True
-            break
+        if d == max(N, 3):
+            resolved = _overlaps_resolve(order, ech, rels)
+            if resolved or graded:
+                break
 
     def dims():
-        out = [0] * (N + 1)
+        """dim(ideal intersect T^{<=k}) for k = 0..N."""
+        counts = [0] * (N + 1)
         for p in ech.rows:
-            deg = order.degree_of(p)
-            if deg <= N:
-                out[deg] += 1
-        # cumulative: dim(ideal intersect T^{<=k})
-        acc = []
-        total = 0
-        for k in range(N + 1):
-            total += out[k]
-            acc.append(total)
-        return acc
+            if (deg := order.degree_of(p)) <= N:
+                counts[deg] += 1
+        return list(accumulate(counts))
 
     current = dims()
     used = buffer
     for extra in range(1, max_extra + 1):
-        if resolved or pres.is_homogeneous_quadratic():
-            break  # exact slices, or a graded ideal: slices cannot leak downward
+        if resolved or graded:
+            break  # exact slices
         _insert_sandwiches(ech, order, n, rels, N + buffer + extra)
         nxt = dims()
         if nxt == current:
@@ -304,41 +304,29 @@ def filtration_dims(pres: Presentation, N: int, buffer: int = 2, trunc=None):
 
 
 def sq_graded_dims(space: BraidedSpace, N: int):
-    """Graded dimensions of the quadratic symmetric algebra.
-
-    Degree m: dim V^(x)m minus the span of all slot placements of the
-    degree-two primitives.  The degrees share one echelon: their rows have
-    no coordinate in common, so each degree adds its own rank.
-    """
-    n = space.dim
-    order = EliminationOrder(n, N)
-    e_elems = [tensor_elem_from_vector(space, v, 2) for v in space.e2().basis]
-    ech = SparseEchelon(space.field)
-    out = []
-    for m in range(N + 1):
-        rank = ech.rank
-        _insert_sandwiches(ech, order, n, e_elems, m)
-        out.append(n**m - (ech.rank - rank))
-    return out
+    """Graded dimensions of the quadratic symmetric algebra: the
+    filtration of the zero bracket's enveloping algebra, whose ideal is
+    graded."""
+    return filtration_dims(sq_presentation(space), N)
 
 
 def bg_conditions(pres: Presentation):
     """The two PBW-type span conditions for an inhomogeneous quadratic
     presentation P: (I) P meets T^{<=1} trivially; (J) sandwiching by
-    T^{<=1} on both sides creates nothing new in T^{<=2}."""
+    T^{<=1} on both sides creates nothing new in T^{<=2}.
+
+    The relations are a reduced echelon basis, so (I) says that each has
+    top degree 2, and (J) that the sandwiches' rows of pivot degree <= 2,
+    which span a space containing P, are as many as the relations."""
     space = pres.space
     n = space.dim
     order = EliminationOrder(n, 4)
-    p_ech = SparseEchelon(space.field, [order.to_coords(r) for r in pres.relations])
-    cond_i = all(order.degree_of(p) >= 2 for p in p_ech.rows)
-
     big = SparseEchelon(space.field)
     for r in pres.relations:
         for vec in _sandwiches(order, r, n, [(0, 0), (0, 1), (1, 0), (1, 1)]):
             big.insert(vec)
-    # canonical rows: equal spans have equal rows
-    low_rows = {p: row for p, row in big.rows.items() if order.degree_of(p) <= 2}
-    cond_j = low_rows == p_ech.rows
+    cond_i = all(r.top_degree() == 2 for r in pres.relations)
+    cond_j = sum(order.degree_of(p) <= 2 for p in big.rows) == len(pres.relations)
     return {"I": cond_i, "J": cond_j}
 
 

@@ -407,27 +407,22 @@ def eval_poly_at(p: Poly, m: Mat) -> Mat:
 
 
 def minimal_polynomial(m: Mat) -> Poly:
-    """Least-degree monic annihilator of m, via dependence among powers."""
+    """Least-degree monic annihilator of m, via dependence among powers:
+    m^0, m^1, ... go into one echelon, m^k flattened and tagged by a
+    coordinate n^2 + k after its entries, and the first power whose entries
+    reduce to zero leaves a row of tags, the annihilator's coefficients."""
     if m.rows != m.cols:
         raise ValueError("minimal polynomial of a nonsquare matrix")
     field = m.field
-    n = m.rows
-    flat = lambda mm: [x for row in mm.a for x in row]
-    powers = [Mat.identity(field, n)]
-    rows = [flat(powers[0])]
-    while True:
-        k = len(powers)
-        nxt = powers[-1] @ m
-        stacked = Mat(field, rows + [flat(nxt)])
-        if stacked.rank() <= k:
-            break
-        powers.append(nxt)
-        rows.append(flat(nxt))
-    # m^k is a combination of lower powers: solve for the coefficients.
-    target = flat(powers[-1] @ m)
-    a = Mat(field, [list(col) for col in zip(*rows)])
-    x = solve(a, tuple(target))
-    return Poly(field, [-c for c in x] + [1])
+    n2 = m.rows**2
+    ech = SparseEchelon(field)
+    power = Mat.identity(field, m.rows)
+    for k in range(m.rows + 1):  # the degree is at most the size (Cayley-Hamilton)
+        pivot = ech.insert([x for row in power.a for x in row] + [0] * k + [1])
+        if pivot >= n2:
+            row = ech.row(pivot)
+            return Poly(field, [row.get(n2 + i, 0) for i in range(k + 1)]).monic()
+        power = power @ m
 
 
 def complement_split(m_alpha: Mat, m_beta: Mat):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .braided import BraidedSpace, mat_tensor
+from .braided import BraidedSpace, mat_tensor, per_space
 from .envelope import IdealTruncation, Presentation, ideal_truncation, sq_graded_dims, sq_presentation
 from .fields import Scalar
 from .linalg import Mat, Subspace, null_space
@@ -42,26 +42,26 @@ def braid_lift(space: BraidedSpace, word, total: int) -> Mat:
     return out
 
 
+@per_space
 def quantum_symmetrizer(space: BraidedSpace, n: int) -> Mat:
-    """Sum of the braid lifts of all permutations of n tensor factors.
+    """Sum of the braid lifts of all permutations of n tensor factors,
+    built once per space and degree.
 
-    Built by the Woronowicz factorisation S_k = (S_(k-1) (x) id) T_k with
-    T_k = id + c_(k-1) + c_(k-1) c_(k-2) + ... + c_(k-1) ... c_1: every
+    Built by the Woronowicz factorisation S_n = (S_(n-1) (x) id) T_n with
+    T_n = id + c_(n-1) + c_(n-1) c_(n-2) + ... + c_(n-1) ... c_1: every
     permutation is h tau with h fixing the last factor and tau one of the
-    minimal coset representatives s_(k-1) ... s_j, whose lengths add.
+    minimal coset representatives s_(n-1) ... s_j, whose lengths add.
     """
     if n < 0:
         raise ValueError("negative degree")
     field = space.field
-    eye_v = Mat.identity(field, space.dim)
-    total = Mat.identity(field, 1)
-    for k in range(1, n + 1):
-        eye = Mat.identity(field, space.dim**k)
-        t = eye
-        for i in range(1, k):
-            t = eye + space.braiding_at(i, k) @ t
-        total = mat_tensor(field, total, eye_v) @ t
-    return total
+    if n == 0:
+        return Mat.identity(field, 1)
+    eye = Mat.identity(field, space.dim**n)
+    t = eye
+    for i in range(1, n):
+        t = eye + space.braiding_at(i, n) @ t
+    return mat_tensor(field, quantum_symmetrizer(space, n - 1), Mat.identity(field, space.dim)) @ t
 
 
 def symmetrizer_rank(space: BraidedSpace, n: int) -> int:

@@ -7,7 +7,9 @@ reduced, exactly as the fast structure defines them.
 
 ``dense_oracle`` is the dense Scalar Gauss-Jordan elimination, kept as the
 oracle of ``Mat.rref``, ``rank``, ``kernel``, ``solve`` and ``inverse``,
-which all reduce through ``SparseEchelon``.
+which all reduce through ``SparseEchelon``, and of ``minimal_polynomial``
+by the rank of the stacked powers and ``solve``, where the core tags the
+powers in one echelon.
 
 The containers hold raw values (ints or Fractions over Q, residues over
 GF(p)).  The oracles wrap the entries they read as Scalars, compute on
@@ -44,7 +46,7 @@ import pytest
 from quadlie.braided import mat_tensor
 from quadlie.brackets import LiftedReport
 from quadlie.fields import GF
-from quadlie.linalg import HypothesisViolated, Mat
+from quadlie.linalg import HypothesisViolated, Mat, Poly
 
 
 def scalar_rows(m):
@@ -55,15 +57,6 @@ def scalar_rows(m):
 def raw(field, values):
     """A sequence of Scalars (or raw values) as a tuple of raw values."""
     return tuple(field.coerce(x) for x in values)
-
-
-def diagonal_type(n, q):
-    """c(x_i (x) x_j) = q[i][j] x_j (x) x_i, a solution for any q."""
-    c = [[0] * n**2 for _ in range(n**2)]
-    for i in range(n):
-        for j in range(n):
-            c[j + n * i][i + n * j] = q[i][j]
-    return c
 
 
 class ScalarEchelon:
@@ -195,6 +188,21 @@ class DenseOracle:
         for r, c in enumerate(piv):
             x[c] = a.field(red.a[r][a.cols])
         return raw(a.field, x)
+
+    @classmethod
+    def minimal_polynomial(cls, m):
+        """The least k for which m^k adds no rank to the stacked flattened
+        powers m^0 ... m^(k-1), and the combination of them that gives m^k,
+        by ``solve``."""
+        flat = lambda a: [x for row in a.a for x in row]
+        powers = [Mat.identity(m.field, m.rows)]
+        while True:
+            nxt = dense_product(powers[-1], m)
+            if cls.rank(Mat(m.field, [flat(a) for a in powers + [nxt]])) == len(powers):
+                break
+            powers.append(nxt)
+        x = cls.solve(Mat(m.field, [list(col) for col in zip(*map(flat, powers))]), flat(nxt))
+        return Poly(m.field, [-c for c in x] + [1])
 
     @classmethod
     def inverse(cls, m):

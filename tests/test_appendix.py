@@ -131,7 +131,7 @@ def test_integer_fast_path_matches_generic(dense_yang_baxter_oracle, dense_lifte
     # eigenspace, braid relation, axiom checks) must agree with the dense
     # Scalar machinery
     from quadlie.appendix import _IntBraiding
-    from quadlie.braided import mat_tensor
+    from quadlie.braided import lift_to_slot, mat_tensor
     from quadlie.table import default_gamma
 
     rng = random.Random(99)
@@ -148,8 +148,8 @@ def test_integer_fast_path_matches_generic(dense_yang_baxter_oracle, dense_lifte
         assert len(data.e2bar) == sp.e2bar().dim
         b_rows = tuple(tuple(rng.randrange(5) for _ in range(4)) for _ in range(2))
         q = QuadraticLieAlgebra(sp, Mat.from_rows(F, [list(r) for r in b_rows]))
-        assert lift_rows(b_rows, 1, 3, 2, 2, 1) == q.beta1().a == mat_tensor(F, q.beta, eye).a
-        assert lift_rows(b_rows, 2, 3, 2, 2, 1) == q.beta2().a == mat_tensor(F, eye, q.beta).a
+        assert lift_rows(b_rows, 1, 3, 2, 2, 1) == lift_to_slot(q.beta, 1, 3, 2, 2, 1).a == mat_tensor(F, q.beta, eye).a
+        assert lift_rows(b_rows, 2, 3, 2, 2, 1) == lift_to_slot(q.beta, 2, 3, 2, 2, 1).a == mat_tensor(F, eye, q.beta).a
 
     # axiom agreement, on braidings that do satisfy the braid relation:
     # the canonical rows with both genuine and random brackets

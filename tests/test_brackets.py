@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from quadlie.braided import BraidedSpace, h_of_c, split_minpoly
+from quadlie.braided import BraidedSpace, h_of_c, lift_to_slot, split_minpoly
 from quadlie.brackets import (
     BasisMismatch,
     Inconsistent,
@@ -202,6 +202,11 @@ def _kills_e2bar(space, mat):
     return all(not x for v in space.e2bar().basis for x in mat.apply(v))
 
 
+def _lift(q, slot):
+    """b (x) Id (slot 1) or Id (x) b (slot 2) acting on V^(x)3."""
+    return lift_to_slot(q.beta, slot, 3, q.space.dim, 2, 1)
+
+
 def test_jacobi_equivalent_to_one_sided_vanishing():
     # in odd characteristic, with antisymmetry and compatibility in place,
     # the Jacobi condition holds iff b b1 kills the domain iff b b2 does
@@ -213,8 +218,8 @@ def test_jacobi_equivalent_to_one_sided_vanishing():
     for q in cases:
         rep = verify_lifted(q)
         assert rep.antisym and rep.bracket_left and rep.bracket_right
-        one = _kills_e2bar(q.space, q.beta @ q.beta1())
-        two = _kills_e2bar(q.space, q.beta @ q.beta2())
+        one = _kills_e2bar(q.space, q.beta @ _lift(q, 1))
+        two = _kills_e2bar(q.space, q.beta @ _lift(q, 2))
         assert rep.jacobi == one == two
 
     # a Jacobi violator (which also breaks compatibility) fails both
@@ -227,8 +232,8 @@ def test_jacobi_equivalent_to_one_sided_vanishing():
     bad = lift_bracket(RB(q.space, q.space.e2(), bb), split)
     rep = verify_lifted(bad)
     assert rep.antisym and not rep.jacobi and not rep.bracket_left
-    assert not _kills_e2bar(bad.space, bad.beta @ bad.beta1())
-    assert not _kills_e2bar(bad.space, bad.beta @ bad.beta2())
+    assert not _kills_e2bar(bad.space, bad.beta @ _lift(bad, 1))
+    assert not _kills_e2bar(bad.space, bad.beta @ _lift(bad, 2))
 
 
 def test_scaling_invariance():

@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 import pytest
-from conftest import diagonal_type
 
 from quadlie.braided import (
     BraidedSpace,
@@ -9,6 +8,7 @@ from quadlie.braided import (
     MinusOneNotSimple,
     NotYangBaxter,
     all_words,
+    diagonal_braiding,
     index_word,
     is_categorical,
     lift_to_slot,
@@ -284,7 +284,7 @@ def test_braid_relation_matches_dense_oracle(n, field, dense_yang_baxter_oracle)
         if kind == 2:
             c = [[entry() if rng.random() < 0.3 else 0 for _ in range(n**2)] for _ in range(n**2)]
         else:
-            c = diagonal_type(n, [[entry() for _ in range(n)] for _ in range(n)])
+            c = diagonal_braiding(n, [[entry() for _ in range(n)] for _ in range(n)])
             if kind == 1:
                 c[rng.randrange(n**2)][rng.randrange(n**2)] += 1
         space = BraidedSpace(field, n, Mat.from_rows(field, c), check=False)

@@ -1,10 +1,9 @@
 import random
 
 import pytest
-from conftest import diagonal_type
 
 from quadlie import envelope
-from quadlie.braided import BraidedSpace, all_words, h_of_c, split_minpoly
+from quadlie.braided import BraidedSpace, all_words, diagonal_braiding, h_of_c, split_minpoly
 from quadlie.brackets import QuadraticLieAlgebra, RestrictedBracket, lift_bracket
 from quadlie.classify import conjugate
 from quadlie.envelope import (
@@ -308,11 +307,16 @@ def _oracle_relations(oracle, q, split):
 
 def _oracle_sandwich_span(oracle, pres, trunc):
     """Every sandwich u r v that ideal_truncation inserted on its
-    stabilization path, built as a TensorElem product and put into the
-    Scalar oracle echelon."""
+    stabilization path (at the default buffer 2), built as a TensorElem
+    product and put into the Scalar oracle echelon.  A graded ideal stops
+    at degree max(N, 3) when N + 2 reaches it."""
     space = pres.space
     n = space.dim
-    top = trunc.degree_cap + trunc.buffer_used + (0 if pres.is_homogeneous_quadratic() else 1)
+    N = trunc.degree_cap
+    if pres.is_homogeneous_quadratic():
+        top = min(max(N, 3), N + 2)
+    else:
+        top = N + trunc.buffer_used + 1
     ech = oracle(space.field)
     for d in range(top + 1):
         for r in pres.relations:
@@ -392,7 +396,7 @@ def test_ideal_truncation_matches_scalar_oracle(field, scalar_echelon, monkeypat
             assert pres.relations == _oracle_relations(scalar_echelon, q, split), row
             for N in range(5 if q is canon else 4):
                 certified.add(_assert_truncation_matches_oracle(scalar_echelon, monkeypatch, pres, N))
-    # the homogeneous case stops at N + buffer
+    # the homogeneous case stops at max(N, 3)
     sq = sq_presentation(row_instance(2, field).space)
     certified.add(_assert_truncation_matches_oracle(scalar_echelon, monkeypatch, sq, 4))
     assert certified == {True, False}
@@ -448,9 +452,9 @@ def test_certified_truncation_matches_sandwich_path(monkeypatch):
     _, split, bad = _corrupted_row3()
     cases.append(("Jacobi violation", uq_relations(bad, split)))
     for name, q in DIAGONAL_N3.items():
-        cases.append((name, sq_presentation(BraidedSpace(QQ, 3, Mat.from_rows(QQ, diagonal_type(3, q))))))
+        cases.append((name, sq_presentation(BraidedSpace(QQ, 3, Mat.from_rows(QQ, diagonal_braiding(3, q))))))
     # U(sl2) on the flip: [x1, x2] = x3, [x3, x1] = 2 x1, [x3, x2] = -2 x2
-    flip = BraidedSpace(QQ, 3, Mat.from_rows(QQ, diagonal_type(3, DIAGONAL_N3["flip"])))
+    flip = BraidedSpace(QQ, 3, Mat.from_rows(QQ, diagonal_braiding(3, DIAGONAL_N3["flip"])))
     beta = [[0] * 9 for _ in range(3)]
     for i, j, k, coeff in ((1, 2, 3, 1), (3, 1, 1, 2), (3, 2, 2, -2)):
         beta[k - 1][i - 1 + 3 * (j - 1)] += coeff
@@ -465,3 +469,68 @@ def test_certified_truncation_matches_sandwich_path(monkeypatch):
     assert not certified["Q row 2 fallback", 4]
     assert not certified["x1 x1 - x2", 4]
     assert all(certified[name, 4] for name in ("Q row 1", *DIAGONAL_N3, "U(sl2)"))
+
+
+def _buffer_path(pres, N, monkeypatch):
+    """ideal_truncation with the overlap certificate and the graded stop
+    forced off: it builds every degree up to N + buffer and one more, on
+    an order of the words of length <= N + buffer + 2."""
+    with monkeypatch.context() as m:
+        m.setattr(envelope, "_overlaps_resolve", lambda *args: False)
+        m.setattr(Presentation, "is_homogeneous_quadratic", lambda self: False)
+        m.setattr(envelope, "MAX_WORDS", 3**10)  # n = 3 at N = 5
+        return ideal_truncation(pres, N)
+
+
+def _low_rows_as_words(trunc):
+    """The echelon rows of pivot degree <= N, with words for coordinates
+    (the coordinates depend on the order's cap)."""
+    order, ech = trunc.order, trunc.echelon
+    return {
+        order.word(p): {order.word(k): x for k, x in ech.row(p).items()}
+        for p in ech.rows
+        if order.degree_of(p) <= trunc.degree_cap
+    }
+
+
+def test_graded_truncation_matches_buffer_path(monkeypatch):
+    # a graded ideal stops at degree max(N, 3), on an order built only that
+    # far, with the slices, rows, quotient words and normal forms of the
+    # path that builds the buffer degrees
+    rng = random.Random("graded truncation")
+    spaces = []
+    for field in (QQ, GF(5)):
+        for row in range(1, 9):
+            canon = row_instance(row, field, default_gamma(row, field))
+            spaces += [canon.space, conjugate(canon, _random_integer_basis_change(rng, field)).space]
+    spaces += [BraidedSpace(QQ, 3, Mat.from_rows(QQ, diagonal_braiding(3, q))) for q in DIAGONAL_N3.values()]
+    for space in spaces:
+        pres = sq_presentation(space)
+        for N in range(6):
+            trunc = ideal_truncation(pres, N)
+            full = _buffer_path(pres, N, monkeypatch)
+            assert trunc.order.cap == max(N, 3) and full.order.cap == N + 4
+            assert trunc.slice_dims == full.slice_dims
+            assert trunc.buffer_used == full.buffer_used == 2
+            assert _low_rows_as_words(trunc) == _low_rows_as_words(full)
+            assert trunc.quotient_words(N) == full.quotient_words(N)
+            # normal forms agree on every degree that both paths build
+            for length in range(min(max(N, 3), N + 2) + 1):
+                for w in all_words(space.dim, length):
+                    assert trunc.nf_word(w) == full.nf_word(w), w
+            assert sq_graded_dims(space, N) == filtration_dims(pres, N, trunc=full)
+
+
+def test_bg_conditions_from_the_relation_echelon():
+    # J fails on <x1 x1 - x2>: x1 r - r x1 = x2 x1 - x1 x2 is new in degree 2
+    sp = row_instance(1, QQ).space
+    pres = Presentation(sp, [TensorElem(sp, {(1, 1): QQ(1), (2,): QQ(-1)})])
+    assert bg_conditions(pres) == {"I": True, "J": False}
+    # and I fails on a relation of degree 1 next to a quadratic one
+    pres = Presentation(sp, [TensorElem(sp, {(1, 2): QQ(1), (2, 1): QQ(-1)}), TensorElem(sp, {(2,): QQ(1)})])
+    assert bg_conditions(pres)["I"] is False
+    for field in (QQ, GF(5)):
+        for row in range(1, 9):
+            q = row_instance(row, field, default_gamma(row, field))
+            for pres in (uq_relations(q, split_minpoly(q.space)), sq_presentation(q.space)):
+                assert bg_conditions(pres) == {"I": True, "J": True}, (field, row)

@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadlie import appendix, brackets, cli, envelope, jsonio, nichols
-from quadlie.braided import IndexOutOfRange, MinusOneNotSimple, NotYangBaxter, require_words
+from quadlie.braided import IndexOutOfRange, MinusOneNotSimple, NotYangBaxter, diagonal_braiding, require_words
 from quadlie.brackets import BasisMismatch, Inconsistent, verify_lifted
-from quadlie.classify import InternalContradiction, PreconditionViolated, UnsupportedField, canonical_form
+from quadlie.classify import InternalContradiction, PreconditionViolated, UnsupportedField, canonical_form, conjugate
 from quadlie.cli import main
 from quadlie.envelope import Unstabilized
 from quadlie.fields import GF, QQ, CharTwo, CheckFailed, DivisionByZero, FieldMismatch
@@ -30,7 +30,7 @@ from quadlie.jsonio import (
     scalar_to_json,
     validate_input,
 )
-from quadlie.linalg import HypothesisViolated
+from quadlie.linalg import HypothesisViolated, Mat
 from quadlie.table import default_gamma, row_instance
 from quadlie.tensoralg import DegreeMismatch
 
@@ -317,6 +317,7 @@ def test_check_failures_share_one_base():
 _NON_BRAID = {"field": "Q", "dim": 2, "c": [[1, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 2]]}
 _ROW1 = algebra_to_json(row_instance(1, QQ))
 _BAD_BRACKET = {**_ROW1, "beta": [list(_ROW1["beta"][0]), [0, 1, 0, 0]]}  # beta[1][1] = 1 breaks antisymmetry
+_ROW3_SHEARED = algebra_to_json(conjugate(row_instance(3, QQ, default_gamma(3, QQ)), Mat.from_rows(QQ, [[1, 1], [0, 1]])))
 _ANTISYMMETRY_FAILED = '{\n  "ok": false,\n  "violated": [\n    "antisymmetry"\n  ]\n}\n'
 
 # stdout bytes and exit codes that no benchmark digest covers
@@ -332,7 +333,15 @@ _PINNED = {
         _ROW1,
         0,
         "antisymmetry   True\nbracket_left   True\nbracket_right  True\njacobi         True\n"
-        "ok             True\nviolated:\nyang_baxter    True\n",
+        "ok             True\nviolated       []\nyang_baxter    True\n",
+    ),
+    "classify_text": (
+        # a matrix keeps its shape: one line per row
+        ["classify", "--input", "-", "--format", "text"],
+        _ROW3_SHEARED,
+        0,
+        "change_of_basis:\n  1 -1\n  0 1\ngamma                    2\n"
+        "gamma_square_class_note  True\nok                       True\nrow                      3\n",
     ),
     "udu_text": (
         ["search", "--scope", "udu", "--field", "Q", "--format", "text"],
@@ -502,6 +511,34 @@ def test_cli_dim_limit_exit_2(capsys, monkeypatch, wrap):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert "input error" in err and f"exceeds the limit {jsonio.MAX_DIM}" in err
+
+
+def test_cli_envelope_word_limit_on_a_space_document(capsys):
+    # a graded truncation builds words only up to degree max(N, 3), but the
+    # command line holds envelope to the words of length <= degree + buffer + 2
+    space = algebra_to_json(row_instance(1, QQ))["space"]
+    got = _run(capsys, ["envelope", "--input", "-", "--degree", "10"], json.dumps(space))
+    assert got == (2, "", "input error: ideal truncation: more than 16384 words of length <= 14 over 2 letters\n")
+
+
+def test_cli_envelope_on_a_space_document_truncates_once(capsys, monkeypatch):
+    # a bare space's presentation is the quadratic symmetric algebra's, so
+    # its filtration is already sq_graded_dims
+    calls = []
+    truncate = envelope.ideal_truncation
+    monkeypatch.setattr(envelope, "ideal_truncation", lambda *args: calls.append(args) or truncate(*args))
+    space = algebra_to_json(row_instance(4, QQ, default_gamma(4, QQ)))["space"]
+    code, out, _ = _run(capsys, ["envelope", "--input", "-", "--degree", "5", "--buffer", "1"], json.dumps(space))
+    report = json.loads(out)
+    assert code == 0 and len(calls) == 1
+    assert report["sq_graded_dims"] == report["filtration_dims"] == envelope.sq_graded_dims(jsonio.load_input(space), 5)
+
+
+def test_cli_nichols_check_on_four_letters(capsys):
+    # nichols-check is held to its own word limit only, not to the envelope's
+    doc = {"field": "Q", "dim": 4, "c": diagonal_braiding(4, [[1] * 4] * 4)}
+    code, out, _ = _run(capsys, ["nichols-check", "--input", "-", "--degree", "4"], json.dumps(doc))
+    assert code == 0 and json.loads(out)["symmetrizer_ranks"] == [1, 4, 10, 20, 35]
 
 
 def test_word_limits_admit_the_documented_degrees():

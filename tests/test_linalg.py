@@ -95,6 +95,24 @@ def test_minimal_polynomial_properties():
                     assert not eval_poly_at(cand, m).is_zero()
 
 
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(7)], ids=repr)
+def test_minimal_polynomial_matches_power_rank_oracle(field, dense_oracle):
+    rng = random.Random(f"minimal polynomial:{field!r}")
+    for n in range(1, 5):
+        eye = Mat.identity(field, n)
+        mats = [Mat.zero(field, n, n), eye, eye.scale(2), eye.scale(-1)]
+        # nilpotent: strictly upper triangular, conjugated by an invertible a
+        while (a := _rand_mat(field, n, n, rng)).rank() < n:
+            pass
+        upper = Mat.from_rows(field, [[rng.randint(-2, 2) if j > i else 0 for j in range(n)] for i in range(n)])
+        mats += [upper, a @ upper @ a.inverse()]
+        mats += [_rand_mat(field, n, n, rng) for _ in range(4)]
+        for m in mats:
+            f = minimal_polynomial(m)
+            assert f == dense_oracle.minimal_polynomial(m), m
+            assert eval_poly_at(f, m).is_zero()
+
+
 def test_poly_gcd_bezout_examples():
     g, u, v = poly_gcd_bezout(Poly(QQ, [1, 1]), Poly(QQ, [-1, 1]))
     assert g == Poly(QQ, [1])

@@ -77,6 +77,27 @@ def test_symmetrizer_matches_permutation_sum_on_conjugates():
                 assert quantum_symmetrizer(sp, n) == _permutation_sum(sp, n), (field, row, n)
 
 
+def test_symmetrizer_built_once_per_space(monkeypatch):
+    # S_n is kept on the space and built from S_(n-1): degree 4 on a fresh
+    # space takes four tensor steps, and every degree up to 4 is then
+    # returned as the same object, equal to the sum over permutations
+    from quadlie import nichols
+
+    steps = []
+    tensor = nichols.mat_tensor
+    monkeypatch.setattr(nichols, "mat_tensor", lambda *args: steps.append(1) or tensor(*args))
+    for field in (QQ, GF(5)):
+        steps.clear()
+        sp = row_instance(2, field, default_gamma(2, field)).space
+        top = quantum_symmetrizer(sp, 4)
+        assert len(steps) == 4
+        again = [quantum_symmetrizer(sp, n) for n in range(5)]
+        assert len(steps) == 4 and again[4] is top
+        for n, s in enumerate(again):
+            assert quantum_symmetrizer(sp, n) is s
+            assert s == _permutation_sum(sp, n), (field, n)
+
+
 def test_symmetrizer_degree_two():
     sp = row_instance(1, QQ).space
     assert quantum_symmetrizer(sp, 2) == sp.c + Mat.identity(QQ, 4)

@@ -69,6 +69,7 @@ from .linalg import (
 from .nichols import (
     PrimitiveReport,
     nichols_quadratic_at,
+    nichols_ranks,
     primitives_of_quotient,
     q_binomial,
     quantum_symmetrizer,

@@ -169,7 +169,7 @@ def cmd_nichols_check(args):
     space = thing.space if isinstance(thing, QuadraticLieAlgebra) else thing
     require_words(space.dim, args.degree, nichols.MAX_SYMMETRIZER_WORDS, "nichols-check")
     dims = envelope.sq_graded_dims(space, args.degree)
-    ranks = [nichols.symmetrizer_rank(space, n) for n in range(args.degree + 1)]
+    ranks = nichols.nichols_ranks(space, args.degree)
     ok = ranks == dims
     report = {
         "degrees": list(range(args.degree + 1)),

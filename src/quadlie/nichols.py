@@ -2,11 +2,15 @@
 
 Degree-n dimensions of the Nichols algebra are ranks of quantum
 symmetrizers: sums of the braid lifts of all permutations (well-defined
-by Matsumoto's theorem), built from O(n^2) products by the Woronowicz
-factorisation.  Primitivity of quotient cosets is decided by reducing
-both coproduct legs to canonical normal forms.  Includes Gaussian
-binomials and the closed-form power coproducts of the diagonal-type and
-unipotent-type canonical braidings.
+by Matsumoto's theorem).  By the Woronowicz factorisation
+S_n = (S_(n-1) (x) id) T_n, the rank of S_n is that of a row basis of
+S_(n-1), tensored with id, times T_n, so the ranks come from one row
+basis per degree, and no symmetrizer is built.  The dense symmetrizer
+and the braid lifts stay as the oracles of that recursion.  Primitivity
+of quotient cosets is decided by reducing both coproduct legs to
+canonical normal forms.  Includes Gaussian binomials and the closed-form
+power coproducts of the diagonal-type and unipotent-type canonical
+braidings.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from .braided import BraidedSpace, mat_tensor, per_space
 from .envelope import IdealTruncation, Presentation, ideal_truncation, sq_graded_dims, sq_presentation
 from .fields import Scalar
-from .linalg import Mat, Subspace, null_space
+from .linalg import Mat, SparseEchelon, Subspace, integral, null_space
 from .table import row_instance
 from .tensoralg import (
     SplitTensorElem,
@@ -29,8 +33,9 @@ from .tensoralg import (
 )
 
 
-#: Largest number of words of length <= the degree of nichols-check, whose
-#: symmetrizers are dense n^d x n^d matrices: degree 8 on two letters.
+#: Largest number of words of length <= the degree of nichols-check: degree
+#: 8 on two letters.  A row basis of S_(d-1) can have n^(d-1) rows, so the
+#: recursion's work is bounded through the words.
 MAX_SYMMETRIZER_WORDS = 2**9
 
 
@@ -64,15 +69,75 @@ def quantum_symmetrizer(space: BraidedSpace, n: int) -> Mat:
     return mat_tensor(field, quantum_symmetrizer(space, n - 1), Mat.identity(field, space.dim)) @ t
 
 
+@per_space
+def symmetrizer_row_basis(space: BraidedSpace, n: int) -> tuple:
+    """A basis of the row space of the quantum symmetrizer S_n, as sparse
+    dicts of raw values (fraction-free integers over Q, residues over
+    GF(p)), built once per space and degree.
+
+    If R is a row basis of S_(n-1), then S_n = (S_(n-1) (x) id) T_n has
+    the row space of (R (x) id) T_n.  Each row y of R (x) id is multiplied
+    by T_n = id + c_(n-1) + c_(n-1) c_(n-2) + ... + c_(n-1) ... c_1 from
+    the right, Horner style: y <- y c_i for i = n-1 ... 1, each y added to
+    the sum, with c_i acting through c's own rows on two digits of the
+    word index, so no lifted matrix or index table is built.  Over Q c is
+    taken as an integer matrix c' = den c, so the sum is den^(n-1) times
+    the row of (R (x) id) T_n, and no Fraction arises.
+    """
+    if n < 0:
+        raise ValueError("negative degree")
+    if n == 0:
+        return ({0: 1},)
+    prev = symmetrizer_row_basis(space, n - 1)
+    if not prev:
+        return ()
+    dim, field = space.dim, space.field
+    p, n2 = field.p, dim * dim
+    flat = [x for row in space.c.a for x in row]
+    entries, den = integral(flat) if p is None else (flat, 1)
+    c_rows = [[(m, v) for m, v in enumerate(entries[i * n2 : (i + 1) * n2]) if v] for i in range(n2)]
+    # c_i acts on the digits i and i + 1 of the word index, worth lo = n^(i-1)
+    lows = [dim ** (i - 1) for i in range(n - 1, 0, -1)]
+    shift = dim ** (n - 1)
+    echelon = SparseEchelon(field)
+    for row in prev:
+        for j in range(0, shift * dim, shift):
+            y = {k + j: x for k, x in row.items()}
+            total = dict(y)
+            for lo in lows:
+                out = {}
+                for k, x in y.items():
+                    i = k // lo % n2
+                    base = k - lo * i
+                    for m, v in c_rows[i]:
+                        o = base + lo * m
+                        out[o] = out.get(o, 0) + x * v
+                if p is None:
+                    y = {o: x for o, x in out.items() if x}
+                else:
+                    y = {o: r for o, x in out.items() if (r := x % p)}
+                if den != 1:
+                    total = {k: den * x for k, x in total.items()}
+                for k, x in y.items():
+                    total[k] = total.get(k, 0) + x
+            echelon.insert(total)
+    return tuple(echelon.rows.values())
+
+
 def symmetrizer_rank(space: BraidedSpace, n: int) -> int:
-    return quantum_symmetrizer(space, n).rank()
+    """The rank of the quantum symmetrizer S_n: dim B(V)_n."""
+    return len(symmetrizer_row_basis(space, n))
+
+
+def nichols_ranks(space: BraidedSpace, N: int) -> list:
+    """The ranks of S_0 ... S_N; once one is 0, all higher ones are."""
+    return [symmetrizer_rank(space, n) for n in range(N + 1)]
 
 
 def nichols_quadratic_at(space: BraidedSpace, N: int) -> bool:
     """Whether the Nichols algebra looks quadratic up to degree N:
     symmetrizer ranks match the quadratic symmetric algebra dimensions."""
-    dims = sq_graded_dims(space, N)
-    return all(symmetrizer_rank(space, n) == dims[n] for n in range(N + 1))
+    return nichols_ranks(space, N) == sq_graded_dims(space, N)
 
 
 def q_binomial(n: int, t: int, q: Scalar) -> Scalar:

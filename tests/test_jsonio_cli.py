@@ -541,6 +541,48 @@ def test_cli_nichols_check_on_four_letters(capsys):
     assert code == 0 and json.loads(out)["symmetrizer_ranks"] == [1, 4, 10, 20, 35]
 
 
+A2_AT_MINUS_ONE = {"field": "Q", "dim": 2, "c": diagonal_braiding(2, [[-1, -1], [1, -1]])}
+
+
+def test_cli_nichols_check_a2_at_minus_one(capsys):
+    # the first degree above 2 where the Nichols algebra is not quadratic:
+    # rank 1 against the quadratic dimension 2 in degree 4
+    doc = json.dumps(A2_AT_MINUS_ONE)
+    code, out, _ = _run(capsys, ["nichols-check", "--input", "-", "--degree", "4"], doc)
+    report = json.loads(out)
+    assert code == 1 and report["quadratic_at_truncation"] is False
+    assert report["symmetrizer_ranks"] == [1, 2, 2, 2, 1] and report["sq_graded_dims"] == [1, 2, 2, 2, 2]
+    code, out, _ = _run(capsys, ["nichols-check", "--input", "-", "--degree", "3"], doc)
+    assert code == 0 and json.loads(out)["quadratic_at_truncation"] is True
+
+
+def test_cli_nichols_check_builds_no_symmetrizer(capsys, monkeypatch):
+    # the ranks come from the row-space recursion: the dense symmetrizer and
+    # the braid lifts are oracles only
+    def dense(*args):
+        raise AssertionError("dense symmetrizer built")
+
+    monkeypatch.setattr(nichols, "quantum_symmetrizer", dense)
+    monkeypatch.setattr(nichols, "braid_lift", dense)
+    row2 = algebra_to_json(row_instance(2, QQ))["space"]
+    flip3 = {"field": "Q", "dim": 3, "c": diagonal_braiding(3, [[1] * 3] * 3)}
+    for doc, ranks in ((row2, [1, 2, 3, 4, 5, 6]), (flip3, [1, 3, 6, 10, 15, 21])):
+        code, out, _ = _run(capsys, ["nichols-check", "--input", "-", "--degree", "5"], json.dumps(doc))
+        assert code == 0 and json.loads(out)["symmetrizer_ranks"] == ranks
+
+
+def test_cli_nichols_check_over_gf2(capsys):
+    # pinned: over GF(2) the flip's Nichols algebra is the exterior algebra,
+    # which is its quadratic algebra too, so nichols-check exits 0 with the
+    # dense symmetrizer's ranks
+    doc = {"field": "GF(2)", "dim": 2, "c": diagonal_braiding(2, [[1, 1], [1, 1]])}
+    code, out, _ = _run(capsys, ["nichols-check", "--input", "-", "--degree", "3"], json.dumps(doc))
+    report = json.loads(out)
+    space = load_input(doc)
+    assert code == 0 and report["quadratic_at_truncation"] is True
+    assert report["symmetrizer_ranks"] == [nichols.quantum_symmetrizer(space, n).rank() for n in range(4)] == [1, 2, 1, 0]
+
+
 def test_word_limits_admit_the_documented_degrees():
     # envelope and primitives up to --degree 9 at the default buffer 2,
     # nichols-check up to --degree 8, on two letters

@@ -1,26 +1,30 @@
+import math
 import random
 from itertools import permutations
 
 import pytest
 
-from quadlie.braided import split_minpoly
+from quadlie import nichols
+from quadlie.braided import BraidedSpace, diagonal_braiding, split_minpoly
 from quadlie.classify import conjugate
 from quadlie.envelope import ideal_truncation, sq_graded_dims, sq_presentation, uq_relations
 from quadlie.fields import GF, QQ
-from quadlie.linalg import Mat
+from quadlie.linalg import Mat, Subspace
 from quadlie.nichols import (
     braid_lift,
     nichols_quadratic_at,
+    nichols_ranks,
     primitives_of_quotient,
     q_binomial,
     quantum_symmetrizer,
     symmetrizer_rank,
+    symmetrizer_row_basis,
     unipotent_coproduct_coeffs,
     verify_cx2_and_alpha,
     verify_qpower_coproduct,
     verify_unipotent_bridge,
 )
-from quadlie.table import default_gamma, row_instance
+from quadlie.table import _c_rows, default_gamma, row_instance
 from quadlie.tensoralg import TensorElem, coproduct
 
 
@@ -148,6 +152,154 @@ def test_nichols_obstruction_gf3():
     assert not nichols_quadratic_at(sp, 3)
     # the drop happens exactly at degree 3: 6 = 0 mod 3 kills the cube
     assert symmetrizer_rank(sp, 3) < sq_graded_dims(sp, 3)[3]
+
+
+def _table_space(row, field):
+    """The braided space of a table row; over GF(2), where the table is not
+    defined, its braiding read mod 2 with gamma = 1."""
+    if field.p == 2:
+        return BraidedSpace(field, 2, Mat.from_rows(field, _c_rows(row, field, field(1))))
+    return row_instance(row, field, default_gamma(row, field)).space
+
+
+def _dense_ranks(space, top):
+    return [quantum_symmetrizer(space, n).rank() for n in range(top + 1)]
+
+
+def test_row_space_recursion_matches_dense_symmetrizer_on_table_rows():
+    # the ranks of the recursion against the dense symmetrizer, and its row
+    # bases against the dense rows up to degree 4
+    for field in (QQ, GF(2), GF(3), GF(5), GF(7)):
+        for row in range(1, 9):
+            sp = _table_space(row, field)
+            assert nichols_ranks(sp, 5) == _dense_ranks(sp, 5), (field, row)
+            for n in range(5):
+                width = sp.dim**n
+                rows = [[r.get(k, 0) for k in range(width)] for r in symmetrizer_row_basis(sp, n)]
+                dense = quantum_symmetrizer(sp, n).a
+                assert Subspace(field, width, rows) == Subspace(field, width, dense), (field, row, n)
+
+
+def test_row_space_recursion_matches_dense_symmetrizer_on_conjugates():
+    rng = random.Random(11)
+    for field in (QQ, GF(5)):
+        for row in range(1, 9):
+            q = row_instance(row, field, default_gamma(row, field))
+            sp = conjugate(q, _random_basis_change(rng, field)).space
+            assert nichols_ranks(sp, 5) == _dense_ranks(sp, 5), (field, row)
+
+
+def test_row_space_recursion_matches_dense_symmetrizer_on_diagonal_braidings():
+    # seeded diagonal braidings on three letters to degree 4 and on four
+    # letters to degree 3, with entries in {-2, -1, 1/2, 1, 2}
+    rng = random.Random(5)
+    for field in (QQ, GF(5)):
+        entries = [field(x) for x in (-2, -1, 1, 2)] + [field(2).inverse()]
+        for n, top in ((3, 4), (4, 3)):
+            for _ in range(3):
+                q = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+                sp = BraidedSpace(field, n, Mat.from_rows(field, diagonal_braiding(n, q)))
+                assert nichols_ranks(sp, top) == _dense_ranks(sp, top), (field, q)
+
+
+def _series(heights, top):
+    """Coefficients of prod (1 + t + ... + t^(h - 1)) up to t^top."""
+    coeffs = [1] + [0] * top
+    for h in heights:
+        coeffs = [sum(coeffs[d - k] for k in range(min(h, d + 1))) for d in range(top + 1)]
+    return coeffs
+
+
+def _height(field, q, top):
+    """The least k with 1 + q + ... + q^(k - 1) = 0 in the field (the order
+    of q if q != 1, the characteristic if q = 1), or top + 1 if none is
+    <= top + 1."""
+    q = field(q)
+    total, power = field.zero, field.one
+    for k in range(1, top + 2):
+        total, power = total + power, power * q
+        if not total:
+            return k
+    return top + 1
+
+
+def _quantum_linear_space(field, diag, off):
+    """The diagonal braiding with q_ii = diag[i] and q_ij = off[i][j],
+    q_ji = 1 / q_ij for i < j."""
+    n = len(diag)
+    q = [[field.one] * n for _ in range(n)]
+    for i in range(n):
+        q[i][i] = field(diag[i])
+        for j in range(i + 1, n):
+            q[i][j] = field(off[i][j])
+            q[j][i] = q[i][j].inverse()
+    return BraidedSpace(field, n, Mat.from_rows(field, diagonal_braiding(n, q)))
+
+
+def test_quantum_linear_spaces_match_their_hilbert_series():
+    # Andruskiewitsch-Schneider: when q_ij q_ji = 1 for i != j, the Nichols
+    # algebra has the Hilbert series prod (1 + t + ... + t^(N_i - 1)), N_i
+    # the height of q_ii
+    top = 12
+    sp = _quantum_linear_space(GF(7), [2, 6], [[1, 3]])
+    assert nichols_ranks(sp, top) == [1, 2, 2, 1] + [0] * 9
+    sp = _quantum_linear_space(GF(13), [3, 5, 12], [[1, 5, 7], [1, 1, 2]])
+    assert nichols_ranks(sp, top) == [1, 3, 5, 6, 5, 3, 1] + [0] * 6
+    for n in (2, 3):
+        # q_ij = 2, q_ji = 1/2: the braiding's entries are Fractions
+        sp = _quantum_linear_space(QQ, [1] * n, [[2] * n] * n)
+        assert nichols_ranks(sp, 10) == [math.comb(d + n - 1, n - 1) for d in range(11)]
+    # seeded ones with q_ii != 1, on three letters to degree 8 only (the
+    # rows grow with the multinomials of the degree)
+    rng = random.Random(3)
+    for field in (GF(5), GF(7), GF(11), GF(13)):
+        for n, deg in ((2, top), (3, 8)):
+            diag = [rng.randrange(2, field.p) for _ in range(n)]
+            off = [[rng.randrange(1, field.p) for _ in range(n)] for _ in range(n)]
+            sp = _quantum_linear_space(field, diag, off)
+            heights = [_height(field, x, deg) for x in diag]
+            assert nichols_ranks(sp, deg) == _series(heights, deg), (field, diag, off)
+
+
+def test_a2_at_minus_one_is_not_quadratic_in_degree_four():
+    # Cartan type A2 at q = -1: q_11 = q_22 = -1, q_12 q_21 = -1.  The
+    # Nichols algebra has dimension 8 and top degree 4, where the quadratic
+    # algebra still has dimension 2
+    sp = BraidedSpace(QQ, 2, Mat.from_rows(QQ, diagonal_braiding(2, [[-1, -1], [1, -1]])))
+    assert nichols_ranks(sp, 6) == [1, 2, 2, 2, 1, 0, 0]
+    assert _dense_ranks(sp, 5) == [1, 2, 2, 2, 1, 0]
+    assert sq_graded_dims(sp, 4) == [1, 2, 2, 2, 2]
+    assert nichols_quadratic_at(sp, 3)
+    assert not nichols_quadratic_at(sp, 4)
+
+
+def test_each_degree_is_reduced_once(monkeypatch):
+    # one echelon per degree, kept on the space: the ranks, the rank of one
+    # degree and the quadratic test after them build nothing anew
+    built = []
+    echelon = nichols.SparseEchelon
+    monkeypatch.setattr(nichols, "SparseEchelon", lambda field: built.append(1) or echelon(field))
+    sp = row_instance(2, QQ).space
+    assert nichols_ranks(sp, 5) == list(range(1, 7))
+    assert len(built) == 5
+    assert symmetrizer_rank(sp, 3) == 4 and nichols_quadratic_at(sp, 5)
+    assert len(built) == 5
+
+
+def test_ranks_stop_at_the_first_zero(monkeypatch):
+    # past a rank 0 no row is inserted: the flip over GF(2) has the
+    # exterior algebra as its Nichols algebra
+    field = GF(2)
+    sp = BraidedSpace(field, 2, Mat.from_rows(field, diagonal_braiding(2, [[1, 1], [1, 1]])))
+    assert nichols_ranks(sp, 3) == [1, 2, 1, 0]
+    monkeypatch.setattr(nichols, "SparseEchelon", None)
+    assert nichols_ranks(sp, 9) == [1, 2, 1] + [0] * 7
+
+
+def test_negative_degree_has_no_symmetrizer():
+    sp = row_instance(1, QQ).space
+    with pytest.raises(ValueError):
+        symmetrizer_rank(sp, -1)
 
 
 def test_q_binomial_values():

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations, compress, product
 from math import prod
 
-from .braided import BraidedSpace, MinusOneNotSimple, _slot_index, braid_relation_holds, diagonal_braiding, h_of_c, split_minpoly
+from .braided import BraidedSpace, MinusOneNotSimple, braid_relation_holds, diagonal_braiding, h_of_c, lift_columns, split_minpoly
 from .brackets import (
     QuadraticLieAlgebra,
     _e2bar_integral,
@@ -152,17 +152,12 @@ def _yang_baxter_equations(template):
     polynomial equations in its parameters: they vanish mod p exactly on
     the template's braidings over GF(p)."""
     rows, _ = _template_polys(template)
-    cols = [[(o, row[i]) for o, row in enumerate(rows) if row[i]] for i in range(4)]
-    c1 = _slot_index(2, 1, 3, 2, 4, 4)
-    c2 = _slot_index(2, 2, 3, 2, 4, 4)
+    c1, c2 = (lift_columns(rows, slot, 3, 2, 2) for slot in (1, 2))
 
-    def apply(lift, vec):
-        lo, index = lift
+    def apply(cols, vec):
         out = {}
         for k, x in vec.items():
-            i, base = index[k]
-            for o, v in cols[i]:
-                o = base + lo * o
+            for o, v in cols[k]:
                 out[o] = _poly_add(out.get(o, {}), _poly_mul(x, v))
         return out
 
@@ -213,10 +208,9 @@ def _solving_plan(equations, k):
     return order, levels
 
 
-def _template_points(template, equations, p, shard=0, nshards=1):
+def _template_points(template, equations, p):
     """The template's matrices over GF(p) on which every equation vanishes,
-    in the order of product(range(p), repeat=k) over its k parameters,
-    keeping the index idx of that order with idx % nshards == shard.
+    in the order of product(range(p), repeat=k) over its k parameters.
 
     The parameters are fixed one at a time: each equation is solved for its
     last parameter as soon as all the others in it are fixed, so a partial
@@ -252,8 +246,7 @@ def _template_points(template, equations, p, shard=0, nshards=1):
 
     extend(0)
     for point in sorted(points):
-        if reduce(lambda idx, v: idx * p + v, point) % nshards == shard:
-            yield tuple(tuple(point[names.index(x)] if isinstance(x, str) else x % p for x in row) for row in template)
+        yield tuple(tuple(point[names.index(x)] if isinstance(x, str) else x % p for x in row) for row in template)
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +285,20 @@ class BranchReport:
     solutions: list = dc_field(default_factory=list)
 
 
-def _sweep(field, shapes, reports, candidates):
-    """Count the candidate brackets of every braiding shape into reports.
+def _sweep(field, shapes, reports, candidates, shard=0, nshards=1):
+    """Count the candidate brackets of the braiding shapes into reports.
 
     A shape that passes the Yang-Baxter filter is a braiding c, and
     candidates(c) maps the branches that count c to their candidate
     brackets.  A candidate that passes the axioms is a solution when -1 is
     a simple root of the minimal polynomial of c, which is split once per
-    braiding, at its first axiom survivor.
+    braiding, at its first axiom survivor.  Only the shard-th of nshards
+    contiguous blocks of the shapes is swept, so the reports of the shards,
+    merged in shard order, are the report of the whole sweep.
     """
     p = field.p
-    for c in shapes:
+    shapes = list(shapes)
+    for c in shapes[len(shapes) * shard // nshards : len(shapes) * (shard + 1) // nshards]:
         if not _IntBraiding.yang_baxter(c, p):
             continue
         data = _IntBraiding(c, p)
@@ -329,12 +325,12 @@ _RANK2_TEMPLATE = (
 )
 
 
-def _rank2_case_shapes(p, shard=0, nshards=1):
+def _rank2_case_shapes(p):
     """Braidings of the rank-two analysis: dim Im(c+Id) = 1 with both
     x_i (x) x_i in the complement of Im(c+Id)."""
     equations = _yang_baxter_equations(_RANK2_TEMPLATE) + _rank_one_plus_identity_equations(_RANK2_TEMPLATE)
     minus_identity = tuple(tuple(p - 1 if i == j else 0 for j in range(4)) for i in range(4))
-    for c in _template_points(_RANK2_TEMPLATE, equations, p, shard, nshards):
+    for c in _template_points(_RANK2_TEMPLATE, equations, p):
         if c != minus_identity:  # Im(c + Id) = 0
             yield c
 
@@ -377,7 +373,7 @@ def rank2_case_families(field: Field, shard: int = 0, nshards: int = 1) -> dict:
         return branches
 
     reports = {name: BranchReport() for name in _RANK2_BRANCHES}
-    return _sweep(field, _rank2_case_shapes(p, shard, nshards), reports, candidates)
+    return _sweep(field, _rank2_case_shapes(p), reports, candidates, shard, nshards)
 
 
 _RANK1_TEMPLATE = (
@@ -388,10 +384,10 @@ _RANK1_TEMPLATE = (
 )
 
 
-def _rank1_case_shapes(p, shard=0, nshards=1):
+def _rank1_case_shapes(p):
     """Braidings of the rank-one analysis (categorical image) with a zero
     corner entry."""
-    return _template_points(_RANK1_TEMPLATE, _yang_baxter_equations(_RANK1_TEMPLATE), p, shard, nshards)
+    return _template_points(_RANK1_TEMPLATE, _yang_baxter_equations(_RANK1_TEMPLATE), p)
 
 
 def rank1_eliminated_branches(field: Field, shard: int = 0, nshards: int = 1) -> dict:
@@ -411,7 +407,7 @@ def rank1_eliminated_branches(field: Field, shard: int = 0, nshards: int = 1) ->
         return {"case_2_2_1_1": [((0, b, p - b, 1), zero) for b in range(1, p)]}
 
     reports = {name: BranchReport() for name in ("case_2_1_1", "case_2_1_2", "case_2_2_1_1")}
-    return _sweep(field, _rank1_case_shapes(p, shard, nshards), reports, candidates)
+    return _sweep(field, _rank1_case_shapes(p), reports, candidates, shard, nshards)
 
 
 def _shard_worker(args):
@@ -433,8 +429,9 @@ def _merge_reports(parts):
 def case_families(field: Field, jobs: int = 1) -> dict:
     """All eliminated case families (rank-two and rank-one) over GF(p).
 
-    Candidate braidings partition across workers by index stride and the
-    shard reports merge in shard order, so output is job-count invariant.
+    Each family's braidings split into contiguous blocks, one per worker,
+    and the shard reports merge in shard order, so the report does not
+    depend on the job count.
     """
     field.require_enumerable(CASE_FAMILIES_MAX_P, "exhaustive case families")
     families = (rank2_case_families, rank1_eliminated_branches)

@@ -172,41 +172,39 @@ def lift_to_slot(op: Mat, slot: int, total: int, n: int, in_factors: int, out_fa
     return Mat(op.field, lift_rows(op.a, slot, total, n, in_factors, out_factors))
 
 
+def apply_columns(cols, vec, p=None):
+    """The image of a sparse vector {index: value} under the map with the
+    sparse columns cols (as from ``lift_columns``), without its zero
+    entries: raw values over Q (p None), residues mod p over GF(p)."""
+    out = {}
+    for k, x in vec.items():
+        for o, v in cols[k]:
+            out[o] = out.get(o, 0) + x * v
+    if p is None:
+        return {o: y for o, y in out.items() if y}
+    return {o: r for o, y in out.items() if (r := y % p)}
+
+
 def braid_relation_holds(c, p=None) -> bool:
     """Whether c1 c2 c1 = c2 c1 c2 on V^(x)3, with c1 = c (x) Id and
     c2 = Id (x) c, for c given as n^2 rows of raw values (Fractions or ints
     over Q, p None; integers read mod p over GF(p)).
 
     Both sides are applied to one basis vector of V^(x)3 at a time, as
-    sparse {index: value} dicts through the slot indices of c1 and c2,
+    sparse {index: value} dicts through the lifted columns of c1 and c2,
     and the test stops at the first basis vector whose images differ.
     """
     n = math.isqrt(len(c))
-    n2 = n * n
     if p is None:  # the relation is homogeneous in c: test an integer multiple
+        n2 = n * n
         flat = integral([x for row in c for x in row])[0]
         c = [flat[o : o + n2] for o in range(0, n2 * n2, n2)]
-    cols = [[(o, v) for o, row in enumerate(c) if (v := row[i] if p is None else row[i] % p)] for i in range(n2)]
-    c1 = _slot_index(n, 1, 3, 2, n2, n2)
-    c2 = _slot_index(n, 2, 3, 2, n2, n2)
+    c1, c2 = (lift_columns(c, slot, 3, n, 2) for slot in (1, 2))
 
-    def apply(lift, vec):
-        lo, index = lift
-        out = {}
-        for k, x in vec.items():
-            i, base = index[k]
-            for o, v in cols[i]:
-                o = base + lo * o
-                out[o] = out.get(o, 0) + x * v
-        if p is None:
-            return {o: y for o, y in out.items() if y}
-        return {o: r for o, y in out.items() if (r := y % p)}
+    def braid(first, second, e):
+        return apply_columns(first, apply_columns(second, apply_columns(first, e, p), p), p)
 
-    for k in range(n**3):
-        e = {k: 1}
-        if apply(c1, apply(c2, apply(c1, e))) != apply(c2, apply(c1, apply(c2, e))):
-            return False
-    return True
+    return all(braid(c1, c2, {k: 1}) == braid(c2, c1, {k: 1}) for k in range(n**3))
 
 
 def joint_minus_one_rows(c, n):

@@ -290,14 +290,14 @@ def ideal_truncation(pres: Presentation, N: int, buffer: int = 2) -> IdealTrunca
     )
 
 
-def filtration_dims(pres: Presentation, N: int, buffer: int = 2, trunc=None):
+def filtration_dims(pres: Presentation, N: int, trunc=None):
     """Dimensions of the standard-filtration layers of the quotient.
 
     Entry k is dim of (image of T^{<=k}) modulo (image of T^{<=k-1}): the
     n^k words of length k less what the ideal slice gains at k.
     """
     if trunc is None:
-        trunc = ideal_truncation(pres, N, buffer)
+        trunc = ideal_truncation(pres, N)
     n = pres.space.dim
     slices = [0] + [trunc.dim_slice(k) for k in range(N + 1)]
     return [n**k - (slices[k + 1] - slices[k]) for k in range(N + 1)]
@@ -330,10 +330,10 @@ def bg_conditions(pres: Presentation):
     return {"I": cond_i, "J": cond_j}
 
 
-def pbw_check(pres: Presentation, N: int, buffer: int = 2, trunc=None) -> bool:
+def pbw_check(pres: Presentation, N: int) -> bool:
     """Filtration layer dimensions match the graded dimensions of the
     quadratic symmetric algebra up to degree N."""
-    return filtration_dims(pres, N, buffer, trunc=trunc) == sq_graded_dims(pres.space, N)
+    return filtration_dims(pres, N) == sq_graded_dims(pres.space, N)
 
 
 def coproduct_descends(trunc: IdealTruncation) -> bool:

@@ -281,10 +281,6 @@ class Poly:
         self.field = field
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def x(cls, field):
-        return cls(field, [0, 1])
-
     @property
     def degree(self):
         return len(self.coeffs) - 1  # zero polynomial has degree -1

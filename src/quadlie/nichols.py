@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .braided import BraidedSpace, mat_tensor, per_space
-from .envelope import IdealTruncation, Presentation, ideal_truncation, sq_graded_dims, sq_presentation
+from .braided import BraidedSpace, apply_columns, lift_columns, mat_tensor, per_space
+from .envelope import Presentation, ideal_truncation, sq_graded_dims, sq_presentation
 from .fields import Scalar
 from .linalg import Mat, SparseEchelon, Subspace, integral, null_space
 from .table import row_instance
@@ -79,10 +79,10 @@ def symmetrizer_row_basis(space: BraidedSpace, n: int) -> tuple:
     the row space of (R (x) id) T_n.  Each row y of R (x) id is multiplied
     by T_n = id + c_(n-1) + c_(n-1) c_(n-2) + ... + c_(n-1) ... c_1 from
     the right, Horner style: y <- y c_i for i = n-1 ... 1, each y added to
-    the sum, with c_i acting through c's own rows on two digits of the
-    word index, so no lifted matrix or index table is built.  Over Q c is
-    taken as an integer matrix c' = den c, so the sum is den^(n-1) times
-    the row of (R (x) id) T_n, and no Fraction arises.
+    the sum, with y c_i the image of y under the lifted columns of c's
+    transpose, lifted once per degree.  Over Q c is taken as an integer
+    matrix c' = den c, so the sum is den^(n-1) times the row of
+    (R (x) id) T_n, and no Fraction arises.
     """
     if n < 0:
         raise ValueError("negative degree")
@@ -95,27 +95,18 @@ def symmetrizer_row_basis(space: BraidedSpace, n: int) -> tuple:
     p, n2 = field.p, dim * dim
     flat = [x for row in space.c.a for x in row]
     entries, den = integral(flat) if p is None else (flat, 1)
-    c_rows = [[(m, v) for m, v in enumerate(entries[i * n2 : (i + 1) * n2]) if v] for i in range(n2)]
-    # c_i acts on the digits i and i + 1 of the word index, worth lo = n^(i-1)
-    lows = [dim ** (i - 1) for i in range(n - 1, 0, -1)]
-    shift = dim ** (n - 1)
+    transpose = [entries[i::n2] for i in range(n2)]
+    lifts = [lift_columns(transpose, i, n, dim, 2) for i in range(n - 1, 0, -1)]
+    # y (x) x_j for y on n - 1 factors: the lift of x_j, a map from no
+    # factors to one, at the last slot
+    units = [lift_columns([[int(o == j)] for o in range(dim)], n, n - 1, dim, 0, 1) for j in range(dim)]
     echelon = SparseEchelon(field)
     for row in prev:
-        for j in range(0, shift * dim, shift):
-            y = {k + j: x for k, x in row.items()}
+        for unit in units:
+            y = apply_columns(unit, row, p)
             total = dict(y)
-            for lo in lows:
-                out = {}
-                for k, x in y.items():
-                    i = k // lo % n2
-                    base = k - lo * i
-                    for m, v in c_rows[i]:
-                        o = base + lo * m
-                        out[o] = out.get(o, 0) + x * v
-                if p is None:
-                    y = {o: x for o, x in out.items() if x}
-                else:
-                    y = {o: r for o, x in out.items() if (r := x % p)}
+            for cols in lifts:
+                y = apply_columns(cols, y, p)
                 if den != 1:
                     total = {k: den * x for k, x in total.items()}
                 for k, x in y.items():
@@ -176,15 +167,14 @@ class PrimitiveReport:
         return self.primitive_space.contains(tuple(vec))
 
 
-def primitives_of_quotient(pres: Presentation, N: int, buffer: int = 2, trunc: IdealTruncation | None = None) -> PrimitiveReport:
+def primitives_of_quotient(pres: Presentation, N: int, buffer: int = 2) -> PrimitiveReport:
     """Primitive elements of the truncated quotient algebra.
 
     Solves Delta(z) = z (x) 1 + 1 (x) z over the span of canonical coset
     representatives of degree <= N, with both coproduct legs reduced to
     normal form.
     """
-    if trunc is None:
-        trunc = ideal_truncation(pres, N, buffer)
+    trunc = ideal_truncation(pres, N, buffer)
     space = pres.space
     field = space.field
     reps = trunc.quotient_words(N)

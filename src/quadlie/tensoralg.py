@@ -253,8 +253,7 @@ def delta_component(t: TensorElem, a: int, b: int) -> SplitTensorElem:
 def delta_component_matrix(space: BraidedSpace, a: int, b: int) -> Mat:
     """Matrix of the (a,b) coproduct component on V^(x)(a+b).
 
-    Output coordinates run over pairs (u, v) indexed little-endian with u
-    fastest: row = index(u) + n^a * index(v).
+    Output coordinates run over pairs (u, v), at the index of the word uv.
     """
     d = space.dim
     rows = d ** (a + b)
@@ -263,7 +262,7 @@ def delta_component_matrix(space: BraidedSpace, a: int, b: int) -> Mat:
     for j, w in enumerate(all_words(d, a + b)):
         comp = _word_coproduct(space, w).bidegree_part(a, b)
         for (u, v), c in comp.terms.items():
-            out[word_index(u, d) + d**a * word_index(v, d)][j] = c
+            out[word_index(u + v, d)][j] = c
     return Mat(space.field, out)
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -308,14 +309,18 @@ def _brute_force(family, p, values=None):
 
 @pytest.mark.parametrize("family, p", [("rank1", 3), ("rank2", 3), ("corner", 3), ("corner", 5)])
 def test_solver_points_match_brute_force(family, p):
-    # every shape of the family's template, in order, and each shard of the
-    # index stride on its own
+    # every shape of the family's template, in order, and each of three
+    # shards of the sweep on its own: the contiguous blocks of those shapes
     _, points, _ = _FAMILIES[family]
-    expect = _brute_force(family, p)
-    assert list(points(p)) == [c for _, c in expect]
-    if family != "corner":
-        for shard in range(3):
-            assert list(points(p, shard, 3)) == [c for idx, c in expect if idx % 3 == shard]
+    expect = [c for _, c in _brute_force(family, p)]
+    assert list(points(p)) == expect
+    blocks = []
+    for shard in range(3):
+        swept = []
+        appendix._sweep(GF(p), points(p), {}, lambda c: swept.append(c) or {}, shard, 3)
+        assert len(swept) == len(expect) * (shard + 1) // 3 - len(expect) * shard // 3
+        blocks.append(swept)
+    assert [c for block in blocks for c in block] == expect
 
 
 @pytest.mark.parametrize("family", ["rank1", "rank2"])
@@ -530,10 +535,10 @@ _MOVED_CORNER_TEMPLATE = (
 )
 
 
-def _positive_control(p):
-    """Sweep the rank-one branches that are not eliminated over GF(p),
-    check that the solutions found are every canonical (row, gamma), and
-    return the number of solutions per branch."""
+@lru_cache(maxsize=None)
+def _positive_control_sweep(p, shard=0, nshards=1):
+    """The reports of one shard of the sweep of the rank-one branches that
+    are not eliminated, over GF(p)."""
     field = GF(p)
     zero = (0, 0, 0, 0)
 
@@ -544,10 +549,18 @@ def _positive_control(p):
         return {"antisymmetric": [((0, 1, p - 1, 0), zero)], "corner": [((0, 0, 0, 1), zero)]}
 
     moved = (c for c in _solved(_MOVED_CORNER_TEMPLATE, p) if c[0][0])
-    reports = {
-        **appendix._sweep(field, _solved(_UNIT_CORNER_TEMPLATE, p), {"unit": BranchReport()}, unit_corner),
-        **appendix._sweep(field, moved, {"antisymmetric": BranchReport(), "corner": BranchReport()}, moved_corner),
+    return {
+        **appendix._sweep(field, _solved(_UNIT_CORNER_TEMPLATE, p), {"unit": BranchReport()}, unit_corner, shard, nshards),
+        **appendix._sweep(field, moved, {"antisymmetric": BranchReport(), "corner": BranchReport()}, moved_corner, shard, nshards),
     }
+
+
+def _positive_control(p):
+    """Sweep the rank-one branches that are not eliminated over GF(p),
+    check that the solutions found are every canonical (row, gamma), and
+    return the number of solutions per branch."""
+    field = GF(p)
+    reports = _positive_control_sweep(p)
     found = set()
     for rep in reports.values():
         for sol in rep.solutions:
@@ -574,3 +587,14 @@ def test_sweep_finds_every_canonical_row_on_branches_not_eliminated():
 
 def test_sweep_finds_every_canonical_row_on_branches_not_eliminated_gf5():
     assert _positive_control(5) == {"unit": 28, "antisymmetric": 44, "corner": 25}
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_sharded_sweep_equals_serial_when_solutions_exist(p):
+    # the shard reports of the positive control, merged in shard order, are
+    # the serial reports, solution order included
+    serial = _positive_control_sweep(p)
+    assert all(rep.solutions for rep in serial.values())
+    for nshards in (2, 3, 7):
+        parts = [_positive_control_sweep(p, shard, nshards) for shard in range(nshards)]
+        assert appendix._merge_reports(parts) == serial, nshards

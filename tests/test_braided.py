@@ -265,6 +265,56 @@ def test_raw_lift_matches_mat_lift(n):
     assert checked == {1: 45, 2: 45, 3: 26}[n]
 
 
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(7)], ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_apply_columns_matches_dense_lift(n, field):
+    # sparse images through lifted columns against the dense lift's apply:
+    # square (2 -> 2) and rectangular (2 -> 1) operators at every slot,
+    # Fractions over Q and unreduced integers over GF(p), on the empty
+    # vector, random sparse vectors and vectors whose images cancel to zero
+    import random
+
+    from quadlie.braided import apply_columns, lift_columns
+    from quadlie.linalg import kernel
+
+    rng = random.Random(f"apply:{n}:{field}")
+    p = field.p
+    if p is None:
+        entry = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    else:
+        entry = lambda: rng.randint(-2 * p, 2 * p)
+    seen = {"vectors": 0, "cancelled": 0}
+    for total in (2, 3, 4) if n < 3 else (2, 3):
+        width = n**total
+        for m in (2, 1):
+            op = [[entry() if rng.random() < 0.6 else 0 for _ in range(n * n)] for _ in range(n**m)]
+            if p is not None:
+                # nonzero raw entries that all vanish mod p
+                degenerate = [[p * rng.randint(1, 3) for _ in range(n * n)] for _ in range(n**m)]
+            else:
+                # a repeated row leaves a kernel in the square case too
+                degenerate = [list(op[0]) for _ in range(n**m)]
+            for a in (op, degenerate):
+                for slot in range(1, total):
+                    cols = lift_columns(a, slot, total, n, 2, m)
+                    dense = lift_to_slot(Mat.from_rows(field, a), slot, total, n, 2, m)
+                    vecs = [{}]
+                    for _ in range(3):
+                        vecs.append({k: entry() for k in rng.sample(range(width), rng.randint(1, width))})
+                    for v in kernel(dense).basis:
+                        lift = (lambda x: x) if p is None else (lambda x: x + p * rng.randint(-2, 2))
+                        vecs.append({k: lift(x) for k, x in enumerate(v) if x})
+                    for vec in vecs:
+                        image = dense.apply([vec.get(k, 0) for k in range(width)])
+                        assert apply_columns(cols, vec, p) == {o: y for o, y in enumerate(image) if y}, (a, slot, vec)
+                        seen["vectors"] += 1
+                        if vec and not any(image) and any(cols[k] for k in vec):
+                            seen["cancelled"] += 1
+    assert seen["vectors"] > 0
+    # over Q a map of one-dimensional spaces cancels nothing it does not zero
+    assert seen["cancelled"] > 0 or (n, p) == (1, None)
+
+
 @pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=str)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_braid_relation_matches_dense_oracle(n, field, dense_yang_baxter_oracle):

@@ -7,8 +7,8 @@ have no solutions.  Also the all-ones-matrix trace identity used by the
 rank-two analysis, and a survey that harvests verified rank-two brackets
 and checks the forced conclusions on each.
 
-Enumeration hot paths run on plain integer residues; survivors are
-re-checked through the generic exact machinery before being reported.
+Enumeration hot paths run on plain integer residues: each braiding's
+candidates are tested by one ``brackets.axiom_check`` of its space.
 The braidings of each shape family are solved for, not searched: the
 Yang-Baxter equation (and, for the rank-two family, the rank of c + Id)
 is written once as integer polynomials in the shape's parameters, which
@@ -23,18 +23,19 @@ from functools import lru_cache
 from itertools import combinations, compress, product
 from math import prod
 
-from .braided import BraidedSpace, MinusOneNotSimple, braid_relation_holds, diagonal_braiding, h_of_c, lift_columns, split_minpoly
-from .brackets import (
-    QuadraticLieAlgebra,
-    _e2bar_integral,
-    _linear_rows,
-    jacobi_holds,
-    rows_vanish,
-    solve_linear_bracket_space,
-    verify_lifted,
+from .braided import (
+    BraidedSpace,
+    MinusOneNotSimple,
+    braid_relation_holds,
+    diagonal_braiding,
+    h_of_c,
+    lift_columns,
+    per_space,
+    split_minpoly,
 )
+from .brackets import axiom_check, bracket_combination, solve_linear_bracket_space
 from .fields import Field
-from .linalg import Mat, SparseEchelon, Subspace, column_space, kernel, null_space
+from .linalg import Mat, SparseEchelon, Subspace, column_space, kernel, null_space, raw_product
 from .table import GAMMA_RULES, gamma_allowed, row_instance
 
 
@@ -62,42 +63,13 @@ def _require_at_least(value, limit, what):
         raise ValueError(f"{what} {value} is below the minimum {limit}")
 
 
-# ---------------------------------------------------------------------------
-# integer (mod p) data of one braiding for the enumeration hot paths
-# ---------------------------------------------------------------------------
-
 class _IntBraiding:
-    """Precomputed integer data for one braiding candidate."""
-
-    __slots__ = ("p", "space", "linear")
-
     #: The sweep re-checks each braiding of a shape family through this
-    #: name before it builds its _IntBraiding; bench/tracing.py counts the
-    #: braidings that pass here.
+    #: name; bench/tracing.py counts the braidings that pass here.
     yang_baxter = staticmethod(braid_relation_holds)
 
-    def __init__(self, c, p):
-        self.p = p
-        field = Field(p)
-        self.space = BraidedSpace(field, 2, Mat(field, c), check=False)
-        # the echelon rows of antisymmetry and both bracket identities, from
-        # the space's memo
-        rows = [r for group in _linear_rows(self.space) for r in group]
-        self.linear = list(SparseEchelon(field, rows).rows.values())
 
-    @property
-    def e2bar(self):
-        """The joint (-1)-eigenspace, from the space's memo: computed at the
-        first bracket that passes the linear axioms."""
-        return _e2bar_integral(self.space)
-
-    def axioms(self, beta):
-        """antisym + both bracket identities (dot products with the
-        echelon rows) + jacobi, over integers."""
-        p = self.p
-        return rows_vanish(self.linear, [x for row in beta for x in row], p) and jacobi_holds(beta, self.e2bar, 2, p)
-
-
+@per_space
 def _split_or_none(space):
     """split_minpoly of the space, or None also when -1 is a repeated root."""
     try:
@@ -254,10 +226,13 @@ def _template_points(template, equations, p):
 # ---------------------------------------------------------------------------
 
 def udu_identity_holds(field: Field, diag) -> bool:
-    """U D U = Tr(D) U for the all-ones 4x4 matrix U."""
-    u = Mat.from_rows(field, [[1] * 4 for _ in range(4)])
-    d = Mat.from_rows(field, [[diag[i] if i == j else 0 for j in range(4)] for i in range(4)])
-    return u @ d @ u == u.scale(sum(diag))
+    """U D U = Tr(D) U for the all-ones 4x4 matrix U, on raw values."""
+    p = field.p
+    diag = [field.coerce(x) for x in diag]
+    u = [[1] * 4 for _ in range(4)]
+    d = [[x if i == j else 0 for j in range(4)] for i, x in enumerate(diag)]
+    trace = sum(diag) if p is None else sum(diag) % p
+    return raw_product(raw_product(u, d, p), u, p) == [[trace] * 4 for _ in range(4)]
 
 
 def udu_check(field: Field, count: int = 100, seed: int = 0) -> bool:
@@ -301,18 +276,14 @@ def _sweep(field, shapes, reports, candidates, shard=0, nshards=1):
     for c in shapes[len(shapes) * shard // nshards : len(shapes) * (shard + 1) // nshards]:
         if not _IntBraiding.yang_baxter(c, p):
             continue
-        data = _IntBraiding(c, p)
-        split = False  # not split yet
+        space = BraidedSpace(field, 2, Mat(field, c), check=False)
+        holds = axiom_check(space)
         for name, betas in candidates(c).items():
             rep = reports[name]
             rep.braidings += 1
             for beta in betas:
                 rep.candidates += 1
-                if not data.axioms(beta):
-                    continue
-                if split is False:
-                    split = _split_or_none(data.space)
-                if split is not None:
+                if holds(beta) and _split_or_none(space) is not None:
                     rep.solutions.append({"c": [list(r) for r in c], "beta": [list(r) for r in beta]})
     return reports
 
@@ -530,10 +501,10 @@ def random_survey(field: Field, seed: int = 0, max_brackets_per_braiding: int = 
         report.braidings_tried += 1
         # Yang-Baxter already guaranteed or solved for by _survey_braidings.
         space = BraidedSpace(field, 2, Mat.from_rows(field, rows), check=False)
-        split = False  # computed at the braiding's first rank-two find
         basis = solve_linear_bracket_space(space)
         if not basis:
             continue
+        holds = axiom_check(space)
         k = len(basis)
         combos = []
         if field.p**k <= max_brackets_per_braiding:
@@ -548,20 +519,16 @@ def random_survey(field: Field, seed: int = 0, max_brackets_per_braiding: int = 
         for combo in combos:
             if not any(combo):
                 continue
-            beta = Mat.zero(field, 2, 4)
-            for s, b in zip(combo, basis):
-                if s:
-                    beta = beta + b.scale(s)
+            beta = bracket_combination(combo, basis, field.p)
             report.brackets_checked += 1
-            q = QuadraticLieAlgebra(space, beta)
-            if not verify_lifted(q).ok:
+            if not holds(beta):
                 continue
             report.verified += 1
-            if column_space(beta).dim != 2:
+            mat = Mat(field, beta)
+            if column_space(mat).dim != 2:
                 continue
             report.rank2_found += 1
-            if split is False:
-                split = _split_or_none(space)
+            split = _split_or_none(space)
             if split is None:
                 # outside the standing minimal-polynomial hypothesis: the
                 # forced conclusions make no claim here, so only record it
@@ -569,7 +536,7 @@ def random_survey(field: Field, seed: int = 0, max_brackets_per_braiding: int = 
                 report.rank2_instances.append(
                     {
                         "c": rows,
-                        "beta": beta.a,
+                        "beta": beta,
                         "conclusions": None,
                     }
                 )
@@ -577,7 +544,7 @@ def random_survey(field: Field, seed: int = 0, max_brackets_per_braiding: int = 
             eye = Mat.identity(field, 4)
             im_c1 = column_space(space.c + eye)
             ok = im_c1.dim == 2
-            kb = kernel(beta)
+            kb = kernel(mat)
             im_h = column_space(h_of_c(space, split))
             inter = _intersect(kb, im_h)
             ok = ok and all(kb.contains(v) for v in im_c1.basis)
@@ -587,6 +554,6 @@ def random_survey(field: Field, seed: int = 0, max_brackets_per_braiding: int = 
             if not ok:
                 report.rank2_conclusions_hold = False
             report.rank2_instances.append(
-                {"c": rows, "beta": beta.a, "conclusions": ok}
+                {"c": rows, "beta": beta, "conclusions": ok}
             )
     return report

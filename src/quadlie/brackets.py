@@ -25,7 +25,7 @@ from .braided import (
     vec_tensor,
 )
 from .fields import CheckFailed, Field
-from .linalg import HypothesisViolated, Mat, Subspace, column_space, integral, null_space, raw_product, solve
+from .linalg import HypothesisViolated, Mat, SparseEchelon, Subspace, column_space, integral, null_space, raw_product, solve
 
 
 class BasisMismatch(CheckFailed, ValueError):
@@ -93,10 +93,31 @@ def _linear_rows(space):
 
 
 @per_space
+def _linear_echelon(space):
+    """The echelon of all linear axiom rows of the space, eliminated once per
+    space: a bracket satisfies the linear axioms iff its rows vanish on it."""
+    return SparseEchelon(space.field, [r for group in _linear_rows(space) for r in group])
+
+
+@per_space
 def _e2bar_integral(space):
     """A basis of the joint (-1)-eigenspace with integer entries (residues
     over GF(p))."""
     return [integral(v)[0] for v in space.e2bar().basis]
+
+
+def axiom_check(space: BraidedSpace):
+    """The four bracket axioms as one test of a bracket given as n rows of
+    n^2 integers (residues over GF(p)): the linear echelon's rows vanish on
+    it, and Jacobi holds on the joint (-1)-eigenspace, which is read at the
+    first bracket that passes.  Take it once per space, call it per bracket."""
+    rows = list(_linear_echelon(space).rows.values())
+    n, p = space.dim, space.field.p
+
+    def holds(beta):
+        return rows_vanish(rows, [x for row in beta for x in row], p) and jacobi_holds(beta, _e2bar_integral(space), n, p)
+
+    return holds
 
 
 def verify_lifted(q: QuadraticLieAlgebra) -> LiftedReport:
@@ -309,18 +330,26 @@ def dim1_instance(field: Field, gamma, lam) -> QuadraticLieAlgebra:
 DIM1_RIGIDITY_MAX_P = 257
 
 
+def dim1_nonzero_brackets(field: Field):
+    """The pairs (gamma, lambda != 0) of residues for which the bracket
+    (lambda) on c = (gamma) passes the axioms, with one space and one check
+    per gamma.  Any prime p: over GF(2), (1, 1) is the positive control."""
+    if field.is_rationals:
+        raise ValueError("the rigidity search needs a prime field")
+    found = []
+    for gamma in range(field.p):
+        holds = axiom_check(BraidedSpace(field, 1, Mat(field, [[gamma]]), check=False))
+        found.extend((gamma, lam) for lam in range(1, field.p) if holds([[lam]]))
+    return found
+
+
 def check_dim1_rigidity(field: Field) -> bool:
     """Every verified one-dimensional bracket is zero (char != 2).
 
-    Enumerates all (gamma, lambda) over a prime field.
+    Enumerates all (gamma, lambda) over an odd prime field.
     """
     field.require_enumerable(DIM1_RIGIDITY_MAX_P, "the rigidity check's p^2 candidates")
-    for gamma in field.elements():
-        for lam in field.elements():
-            q = dim1_instance(field, gamma, lam)
-            if verify_lifted(q).ok and lam:
-                return False
-    return True
+    return not dim1_nonzero_brackets(field)
 
 
 def linear_axiom_rows(c, n, p=None):
@@ -408,14 +437,13 @@ def solve_linear_bracket_space(space: BraidedSpace):
     axioms: antisymmetry and both braiding-compatibility identities.
 
     The basis is the canonical echelon basis of the null space of
-    ``linear_axiom_rows``.  The Jacobi condition is quadratic and must be
-    filtered afterwards.
+    ``linear_axiom_rows``, read from the space's echelon of them.  The
+    Jacobi condition is quadratic and must be filtered afterwards.
     """
     n = space.dim
     field = space.field
     unknowns = n * n**2
-    rows = [r for group in _linear_rows(space) for r in group]
-    kernel = Subspace(field, unknowns, null_space(field, rows, unknowns))
+    kernel = Subspace(field, unknowns, null_space(field, _linear_echelon(space), unknowns))
     return [Mat(field, [v[r * n**2 : (r + 1) * n**2] for r in range(n)]) for v in kernel.basis]
 
 
@@ -433,15 +461,18 @@ def random_verified_brackets(space: BraidedSpace, count: int, seed: int, max_tri
     found = []
     if not basis:
         return found
+    holds = axiom_check(space)
     for _ in range(max_tries):
         if len(found) >= count:
             break
-        coeffs = [rng.randrange(field.p) for _ in basis]
-        beta = Mat.zero(field, space.dim, space.dim**2)
-        for s, b in zip(coeffs, basis):
-            if s:
-                beta = beta + b.scale(s)
-        q = QuadraticLieAlgebra(space, beta)
-        if verify_lifted(q).ok:
-            found.append(q)
+        beta = bracket_combination([rng.randrange(field.p) for _ in basis], basis, field.p)
+        if holds(beta):
+            found.append(QuadraticLieAlgebra(space, Mat(field, beta)))
     return found
+
+
+def bracket_combination(coeffs, basis, p):
+    """The rows of sum_i coeffs[i] basis[i] as residues mod p, for brackets
+    given as Mats over GF(p)."""
+    terms = [(s, b.a) for s, b in zip(coeffs, basis) if s]
+    return [[sum(s * b[r][k] for s, b in terms) % p for k in range(basis[0].cols)] for r in range(basis[0].rows)]

@@ -121,7 +121,7 @@ def cmd_classify(args):
     failure = _axiom_failure(thing)
     if failure:
         return failure, False
-    return {**classify.canonical_form(thing).as_dict(), "ok": True}, True
+    return {**classify.canonical_form(thing, skip_verification=True).as_dict(), "ok": True}, True
 
 
 def cmd_envelope(args):

@@ -582,13 +582,13 @@ class SparseEchelon:
 def null_space(field, rows, ncols):
     """Raw-valued basis of {x in K^ncols : r . x = 0 for every row r}.
 
-    Rows are dense sequences or sparse dicts of raw values.  There is one
-    vector per free column f, in increasing order, read off the reduced
-    rows: x[f] = 1, x[q] = -(row q)[f] at every pivot q, and zero
-    elsewhere.  Entries are residues over GF(p) and Fractions
-    (or the ints 0 and 1) over Q.
+    Rows are dense sequences or sparse dicts of raw values, or a
+    SparseEchelon that holds them.  There is one vector per free column f,
+    in increasing order, read off the reduced rows: x[f] = 1,
+    x[q] = -(row q)[f] at every pivot q, and zero elsewhere.  Entries are
+    residues over GF(p) and Fractions (or the ints 0 and 1) over Q.
     """
-    ech = SparseEchelon(field, rows)
+    ech = rows if isinstance(rows, SparseEchelon) else SparseEchelon(field, rows)
     p = field.p
     free = [c for c in range(ncols) if c not in ech.rows]
     out = {}

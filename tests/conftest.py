@@ -22,8 +22,10 @@ brackets through dense Scalar products, kept as the oracle of
 constraint rows from the entries of c.
 
 ``four_product_axioms`` is the integer axiom check by four matrix products,
-kept as the oracle of ``quadlie.appendix._IntBraiding.axioms``, which tests
-the linear axioms against echelon constraint rows.  It keeps its own n = 2
+kept as the oracle of ``quadlie.brackets.axiom_check``, which tests the
+linear axioms against the rows of the space's one echelon of them.  The
+sweeps of ``quadlie.appendix`` take their candidate test from that check,
+so the oracle test wraps it there.  The oracle keeps its own n = 2
 integer product and slot lifts, so that it imports none of the kernels it
 checks.
 

@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -21,7 +22,7 @@ from quadlie.appendix import (
     udu_identity_holds,
 )
 from quadlie.braided import BraidedSpace, braid_relation_holds, lift_rows, split_minpoly
-from quadlie.brackets import QuadraticLieAlgebra, solve_linear_bracket_space, verify_lifted
+from quadlie.brackets import QuadraticLieAlgebra, _e2bar_integral, axiom_check, solve_linear_bracket_space, verify_lifted
 from quadlie.classify import canonical_form, conjugate
 from quadlie.fields import GF, QQ
 from quadlie.linalg import Mat, SparseEchelon, Subspace, raw_product
@@ -38,6 +39,31 @@ def test_udu_trace_example():
 def test_udu_randomized():
     assert udu_check(QQ, 100, seed=1)
     assert udu_check(GF(5), 100, seed=2)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=str)
+def test_udu_raw_rows_match_mat_products(monkeypatch, field):
+    # the raw product chain against Mat products: the last raw product is
+    # U D U, and the verdict is that of U D U == Tr(D) U on Mats, with
+    # diagonal entries outside [0, p) and Fractions over Q
+    products = []
+
+    def recorded(a, b, p=None):
+        products.append(raw_product(a, b, p))
+        return products[-1]
+
+    monkeypatch.setattr(appendix, "raw_product", recorded)
+    rng = random.Random(str(field))
+    u = Mat.from_rows(field, [[1] * 4 for _ in range(4)])
+    for _ in range(50):
+        diag = [rng.randint(-30, 30) for _ in range(4)]
+        diag[0] = -rng.randint(1, 30)  # outside [0, p) over GF(p)
+        if field.is_rationals:
+            diag[rng.randrange(1, 4)] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        d = Mat.from_rows(field, [[diag[i] if i == j else 0 for j in range(4)] for i in range(4)])
+        udu = u @ d @ u
+        assert udu_identity_holds(field, diag) == (udu == u.scale(sum(diag)))
+        assert products[-1] == udu.a
 
 
 def test_rank2_case_families_empty_gf3():
@@ -131,7 +157,6 @@ def test_integer_fast_path_matches_generic(dense_yang_baxter_oracle, dense_lifte
     # the enumeration kernels (raw slot lifts, bracket lifts, joint
     # eigenspace, braid relation, axiom checks) must agree with the dense
     # Scalar machinery
-    from quadlie.appendix import _IntBraiding
     from quadlie.braided import lift_to_slot, mat_tensor
     from quadlie.table import default_gamma
 
@@ -142,11 +167,10 @@ def test_integer_fast_path_matches_generic(dense_yang_baxter_oracle, dense_lifte
         c_rows = tuple(tuple(rng.randrange(5) for _ in range(4)) for _ in range(4))
         cmat = Mat.from_rows(F, [list(r) for r in c_rows])
         sp = BraidedSpace(F, 2, cmat, check=False)
-        data = _IntBraiding(c_rows, 5)
         assert braid_relation_holds(c_rows, 5) == dense_yang_baxter_oracle(sp)
         assert lift_rows(c_rows, 1, 3, 2, 2, 2) == mat_tensor(F, cmat, eye).a
         assert lift_rows(c_rows, 2, 3, 2, 2, 2) == mat_tensor(F, eye, cmat).a
-        assert len(data.e2bar) == sp.e2bar().dim
+        assert len(_e2bar_integral(sp)) == sp.e2bar().dim
         b_rows = tuple(tuple(rng.randrange(5) for _ in range(4)) for _ in range(2))
         q = QuadraticLieAlgebra(sp, Mat.from_rows(F, [list(r) for r in b_rows]))
         assert lift_rows(b_rows, 1, 3, 2, 2, 1) == lift_to_slot(q.beta, 1, 3, 2, 2, 1).a == mat_tensor(F, q.beta, eye).a
@@ -157,14 +181,13 @@ def test_integer_fast_path_matches_generic(dense_yang_baxter_oracle, dense_lifte
     agreements = 0
     for row in range(1, 9):
         inst = row_instance(row, F, default_gamma(row, F))
-        c_rows = tuple(map(tuple, inst.space.c.a))
-        data = _IntBraiding(c_rows, 5)
+        holds = axiom_check(inst.space)
         candidates = [tuple(map(tuple, inst.beta.a))]
         for _ in range(10):
             candidates.append(tuple(tuple(rng.randrange(5) for _ in range(4)) for _ in range(2)))
         for b_rows in candidates:
             q = QuadraticLieAlgebra(inst.space, Mat.from_rows(F, [list(r) for r in b_rows]))
-            assert data.axioms(b_rows) == dense_lifted_oracle(q).ok
+            assert holds(b_rows) == dense_lifted_oracle(q).ok
             agreements += 1
     assert agreements == 88
 
@@ -403,7 +426,7 @@ def _axioms_agree(c, beta, p):
     q = QuadraticLieAlgebra(
         BraidedSpace(field, 2, Mat.from_rows(field, c), check=False), Mat.from_rows(field, beta)
     )
-    fast = appendix._IntBraiding(c, p).axioms(beta)
+    fast = axiom_check(q.space)(beta)
     expect = dense_verify_lifted(q)
     assert fast == expect.ok, (c, beta)
     assert verify_lifted(q) == expect, (c, beta)
@@ -475,33 +498,32 @@ def test_int_axioms_match_four_product_oracle(monkeypatch, four_product_axioms):
     field = GF(p)
     seen = {"candidates": 0, "accepted": 0, "linear": 0}
 
-    class Checked(appendix._IntBraiding):
-        __slots__ = ("oracle",)
+    def checked(space):
+        holds = axiom_check(space)
+        c = tuple(map(tuple, space.c.a))
+        oracle = four_product_axioms(c, p)
+        rng = random.Random(repr(c))
+        basis = [b.a for b in solve_linear_bracket_space(space)]
+        for _ in range(8):
+            beta = [[rng.randrange(p) for _ in range(4)] for _ in range(2)]
+            assert holds(beta) == oracle.axioms(beta), (c, beta)
+            if basis:
+                s = [rng.randrange(p) for _ in basis]
+                beta = [[sum(x * b[r][k] for x, b in zip(s, basis)) % p for k in range(4)] for r in range(2)]
+                got = holds(beta)
+                assert got == oracle.axioms(beta), (c, beta)
+                seen["linear"] += got
 
-        def __init__(self, c, p):
-            super().__init__(c, p)
-            self.oracle = four_product_axioms(c, p)
-            rng = random.Random(repr(c))
-            sp = BraidedSpace(field, 2, Mat.from_rows(field, [list(r) for r in c]), check=False)
-            basis = [b.a for b in solve_linear_bracket_space(sp)]
-            for _ in range(8):
-                beta = [[rng.randrange(p) for _ in range(4)] for _ in range(2)]
-                assert super().axioms(beta) == self.oracle.axioms(beta), (c, beta)
-                if basis:
-                    s = [rng.randrange(p) for _ in basis]
-                    beta = [[sum(x * b[r][k] for x, b in zip(s, basis)) % p for k in range(4)] for r in range(2)]
-                    got = super().axioms(beta)
-                    assert got == self.oracle.axioms(beta), (c, beta)
-                    seen["linear"] += got
-
-        def axioms(self, beta):
-            got = super().axioms(beta)
-            assert got == self.oracle.axioms(beta), beta
+        def check(beta):
+            got = holds(beta)
+            assert got == oracle.axioms(beta), beta
             seen["candidates"] += 1
             seen["accepted"] += got
             return got
 
-    monkeypatch.setattr(appendix, "_IntBraiding", Checked)
+        return check
+
+    monkeypatch.setattr(appendix, "axiom_check", checked)
     reports = {**rank2_case_families(field), **rank1_eliminated_branches(field)}
     assert seen["candidates"] == sum(rep.candidates for rep in reports.values()) == 19002
     # the eliminated branches hold no solution; some points of the linear

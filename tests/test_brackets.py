@@ -1,16 +1,20 @@
 import math
+import random
 
 import pytest
 
-from quadlie.braided import BraidedSpace, h_of_c, lift_to_slot, split_minpoly
+from quadlie.braided import BraidedSpace, diagonal_braiding, h_of_c, lift_to_slot, split_minpoly
 from quadlie.brackets import (
     BasisMismatch,
     Inconsistent,
     QuadraticLieAlgebra,
     RestrictedBracket,
+    axiom_check,
+    bracket_combination,
     check_dim1_rigidity,
     derived_antisym_plus,
     dim1_instance,
+    dim1_nonzero_brackets,
     image_subalgebra,
     lift_bracket,
     random_verified_brackets,
@@ -173,6 +177,66 @@ def test_image_subalgebra_rows():
 def test_dim1_rigidity_exhaustive():
     for p in (3, 5, 7):
         assert check_dim1_rigidity(GF(p))
+
+
+def test_dim1_search_finds_the_characteristic_two_bracket():
+    # positive control: the same search finds the one nonzero bracket that
+    # exists, over GF(2), where b (c + Id) = 2 b vanishes; the rigidity
+    # check itself still refuses GF(2)
+    assert dim1_nonzero_brackets(GF(2)) == [(1, 1)]
+    for p in (3, 5, 7):
+        assert dim1_nonzero_brackets(GF(p)) == []
+    with pytest.raises(ValueError, match="odd prime"):
+        check_dim1_rigidity(GF(2))
+    with pytest.raises(ValueError, match="prime field"):
+        dim1_nonzero_brackets(QQ)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_dim1_check_matches_verify_lifted(p):
+    field = GF(p)
+    answers = set()
+    for gamma in range(p):
+        holds = axiom_check(BraidedSpace(field, 1, Mat(field, [[gamma]]), check=False))
+        for lam in range(p):
+            got = holds([[lam]])
+            assert got == verify_lifted(dim1_instance(field, gamma, lam)).ok, (gamma, lam)
+            answers.add(got)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_axiom_check_matches_verify_lifted_on_three_letters(p):
+    # diagonal braidings on three letters with q_ij q_ji = 1 off the
+    # diagonal: random brackets, and random points of the linear bracket
+    # space with one to all basis coefficients nonzero
+    field = GF(p)
+    rng = random.Random(p)
+    seen = set()
+    for _ in range(16):
+        q = [[0] * 3 for _ in range(3)]
+        for i in range(3):
+            q[i][i] = rng.choice([1, p - 1, rng.randrange(p)])
+            for j in range(i):
+                q[i][j] = rng.choice([1, p - 1, rng.randrange(1, p)])
+                q[j][i] = pow(q[i][j], -1, p)
+        space = BraidedSpace(field, 3, Mat(field, diagonal_braiding(3, q)), check=False)
+        holds = axiom_check(space)
+        basis = solve_linear_bracket_space(space)
+        candidates = [[[rng.randrange(p) for _ in range(9)] for _ in range(3)] for _ in range(2)]
+        for _ in range(4 if basis else 0):
+            coeffs = [0] * len(basis)
+            for k in rng.sample(range(len(basis)), rng.randint(1, len(basis))):
+                coeffs[k] = rng.randrange(1, p)
+            candidates.append(bracket_combination(coeffs, basis, p))
+        for beta in candidates:
+            got = holds(beta)
+            rep = verify_lifted(QuadraticLieAlgebra(space, Mat(field, beta)))
+            assert got == rep.ok, (q, beta)
+            seen.add((got, rep.antisym and rep.bracket_left and rep.bracket_right))
+    # nonzero brackets that pass, that fail a linear axiom, and that pass
+    # the linear axioms but fail Jacobi
+    assert seen == {(True, True), (False, False), (False, True)}
 
 
 def test_dim1_specific_failure_over_q():

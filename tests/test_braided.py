@@ -386,13 +386,30 @@ def test_memo_is_per_space():
 def test_space_with_a_filled_memo_pickles():
     import pickle
 
+    from quadlie.appendix import _split_or_none
+    from quadlie.brackets import axiom_check
+    from quadlie.linalg import integral
     from quadlie.tensoralg import block_braiding
 
-    sp = row_instance(2, QQ).space
+    q = row_instance(2, QQ)
+    sp = q.space
     mat = block_braiding(sp, 2, 1)
+    # the bracket axiom check fills the linear echelon and the integral
+    # joint eigenspace; the sweep's split is memoised data too
+    flat = integral(x for row in q.beta.a for x in row)[0]
+    beta = [flat[:4], flat[4:]]
+    assert axiom_check(sp)(beta)
+    split = _split_or_none(sp)
+    assert split is not None
+    filled = {"quadlie.brackets._linear_echelon", "quadlie.brackets._e2bar_integral", "quadlie.appendix._split_or_none"}
+    assert filled <= {name for name, _ in sp._memo}
     copy = pickle.loads(pickle.dumps(sp))
     assert block_braiding(copy, 2, 1) == mat
     assert copy.e2bar() == sp.e2bar()
+    assert filled <= {name for name, _ in copy._memo}
+    assert copy._memo[("quadlie.brackets._linear_echelon", ())].rows == sp._memo[("quadlie.brackets._linear_echelon", ())].rows
+    assert axiom_check(copy)(beta)
+    assert _split_or_none(copy) == split
 
 
 def test_memo_keeps_no_error():

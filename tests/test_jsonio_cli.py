@@ -137,6 +137,32 @@ def test_cli_classify_matches_library(capsys):
     assert report["gamma"] == 3
 
 
+def test_cli_classify_verifies_once(capsys, monkeypatch):
+    # the command line checks the axioms, and canonical_form does not check
+    # them again; a failing bracket still exits 1 with its violated list
+    from quadlie import classify
+
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return verify_lifted(q)
+
+    monkeypatch.setattr(cli, "verify_lifted", counted)
+    monkeypatch.setattr(classify, "verify_lifted", counted)
+    shear = Mat.from_rows(GF(5), [[1, 1], [0, 1]])
+    for row in range(1, 9):
+        q = classify.conjugate(row_instance(row, GF(5), default_gamma(row, GF(5))), shear)
+        calls.clear()
+        code, out, _ = _run(capsys, ["classify", "--input", "-"], json.dumps(algebra_to_json(q)))
+        assert code == 0 and json.loads(out)["row"] == row
+        assert len(calls) == 1, row
+    calls.clear()
+    code, out, _ = _run(capsys, ["classify", "--input", "-"], json.dumps(_BAD_BRACKET))
+    assert code == 1 and out == _ANTISYMMETRY_FAILED
+    assert len(calls) == 1
+
+
 def test_cli_envelope(capsys):
     q = row_instance(1, QQ)
     doc = json.dumps(algebra_to_json(q))

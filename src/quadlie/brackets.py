@@ -16,12 +16,14 @@ from dataclasses import dataclass
 from .braided import (
     BraidedSpace,
     MinpolySplit,
+    apply_at,
     factor_parts,
     h_of_c,
     join_parts,
     lift_columns,
     lift_rows,
     per_space,
+    sparse_columns,
     vec_tensor,
 )
 from .fields import CheckFailed, Field
@@ -417,18 +419,16 @@ def rows_vanish(rows, flat, p=None):
 
 def jacobi_holds(beta, e2bar, n, p=None, sign=-1):
     """Whether b (b1 - b2) (b (b1 + b2) for sign 1) vanishes on the raw
-    vectors e2bar of V^(x)3, for a bracket b given as n raw rows,
-    b1 = b (x) Id and b2 = Id (x) b."""
-    if not e2bar:
-        return True
-    b1 = lift_rows(beta, 1, 3, n, 2, 1)
-    b2 = lift_rows(beta, 2, 3, n, 2, 1)
-    jm = raw_product(beta, [[x + sign * y for x, y in zip(r, s)] for r, s in zip(b1, b2)], p)
+    vectors e2bar of V^(x)3, for a bracket b given as n raw rows, with
+    b1 = b (x) Id and b2 = Id (x) b applied through ``apply_at``."""
+    cols = sparse_columns(beta)
     for v in e2bar:
-        for row in jm:
-            s = sum(x * y for x, y in zip(row, v))
-            if s if p is None else s % p:
-                return False
+        v = {k: x for k, x in enumerate(v) if x}
+        w = apply_at(cols, 1, n, v, p, n)
+        for k, x in apply_at(cols, 2, n, v, p, n).items():
+            w[k] = w.get(k, 0) + sign * x
+        if apply_at(cols, 1, n, w, p, n):
+            return False
     return True
 
 

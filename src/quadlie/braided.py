@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import wraps
 
 from .fields import CheckFailed, Field, Scalar
 from .linalg import Mat, Poly, Subspace, eval_poly_at, integral, kernel, minimal_polynomial, null_space
@@ -112,6 +112,12 @@ def mat_tensor(field, a: Mat, b: Mat) -> Mat:
     return Mat(field, out)
 
 
+def sparse_columns(op):
+    """The columns of a map given as rows of raw values, each as the list
+    of (row, entry) over its nonzero entries."""
+    return [[(o, row[i]) for o, row in enumerate(op) if row[i]] for i in range(len(op[0]))]
+
+
 def lift_columns(op, slot, total, n, in_factors, out_factors=None):
     """Sparse columns of a map on V^(x)l lifted to V^(x)total at a slot.
 
@@ -130,25 +136,12 @@ def lift_columns(op, slot, total, n, in_factors, out_factors=None):
         raise ValueError("operator shape does not match the declared factor counts")
     if slot < 1 or slot + l - 1 > total:
         raise IndexOutOfRange(f"slot {slot} with {l} factors does not fit in {total}")
-    lo, index = _slot_index(n, slot, total, l, rows, cols)
-    op_cols = [[(o, row[i]) for o, row in enumerate(op) if row[i]] for i in range(cols)]
-    return [[(base + lo * o, v) for o, v in op_cols[i]] for i, base in index]
-
-
-@lru_cache(maxsize=256)
-def _slot_index(n, slot, total, l, rows, cols):
-    """(lo, index) of a rows x cols map on V^(x)l lifted at a slot of
-    V^(x)total: input index k reads op column i and writes output
-    base + lo o for op row o, where (i, base) = index[k] and lo is the
-    dimension of the factors before the slot."""
-    lo = n ** (slot - 1)
-    index = []
-    # input index lo_i + lo (i + cols h) goes to lo_i + lo (o + rows h)
-    for k in range(lo * cols * n ** (total - slot - l + 1)):
-        rest, lo_i = divmod(k, lo)
-        h, i = divmod(rest, cols)
-        index.append((i, lo_i + lo * rows * h))
-    return lo, tuple(index)
+    lo, op_cols = n ** (slot - 1), sparse_columns(op)
+    out = []
+    for k in range(n**total):  # split as in apply_at
+        h, i = divmod(k // lo, cols)
+        out.append([(k % lo + lo * (o + rows * h), v) for o, v in op_cols[i]])
+    return out
 
 
 def lift_rows(op, slot, total, n, in_factors, out_factors=None):
@@ -172,13 +165,20 @@ def lift_to_slot(op: Mat, slot: int, total: int, n: int, in_factors: int, out_fa
     return Mat(op.field, lift_rows(op.a, slot, total, n, in_factors, out_factors))
 
 
-def apply_columns(cols, vec, p=None):
-    """The image of a sparse vector {index: value} under the map with the
-    sparse columns cols (as from ``lift_columns``), without its zero
-    entries: raw values over Q (p None), residues mod p over GF(p)."""
+def apply_at(cols, slot, n, vec, p=None, height=None):
+    """The image of a sparse vector {index: value} under Id (x) op (x) Id
+    with op at a 1-based slot, without zeros: raw values over Q (p None),
+    residues mod p over GF(p).  cols are op's ``sparse_columns`` and height
+    its number of rows (len(cols) if None).  No lift is built: index
+    low + lo (i + width h), lo = n^(slot-1), goes to low + lo (o + height h)."""
+    lo, width = n ** (slot - 1), len(cols)
+    height = width if height is None else height
     out = {}
     for k, x in vec.items():
-        for o, v in cols[k]:
+        h, i = divmod(k // lo, width)
+        base = k % lo + lo * height * h
+        for o, v in cols[i]:
+            o = base + lo * o
             out[o] = out.get(o, 0) + x * v
     if p is None:
         return {o: y for o, y in out.items() if y}
@@ -191,7 +191,7 @@ def braid_relation_holds(c, p=None) -> bool:
     over Q, p None; integers read mod p over GF(p)).
 
     Both sides are applied to one basis vector of V^(x)3 at a time, as
-    sparse {index: value} dicts through the lifted columns of c1 and c2,
+    sparse {index: value} dicts through ``apply_at`` at slots 1 and 2,
     and the test stops at the first basis vector whose images differ.
     """
     n = math.isqrt(len(c))
@@ -199,12 +199,12 @@ def braid_relation_holds(c, p=None) -> bool:
         n2 = n * n
         flat = integral([x for row in c for x in row])[0]
         c = [flat[o : o + n2] for o in range(0, n2 * n2, n2)]
-    c1, c2 = (lift_columns(c, slot, 3, n, 2) for slot in (1, 2))
+    cols = sparse_columns(c)
 
     def braid(first, second, e):
-        return apply_columns(first, apply_columns(second, apply_columns(first, e, p), p), p)
+        return apply_at(cols, first, n, apply_at(cols, second, n, apply_at(cols, first, n, e, p), p), p)
 
-    return all(braid(c1, c2, {k: 1}) == braid(c2, c1, {k: 1}) for k in range(n**3))
+    return all(braid(1, 2, {k: 1}) == braid(2, 1, {k: 1}) for k in range(n**3))
 
 
 def joint_minus_one_rows(c, n):

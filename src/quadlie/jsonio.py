@@ -22,8 +22,8 @@ from .linalg import Mat
 
 
 #: Largest accepted dimension of V: loading checks the braid relation, and
-#: ``verify`` on a dense c over Q at dim 6 takes about 1.6 s (2-CPU x86-64
-#: VM, Python 3.11), most of it in that check and the bracket-axiom rows.
+#: ``verify`` on a dense c over Q at dim 6 (1,289 of 1,296 entries nonzero)
+#: takes about 0.7-1.1 s as a command (2-CPU x86-64 VM, Python 3.11).
 MAX_DIM = 6
 
 

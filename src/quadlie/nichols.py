@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .braided import BraidedSpace, apply_columns, lift_columns, mat_tensor, per_space
+from .braided import BraidedSpace, apply_at, mat_tensor, per_space, sparse_columns
 from .envelope import Presentation, ideal_truncation, sq_graded_dims, sq_presentation
 from .fields import Scalar
 from .linalg import Mat, SparseEchelon, Subspace, integral, null_space
@@ -79,10 +79,10 @@ def symmetrizer_row_basis(space: BraidedSpace, n: int) -> tuple:
     the row space of (R (x) id) T_n.  Each row y of R (x) id is multiplied
     by T_n = id + c_(n-1) + c_(n-1) c_(n-2) + ... + c_(n-1) ... c_1 from
     the right, Horner style: y <- y c_i for i = n-1 ... 1, each y added to
-    the sum, with y c_i the image of y under the lifted columns of c's
-    transpose, lifted once per degree.  Over Q c is taken as an integer
-    matrix c' = den c, so the sum is den^(n-1) times the row of
-    (R (x) id) T_n, and no Fraction arises.
+    the sum, with y c_i the image of y under c's transpose acting at slot
+    i through ``apply_at``, so no lifted map is built.  Over Q c is taken
+    as an integer matrix c' = den c, so the sum is den^(n-1) times the row
+    of (R (x) id) T_n, and no Fraction arises.
     """
     if n < 0:
         raise ValueError("negative degree")
@@ -95,18 +95,15 @@ def symmetrizer_row_basis(space: BraidedSpace, n: int) -> tuple:
     p, n2 = field.p, dim * dim
     flat = [x for row in space.c.a for x in row]
     entries, den = integral(flat) if p is None else (flat, 1)
-    transpose = [entries[i::n2] for i in range(n2)]
-    lifts = [lift_columns(transpose, i, n, dim, 2) for i in range(n - 1, 0, -1)]
-    # y (x) x_j for y on n - 1 factors: the lift of x_j, a map from no
-    # factors to one, at the last slot
-    units = [lift_columns([[int(o == j)] for o in range(dim)], n, n - 1, dim, 0, 1) for j in range(dim)]
+    transpose = sparse_columns([entries[i::n2] for i in range(n2)])
     echelon = SparseEchelon(field)
     for row in prev:
-        for unit in units:
-            y = apply_columns(unit, row, p)
+        for j in range(dim):
+            # y (x) x_j: the letter x_j, a map from no factors, at slot n
+            y = apply_at([[(j, 1)]], n, dim, row, p, dim)
             total = dict(y)
-            for cols in lifts:
-                y = apply_columns(cols, y, p)
+            for i in range(n - 1, 0, -1):
+                y = apply_at(transpose, i, dim, y, p)
                 if den != 1:
                     total = {k: den * x for k, x in total.items()}
                 for k, x in y.items():

@@ -268,13 +268,14 @@ def test_raw_lift_matches_mat_lift(n):
 @pytest.mark.parametrize("field", [QQ, GF(3), GF(7)], ids=str)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_apply_columns_matches_dense_lift(n, field):
-    # sparse images through lifted columns against the dense lift's apply:
-    # square (2 -> 2) and rectangular (2 -> 1) operators at every slot,
-    # Fractions over Q and unreduced integers over GF(p), on the empty
-    # vector, random sparse vectors and vectors whose images cancel to zero
+    # sparse images through apply_at (an operator's own columns acting at a
+    # slot) against the dense lift's apply: square (2 -> 2), rectangular
+    # (2 -> 1) and letter (0 -> 1) operators at every slot, Fractions over Q
+    # and unreduced integers over GF(p), on the empty vector, random sparse
+    # vectors and vectors whose images cancel to zero
     import random
 
-    from quadlie.braided import apply_columns, lift_columns
+    from quadlie.braided import apply_at, lift_columns, sparse_columns
     from quadlie.linalg import kernel
 
     rng = random.Random(f"apply:{n}:{field}")
@@ -283,9 +284,27 @@ def test_apply_columns_matches_dense_lift(n, field):
         entry = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
     else:
         entry = lambda: rng.randint(-2 * p, 2 * p)
-    seen = {"vectors": 0, "cancelled": 0}
-    for total in (2, 3, 4) if n < 3 else (2, 3):
+    seen = {"vectors": 0, "cancelled": 0, "letters": 0}
+
+    def check(a, slot, total, l, m):
+        cols = sparse_columns(a)
+        raw = lift_columns(a, slot, total, n, l, m)
+        dense = lift_to_slot(Mat.from_rows(field, a), slot, total, n, l, m)
         width = n**total
+        vecs = [{}]
+        for _ in range(3):
+            vecs.append({k: entry() for k in rng.sample(range(width), rng.randint(1, width))})
+        for v in kernel(dense).basis:
+            lift = (lambda x: x) if p is None else (lambda x: x + p * rng.randint(-2, 2))
+            vecs.append({k: lift(x) for k, x in enumerate(v) if x})
+        for vec in vecs:
+            image = dense.apply([vec.get(k, 0) for k in range(width)])
+            assert apply_at(cols, slot, n, vec, p, n**m) == {o: y for o, y in enumerate(image) if y}, (a, slot, vec)
+            seen["vectors"] += 1
+            if vec and not any(image) and any(raw[k] for k in vec):
+                seen["cancelled"] += 1
+
+    for total in (2, 3, 4) if n < 3 else (2, 3):
         for m in (2, 1):
             op = [[entry() if rng.random() < 0.6 else 0 for _ in range(n * n)] for _ in range(n**m)]
             if p is not None:
@@ -296,23 +315,70 @@ def test_apply_columns_matches_dense_lift(n, field):
                 degenerate = [list(op[0]) for _ in range(n**m)]
             for a in (op, degenerate):
                 for slot in range(1, total):
-                    cols = lift_columns(a, slot, total, n, 2, m)
-                    dense = lift_to_slot(Mat.from_rows(field, a), slot, total, n, 2, m)
-                    vecs = [{}]
-                    for _ in range(3):
-                        vecs.append({k: entry() for k in rng.sample(range(width), rng.randint(1, width))})
-                    for v in kernel(dense).basis:
-                        lift = (lambda x: x) if p is None else (lambda x: x + p * rng.randint(-2, 2))
-                        vecs.append({k: lift(x) for k, x in enumerate(v) if x})
-                    for vec in vecs:
-                        image = dense.apply([vec.get(k, 0) for k in range(width)])
-                        assert apply_columns(cols, vec, p) == {o: y for o, y in enumerate(image) if y}, (a, slot, vec)
-                        seen["vectors"] += 1
-                        if vec and not any(image) and any(cols[k] for k in vec):
-                            seen["cancelled"] += 1
+                    check(a, slot, total, 2, m)
+    # the letters x_j and a random vector of V as maps from no factors to
+    # one, inserted at every slot of V^(x)0 ... V^(x)3
+    letters = [[[int(o == j)] for o in range(n)] for j in range(n)] + [[[entry()] for _ in range(n)]]
+    for total in range(4):
+        for a in letters:
+            for slot in range(1, total + 2):
+                check(a, slot, total, 0, 1)
+                seen["letters"] += 1
     assert seen["vectors"] > 0
+    assert seen["letters"] == (n + 1) * 10
     # over Q a map of one-dimensional spaces cancels nothing it does not zero
     assert seen["cancelled"] > 0 or (n, p) == (1, None)
+
+
+def test_slot_actions_build_no_lifted_columns(monkeypatch):
+    # the braid relation, the Nichols ranks and Jacobi act at a slot through
+    # apply_at alone: with lift_columns raising in every module that holds
+    # it, they give the results they give without the stub
+    import importlib
+    import math
+    import pkgutil
+
+    import quadlie
+    from quadlie.braided import braid_relation_holds
+    from quadlie.brackets import jacobi_holds
+    from quadlie.nichols import nichols_ranks
+
+    def quantum_linear(field):
+        # three letters, q_ii = 1, q_ij = 2 and q_ji = 1/2 for i < j
+        q = [[field(1) if i == j else field(2) if i < j else field(2).inverse() for j in range(3)] for i in range(3)]
+        return Mat.from_rows(field, diagonal_braiding(3, q))
+
+    rows = [row_instance(row, field, default_gamma(row, field)) for field in (QQ, GF(5)) for row in range(1, 9)]
+    braidings = [(q.space.c.a, q.field.p) for q in rows]
+    braidings += [(quantum_linear(field).a, field.p) for field in (QQ, GF(13))]
+    braidings += [([[x + (i == 0) for x in r] for i, r in enumerate(c)], p) for c, p in braidings[:4]]
+    brackets = []
+    for q in rows:
+        broken = [[x + (r == 0 and k == 1) for k, x in enumerate(xs)] for r, xs in enumerate(q.beta.a)]
+        for beta in (q.beta.a, broken):
+            brackets.append((beta, q.space.e2bar().basis, q.field.p))
+
+    def results():
+        relation = [braid_relation_holds(c, p) for c, p in braidings]
+        ranks = [nichols_ranks(BraidedSpace(field, 3, quantum_linear(field)), 5) for field in (QQ, GF(13))]
+        jacobi = [jacobi_holds(beta, e2bar, 2, p, sign) for beta, e2bar, p in brackets for sign in (-1, 1)]
+        return relation, ranks, jacobi
+
+    expected = results()
+    assert expected[1] == [[math.comb(d + 2, 2) for d in range(6)]] * 2
+    assert {True, False} <= set(expected[0]) and {True, False} <= set(expected[2])
+
+    def stub(*args, **kwargs):
+        raise AssertionError("a slot action built lifted columns")
+
+    holders = []
+    for info in pkgutil.iter_modules(quadlie.__path__):
+        module = importlib.import_module(f"quadlie.{info.name}")
+        if hasattr(module, "lift_columns"):
+            monkeypatch.setattr(module, "lift_columns", stub)
+            holders.append(info.name)
+    assert {"braided", "brackets", "appendix"} <= set(holders)
+    assert results() == expected
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=str)

@@ -40,7 +40,7 @@ from .table import GAMMA_RULES, gamma_allowed, row_instance
 
 
 #: Largest p accepted by the exhaustive case families (p^8 braiding shapes
-#: per family, solved for by backtracking; GF(7) takes about 44 s).
+#: per family, solved for by backtracking; GF(7) takes about 25 s).
 CASE_FAMILIES_MAX_P = 7
 
 #: Largest p accepted by the survey (p^6 corner shapes and p^4 diagonal

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
+from itertools import chain
 
 from .braided import (
     BraidedSpace,
@@ -89,16 +91,19 @@ class LiftedReport:
 
 
 @per_space
-def _linear_rows(space):
-    """linear_axiom_rows of the space's braiding, built once per space."""
-    return linear_axiom_rows(space.c.a, space.dim, space.field.p)
-
-
-@per_space
 def _linear_echelon(space):
-    """The echelon of all linear axiom rows of the space, eliminated once per
-    space: a bracket satisfies the linear axioms iff its rows vanish on it."""
-    return SparseEchelon(space.field, [r for group in _linear_rows(space) for r in group])
+    """The echelon of the linear axiom rows of the space, eliminated once per
+    space: a bracket satisfies the linear axioms iff its rows vanish on it.
+    It stops reading rows at rank n^3, where every coordinate is a pivot: a
+    reduced echelon of a span is canonical, so the rest would leave its n^3
+    unit rows as they are (most braidings have no linear bracket)."""
+    full = space.dim**3
+    ech = SparseEchelon(space.field)
+    for row in chain.from_iterable(linear_axiom_rows(space.c.a, space.dim, space.field.p)):
+        ech.insert(row)
+        if ech.rank == full:
+            break
+    return ech
 
 
 @per_space
@@ -125,14 +130,15 @@ def axiom_check(space: BraidedSpace):
 def verify_lifted(q: QuadraticLieAlgebra) -> LiftedReport:
     """Check the four bracket axioms: the linear ones against the space's
     constraint rows, Jacobi on its joint (-1)-eigenspace.  All four are
-    homogeneous in b, so over Q they are tested on an integer multiple."""
+    homogeneous in b, so over Q they are tested on an integer multiple.
+    Each linear group is read only up to its first row that does not vanish."""
     q.field.require_odd_char()
     space = q.space
     p = q.field.p
     n2 = space.dim**2
     flat = integral(x for row in q.beta.a for x in row)[0]
     beta = [flat[r : r + n2] for r in range(0, len(flat), n2)]
-    antisym, left, right = _linear_rows(space)
+    antisym, left, right = linear_axiom_rows(space.c.a, space.dim, p)
     return LiftedReport(
         rows_vanish(antisym, flat, p),
         rows_vanish(left, flat, p),
@@ -270,7 +276,7 @@ def restrict_bracket(q: QuadraticLieAlgebra, split: MinpolySplit) -> RestrictedB
     """
     space = q.space
     n = space.dim
-    if not rows_vanish(_linear_rows(space)[0], [x for row in q.beta.a for x in row], space.field.p):
+    if not rows_vanish(linear_axiom_rows(space.c.a, n, space.field.p)[0], [x for row in q.beta.a for x in row], space.field.p):
         raise Inconsistent("bracket does not vanish on the image of c + Id")
     e2 = space.e2()
     hc = h_of_c(space, split)
@@ -368,6 +374,10 @@ def linear_axiom_rows(c, n, p=None):
     the lcm of c's denominators.  Rows without a nonzero coefficient are
     left out.
 
+    Each group is a generator that builds its rows as they are read, so a
+    reader that stops early builds no more, and c1 c2 or c2 c1 is formed
+    only when its group is first read.
+
     The slot lifts of b are taken of the matrix of its coordinate labels,
     so they say which coordinate of b sits at each entry of b1 and b2.
     """
@@ -377,34 +387,31 @@ def linear_axiom_rows(c, n, p=None):
     flat, d = integral([x for row in c for x in row])
     c = [flat[o : o + n2] for o in range(0, n2 * n2, n2)]
     labels = [[r * n2 + k + 1 for k in range(n2)] for r in range(n)]  # nonzero, so the lifts keep them
-    c1, c2 = lift_rows(c, 1, 3, n, 2, 2), lift_rows(c, 2, 3, n, 2, 2)
+    # the lifts of c and of b to a slot, each made once, when first read
+    c_at = cache(lambda slot: lift_rows(c, slot, 3, n, 2, 2))
+    b_at = cache(lambda slot: lift_columns(labels, slot, 3, n, 2, 1))
 
-    def compatibility(near, far, cc):
-        """Rows of c b_near - b_far cc, b_near and b_far the lifts of b to
-        the given slots: entry (o, m) has sum_j c[o][j] b_near[j][m]
-        minus sum_K b_far[o][K] cc[K][m]."""
-        near_cols = lift_columns(labels, near, 3, n, 2, 1)
+    def compatibility(near, far):
+        """Rows of c b_near - b_far c_near c_far, b_near and b_far the lifts
+        of b to the given slots: entry (o, m) has sum_j c[o][j] b_near[j][m]
+        minus sum_K b_far[o][K] (c_near c_far)[K][m]."""
+        cc = raw_product(c_at(near), c_at(far), p)
+        near_cols = b_at(near)
         far_rows = [[] for _ in range(n2)]
-        for k, col in enumerate(lift_columns(labels, far, 3, n, 2, 1)):
+        for k, col in enumerate(b_at(far)):
             for o, u in col:
                 far_rows[o].append((k, u - 1))
-        rows = []
         for o in range(n2):
             for m in range(n3):
                 row = {u - 1: d * c[o][j] for j, u in near_cols[m]}
                 for k, u in far_rows[o]:
                     if y := cc[k][m]:
                         row[u] = row.get(u, 0) - y
-                rows.append(row)
-        return rows
+                yield row
 
-    antisym = [{r * n2 + k: c[k][j] + d * (k == j) for k in range(n2)} for r in range(n) for j in range(n2)]
-    groups = (
-        antisym,
-        compatibility(1, 2, raw_product(c1, c2, p)),
-        compatibility(2, 1, raw_product(c2, c1, p)),
-    )
-    return tuple([r for r in rows if any(r.values())] for rows in groups)
+    antisym = ({r * n2 + k: c[k][j] + d * (k == j) for k in range(n2)} for r in range(n) for j in range(n2))
+    groups = (antisym, compatibility(1, 2), compatibility(2, 1))
+    return tuple((r for r in rows if any(r.values())) for rows in groups)
 
 
 def rows_vanish(rows, flat, p=None):

@@ -375,6 +375,56 @@ def test_bracket_space_matches_unit_bracket_oracle(unit_bracket_oracle):
     assert {0, 1, 2, 9} <= dims
 
 
+def test_linear_echelon_equals_the_echelon_of_every_axiom_row(monkeypatch):
+    # the space's echelon stops reading rows at rank n^3; it must equal the
+    # echelon of every row of linear_axiom_rows, on spaces that stop early
+    # and on spaces with brackets, which read every row
+    from itertools import chain, product
+
+    import quadlie.brackets as brackets
+    from quadlie.appendix import _rank1_case_shapes, _rank2_case_shapes, _survey_braidings
+    from quadlie.linalg import SparseEchelon
+
+    spaces = [_raw_space(GF(3), c) for c in chain(_rank2_case_shapes(3), _rank1_case_shapes(3))]
+    spaces += [_raw_space(GF(5), rows) for rows in _survey_braidings(GF(5))]
+    tables = [q.space for field in (QQ, GF(3)) for q in all_rows(field)]
+    # three letters, diagonal over GF(3); all ones is the flip, whose
+    # brackets are the ordinary Lie brackets
+    diagonals = [
+        BraidedSpace(GF(3), 3, Mat(GF(3), diagonal_braiding(3, [q[:3], q[3:6], q[6:]])), check=False)
+        for q in product((1, 2), repeat=9)
+    ]
+    flip = diagonals[0]
+    generic = brackets.linear_axiom_rows
+    read = {}
+
+    def counted(c, n, p=None):
+        key = (tuple(map(tuple, c)), p)
+        read[key] = 0
+
+        def count(group):
+            for row in group:
+                read[key] += 1
+                yield row
+
+        return tuple(count(g) for g in generic(c, n, p))
+
+    monkeypatch.setattr(brackets, "linear_axiom_rows", counted)
+    stopped, complete = set(), set()
+    for sp in spaces + tables + diagonals:
+        ech = brackets._linear_echelon(sp)
+        every = [r for g in generic(sp.c.a, sp.dim, sp.field.p) for r in g]
+        assert ech.rows == SparseEchelon(sp.field, every).rows, sp.c
+        if read[(tuple(map(tuple, sp.c.a)), sp.field.p)] < len(every):
+            assert ech.rank == sp.dim**3
+            stopped.add(sp)
+        elif ech.rank < sp.dim**3:
+            complete.add(sp)
+    assert stopped and complete
+    assert set(tables) <= complete and flip in complete
+    assert len(stopped & set(diagonals)) > len(diagonals) // 2
+
+
 def _invertible(field, rng):
     while True:
         entry = (lambda: rng.randint(-3, 3)) if field.is_rationals else (lambda: rng.randrange(field.p))

@@ -24,7 +24,7 @@ from quadlie.nichols import (
     verify_qpower_coproduct,
     verify_unipotent_bridge,
 )
-from quadlie.table import _c_rows, default_gamma, row_instance
+from quadlie.table import GAMMA_RULES, _c_rows, default_gamma, gamma_allowed, row_instance
 from quadlie.tensoralg import TensorElem, coproduct
 
 
@@ -152,6 +152,18 @@ def test_nichols_obstruction_gf3():
     assert not nichols_quadratic_at(sp, 3)
     # the drop happens exactly at degree 3: 6 = 0 mod 3 kills the cube
     assert symmetrizer_rank(sp, 3) < sq_graded_dims(sp, 3)[3]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_nichols_obstruction_every_row(p):
+    # over GF(p) every table row, at its least allowed gamma, has the
+    # quadratic dimensions as Nichols ranks below degree p, and fewer at p
+    field = GF(p)
+    for row in range(1, 9):
+        gamma = None if GAMMA_RULES[row] is None else min(g for g in range(p) if gamma_allowed(row, field, g))
+        sp = row_instance(row, field, gamma).space
+        ranks, dims = nichols_ranks(sp, p), sq_graded_dims(sp, p)
+        assert ranks[:p] == dims[:p] and ranks[p] < dims[p], (row, ranks, dims)
 
 
 def _table_space(row, field):

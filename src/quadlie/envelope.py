@@ -8,7 +8,8 @@ ideal's slice at k for every k (G. Bergman's diamond lemma), so the
 slices up to N are exact once degree max(N, 3) is in, as are those of a
 graded ideal.  Otherwise raising the buffer must leave the dimensions of
 the degree slices up to N unchanged (top-degree cancellations can leak
-relations into lower degrees).
+relations into lower degrees).  The certificate is tried in two letter
+orders: what it shows does not depend on the order.
 
 Coordinates are ordered with longer words first, so the rows of the
 reduced echelon span whose pivot has degree <= k form a canonical basis
@@ -140,7 +141,7 @@ class IdealTruncation:
     order: EliminationOrder
     echelon: SparseEchelon
     slice_dims: list  # dim(ideal intersect T^{<=k}) for k = 0..N
-    overlaps_resolved: bool  # certified by the diamond lemma, not by stabilization
+    overlaps_resolved: bool  # certified by the diamond lemma in either letter order, not by stabilization
     _nf_cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -219,11 +220,29 @@ def _overlaps_resolve(order, ech, rels):
     degree <= 3 contains one of those leading words as a factor.  The
     reducible words are always pivots, so then every overlap a b c
     resolves, and the sandwiches of degree <= k span the whole ideal
-    intersect T^{<=k} for every k."""
+    intersect T^{<=k} for every k.  That conclusion does not mention the
+    order, so it holds once the test passes in any one order."""
     leads = {order.word(min(order.to_coords(r))) for r in rels}
     if any(len(w) != 2 for w in leads):
         return False
     return all(w[:2] in leads or w[1:] in leads for w in map(order.word, ech.rows) if len(w) <= 3)
+
+
+def _reversed_overlaps_resolve(pres: Presentation):
+    """``_overlaps_resolve`` in the reversed letter order, on the relations
+    relabelled by x_i -> x_{n+1-i}.  The relabelling is a filtered
+    automorphism of T(V) that maps the sandwich spans of the relations
+    onto those of the relabelled ones, so when it holds, the sandwiches of
+    pres of degree <= k span its ideal's slice at degree <= k for every k."""
+    space = pres.space
+    n = space.dim
+    relabelled = (TensorElem(space, {tuple(n + 1 - x for x in w): c for w, c in r.terms.items()}) for r in pres.relations)
+    rels = Presentation(space, relabelled).relations
+    order = EliminationOrder(n, 3)
+    ech = SparseEchelon(space.field)
+    for d in range(4):
+        _insert_sandwiches(ech, order, n, rels, d)
+    return _overlaps_resolve(order, ech, rels)
 
 
 def ideal_truncation(pres: Presentation, N: int, buffer: int = 2) -> IdealTruncation:
@@ -232,9 +251,11 @@ def ideal_truncation(pres: Presentation, N: int, buffer: int = 2) -> IdealTrunca
     Inserts the sandwiches degree by degree up to the working degree
     N + buffer.  Once degree max(N, 3) <= N + buffer is in, the slices up
     to N are final if the relations' overlaps resolve
-    (``_overlaps_resolve``), or if the presentation is graded (a sandwich
-    of degree d lies in T^d, so higher degrees never reach them): it stops
-    there and reports the buffer as used.  Otherwise it keeps raising the
+    (``_overlaps_resolve``, in the standard letter order or, for a
+    presentation that is not graded, in the reversed one), or if the
+    presentation is graded (a sandwich of degree d lies in T^d, so higher
+    degrees never reach them): it stops there and reports the buffer as
+    used.  Otherwise it keeps raising the
     buffer (at most twice) until the slice dimensions up to N stop
     changing; raises Unstabilized if they never do.
     """
@@ -253,6 +274,7 @@ def ideal_truncation(pres: Presentation, N: int, buffer: int = 2) -> IdealTrunca
         _insert_sandwiches(ech, order, n, rels, d)
         if d == max(N, 3):
             resolved = _overlaps_resolve(order, ech, rels)
+            resolved = resolved or (not graded and _reversed_overlaps_resolve(pres))
             if resolved or graded:
                 break
 

@@ -350,11 +350,11 @@ def _assert_rows_match_oracle(trunc, oracle, low_only):
             assert trunc.nf_word(w) == expect, w
 
 
-def _sandwich_path(pres, N, monkeypatch):
+def _sandwich_path(pres, N, monkeypatch, buffer=2):
     """ideal_truncation with the overlap certificate forced off."""
     with monkeypatch.context() as m:
         m.setattr(envelope, "_overlaps_resolve", lambda *args: False)
-        return ideal_truncation(pres, N)
+        return ideal_truncation(pres, N, buffer)
 
 
 def _assert_truncation_matches_oracle(scalar_echelon, monkeypatch, pres, N):
@@ -411,11 +411,12 @@ DIAGONAL_N3 = {
 }
 
 
-def _assert_certified_matches_sandwiches(pres, N, monkeypatch):
-    """ideal_truncation as it comes against the same with the certificate
-    forced off; returns whether the first was certified."""
-    trunc = ideal_truncation(pres, N)
-    forced = _sandwich_path(pres, N, monkeypatch)
+def _assert_certified_matches_sandwiches(pres, N, monkeypatch, buffer=2, trunc=None):
+    """ideal_truncation as it comes (or trunc) against the same with the
+    certificate forced off; returns whether the first was certified."""
+    if trunc is None:
+        trunc = ideal_truncation(pres, N, buffer)
+    forced = _sandwich_path(pres, N, monkeypatch, buffer)
     order = trunc.order
 
     def low_rows(t):
@@ -469,6 +470,96 @@ def test_certified_truncation_matches_sandwich_path(monkeypatch):
     assert not certified["Q row 2 fallback", 4]
     assert not certified["x1 x1 - x2", 4]
     assert all(certified[name, 4] for name in ("Q row 1", *DIAGONAL_N3, "U(sl2)"))
+
+
+#: The 36 basis changes of the benchmark's conjugates (bench/workloads.py):
+#: integer 2x2 matrices with entries in {-1, 0, 1}, determinant +-1, not
+#: diagonal.
+ALPHAS = [
+    [[a, b], [c, d]]
+    for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1) for d in (-1, 0, 1)
+    if a * d - b * c in (1, -1) and (b or c)
+]
+
+
+def _recorded_overlaps(monkeypatch):
+    """Wrap _overlaps_resolve so that each call appends its result to the
+    returned list."""
+    results = []
+    inner = envelope._overlaps_resolve
+
+    def recorded(*args):
+        results.append(inner(*args))
+        return results[-1]
+
+    monkeypatch.setattr(envelope, "_overlaps_resolve", recorded)
+    return results
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=repr)
+def test_reversed_certificate_matches_sandwich_path(field, monkeypatch):
+    # rows 2, 5 and 6, canonical and under the 36 basis changes: where the
+    # certificate holds only in the reversed letter order, the truncation
+    # equals the sandwich path's (elsewhere it takes the path it took
+    # before the reversed order was tried)
+    results = _recorded_overlaps(monkeypatch)
+    certified, reversed_only = {}, {}
+    for row in (2, 5, 6):
+        canon = row_instance(row, field, default_gamma(row, field))
+        for k, alpha in enumerate([None, *ALPHAS]):
+            q = canon if alpha is None else conjugate(canon, Mat.from_rows(field, alpha))
+            pres = uq_relations(q, split_minpoly(q.space))
+            for N in range(5):
+                results.clear()
+                trunc = ideal_truncation(pres, N)
+                certified[row, k, N] = trunc.overlaps_resolved
+                reversed_only[row, k, N] = results == [False, True]
+                if reversed_only[row, k, N]:
+                    _assert_certified_matches_sandwiches(pres, N, monkeypatch, trunc=trunc)
+    # from N = 1 on, N + buffer reaches degree 3, and the certificate does
+    # not depend on N
+    for N in range(1, 5):
+        assert all(certified[row, 0, N] for row in (2, 5, 6))
+        assert [sum(certified[row, k, N] for k in range(1, 37)) for row in (2, 5, 6)] == [20, 20, 36]
+        assert [sum(reversed_only[row, k, N] for k in range(37)) for row in (2, 5, 6)] == [9, 9, 16]
+    assert not any(certified[row, k, 0] for row in (2, 5, 6) for k in range(37))
+
+
+@pytest.mark.parametrize("row", [2, 5])
+def test_reversed_certificate_at_higher_degrees(row, monkeypatch):
+    # the canonical rows 2 and 5 at N = 5 and 6 against the sandwich path,
+    # which builds degrees up to N + buffer + 1; at N = 5 at the buffers 2,
+    # 3 and 4 (degree 10)
+    q = row_instance(row, QQ, default_gamma(row, QQ))
+    pres = uq_relations(q, split_minpoly(q.space))
+    for N, buffer in ((5, 2), (5, 3), (5, 4), (6, 2)):
+        assert _assert_certified_matches_sandwiches(pres, N, monkeypatch, buffer)
+
+
+def test_reversed_certificate_controls(monkeypatch):
+    results = _recorded_overlaps(monkeypatch)
+    # positive control: on canonical row 2 the standard order fails and the
+    # reversed order certifies the truncation
+    q = row_instance(2, QQ, default_gamma(2, QQ))
+    assert ideal_truncation(uq_relations(q, split_minpoly(q.space)), 4).overlaps_resolved
+    assert results == [False, True]
+    # negative controls: the row-2 conjugate whose top form holds both
+    # squares, and a relation that leaks into degree 1, fail in both orders
+    fallback = conjugate(q, Mat.from_rows(QQ, [[-1, -1], [1, 0]]))
+    sp = q.space
+    for pres in (
+        uq_relations(fallback, split_minpoly(fallback.space)),
+        Presentation(sp, [TensorElem(sp, {(1, 1): QQ(1), (2,): QQ(-1)})]),
+    ):
+        results.clear()
+        assert not ideal_truncation(pres, 4).overlaps_resolved
+        assert results == [False, False]
+    # a graded presentation is exact without the certificate: one call,
+    # whatever it returns
+    for row in range(1, 9):
+        results.clear()
+        ideal_truncation(sq_presentation(row_instance(row, QQ, default_gamma(row, QQ)).space), 4)
+        assert len(results) == 1, row
 
 
 def _buffer_path(pres, N, monkeypatch):

@@ -6,7 +6,8 @@ by Matsumoto's theorem).  By the Woronowicz factorisation
 S_n = (S_(n-1) (x) id) T_n, the rank of S_n is that of a row basis of
 S_(n-1), tensored with id, times T_n, so the ranks come from one row
 basis per degree, and no symmetrizer is built.  The dense symmetrizer
-and the braid lifts stay as the oracles of that recursion.  Primitivity
+and the braid lifts stay as the oracles of that recursion, and the braid
+lifts also of the crossings of ``tensoralg``.  Primitivity
 of quotient cosets is decided by reducing both coproduct legs to
 canonical normal forms.  Includes Gaussian binomials and the closed-form
 power coproducts of the diagonal-type and unipotent-type canonical
@@ -26,10 +27,10 @@ from .table import row_instance
 from .tensoralg import (
     SplitTensorElem,
     TensorElem,
-    _crossing_columns,
     add_up,
     braided_mul_split,
     coproduct,
+    crossing,
 )
 
 
@@ -279,10 +280,10 @@ def verify_cx2_and_alpha(gamma: Scalar, n_max: int = 6) -> bool:
     pres = sq_presentation(space)
     trunc = ideal_truncation(pres, n_max + 1, 1)
 
-    # (a) crossing identity, computed through the block braiding.
+    # (a) crossing identity, computed through the crossing of one word.
     for n in range(n_max + 1):
-        crossing = _crossing_columns(space, 1, n)[(2,) * (n + 1)]
-        lhs = trunc.nf_split(SplitTensorElem(space, add_up(((w[:n], w[n:]), c) for w, c in crossing)))
+        image = crossing(space, 1, (2,) * (n + 1))
+        lhs = trunc.nf_split(SplitTensorElem(space, add_up(((w[:n], w[n:]), c) for w, c in image)))
         pairs = [((2,) * n, (2,), field.one)]
         if n >= 1:
             pairs.append(((1,) + (2,) * (n - 1), (1,), field(n) * gamma))

@@ -3,7 +3,7 @@
 Elements are finitely supported maps from words over {1..n} to raw field
 values; the empty word is the unit.  The coproduct is the unique algebra
 map T -> T (x) T sending letters x to x (x) 1 + 1 (x) x, where T (x) T
-multiplies through the block braiding of the middle factors; its (1,1)
+multiplies through the crossing of the middle factors; its (1,1)
 component is Id + c, so degree-two primitives agree with ker(c + Id).
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .braided import BraidedSpace, all_words, index_word, lift_to_slot, per_space, word_index
+from .braided import BraidedSpace, all_words, apply_at, index_word, per_space, sparse_columns, word_index
 from .fields import CheckFailed
 from .linalg import Mat, Subspace, kernel
 
@@ -166,42 +166,37 @@ class SplitTensorElem(_Combination):
 
 
 @per_space
-def block_braiding(space: BraidedSpace, m: int, n: int) -> Mat:
-    """The braid lift moving the first m tensor factors past the last n.
-
-    Recursion: c^(0,n) = c^(m,0) = Id; c^(1,n) = c_n ... c_1;
-    c^(m,n) = (c^(m-1,n) (x) Id) o (Id^(m-1) (x) c^(1,n)).
-    """
-    if m < 0 or n < 0:
-        raise ValueError("negative block sizes")
-    d = space.dim
-    if m == 0 or n == 0:
-        return Mat.identity(space.field, d ** (m + n))
-    if m == 1:
-        out = Mat.identity(space.field, d ** (1 + n))
-        for i in range(1, n + 1):
-            out = space.braiding_at(i, 1 + n) @ out
-        return out
-    inner = lift_to_slot(block_braiding(space, 1, n), m, m + n, d, 1 + n, 1 + n)
-    outer = lift_to_slot(block_braiding(space, m - 1, n), 1, m + n, d, m - 1 + n, m - 1 + n)
-    return outer @ inner
+def crossing(space: BraidedSpace, m: int, w) -> tuple:
+    """The (word, raw coefficient) pairs, in tensor-index order, of the
+    image of the word w under c^(m,n), which moves its first m letters past
+    the last n = |w| - m: c^(1,n) = c_n ... c_1 and c^(m,n) =
+    (c^(m-1,n) (x) Id)(Id^(m-1) (x) c^(1,n)), so c acts through ``apply_at``
+    at slots j ... j+n-1 for j = m ... 1, and no dense lift is built."""
+    d, k = space.dim, len(w)
+    if not 0 <= m <= k:
+        raise ValueError(f"no block of {m} letters in a word of {k}")
+    if not all(1 <= i <= d for i in w):
+        raise ValueError(f"word {w} has a letter outside 1..{d}")
+    cols, p = sparse_columns(space.c.a), space.field.p
+    vec = {word_index(w, d): 1}
+    for j in range(m, 0, -1):
+        for i in range(j, j + k - m):
+            vec = apply_at(cols, i, d, vec, p)
+    return tuple((index_word(i, d, k), x) for i, x in sorted(vec.items()))
 
 
 @per_space
-def _crossing_columns(space, m, n):
-    """Sparse columns of c^(m,n): word -> list of (word, coeff)."""
-    mat = block_braiding(space, m, n)
+def block_braiding(space: BraidedSpace, m: int, n: int) -> Mat:
+    """The braid lift c^(m,n) moving the first m tensor factors past the
+    last n, as a dense matrix: the column of a word is its ``crossing``."""
+    if m < 0 or n < 0:
+        raise ValueError("negative block sizes")
     d = space.dim
-    cols = {}
-    for j in range(d ** (m + n)):
-        w = index_word(j, d, m + n)
-        col = []
-        for i in range(d ** (m + n)):
-            s = mat.a[i][j]
-            if s:
-                col.append((index_word(i, d, m + n), s))
-        cols[w] = col
-    return cols
+    out = Mat.zero(space.field, d ** (m + n), d ** (m + n))
+    for j, w in enumerate(all_words(d, m + n)):
+        for u, x in crossing(space, m, w):
+            out.a[word_index(u, d)][j] = x
+    return out
 
 
 def braided_mul_split(x: SplitTensorElem, y: SplitTensorElem) -> SplitTensorElem:
@@ -218,7 +213,7 @@ def braided_mul_split(x: SplitTensorElem, y: SplitTensorElem) -> SplitTensorElem
                     yield (u + u2, v + v2), ab
                     continue
                 k = len(u2)
-                for w, coeff in _crossing_columns(space, len(v), k)[v + u2]:
+                for w, coeff in crossing(space, len(v), v + u2):
                     yield (u + w[:k], w[k:] + v2), ab * coeff
 
     return SplitTensorElem(space, add_up(terms()))

@@ -37,6 +37,11 @@ slot-lifted matrices, kept as the oracles of
 axioms from constraint rows and test the braid relation sparsely on raw
 entries.
 
+``block_word`` is the braid word of the block transposition c^(m,n).
+``quadlie.nichols.braid_lift`` along it, a product of dense slot-lifted
+braidings, is the oracle of ``quadlie.tensoralg.crossing``, which applies c
+to one word through ``apply_at``, and of the braided product it serves.
+
 The oracles build their slot lifts with ``mat_tensor`` (``dense_lift``),
 multiply by the textbook inner-index sum (``dense_product``) and take null
 spaces by the Gauss-Jordan oracle, so none of them runs the raw product,
@@ -54,6 +59,17 @@ from quadlie.linalg import HypothesisViolated, Mat, Poly
 def scalar_rows(m):
     """The entries of a Mat as rows of Scalars."""
     return [[m.field(x) for x in row] for row in m.a]
+
+
+def block_word(m, n):
+    """The braid word of the block transposition, as ``nichols.braid_lift``
+    multiplies it left to right: c^(1,n) = c_n ... c_1 and
+    c^(m,n) = c^(m-1,n) c_(m+n-1) ... c_m."""
+    if m == 0 or n == 0:
+        return []
+    if m == 1:
+        return list(range(n, 0, -1))
+    return block_word(m - 1, n) + list(range(m + n - 1, m - 1, -1))
 
 
 def raw(field, values):

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import scalar_rows
+from conftest import block_word, scalar_rows
 
 from quadlie.braided import index_word, split_minpoly, word_index
 from quadlie.classify import conjugate
@@ -19,7 +19,8 @@ from quadlie.envelope import ideal_truncation, uq_relations
 from quadlie.fields import GF, QQ
 from quadlie.linalg import HypothesisViolated, Mat, Poly, eval_poly_at, minimal_polynomial, poly_gcd_bezout
 from quadlie.table import default_gamma, row_instance
-from quadlie.tensoralg import SplitTensorElem, TensorElem, block_braiding, braided_mul_split, coproduct
+from quadlie.nichols import braid_lift
+from quadlie.tensoralg import SplitTensorElem, TensorElem, braided_mul_split, coproduct
 
 FIELDS = [QQ, GF(3), GF(7)]
 
@@ -258,17 +259,21 @@ def _s_collect(field, pairs):
 
 
 def _s_braided_mul(x, y):
-    """The braided product on T (x) T, reading the block braiding's entries
-    as Scalars."""
+    """The braided product on T (x) T, reading as Scalars the entries of
+    the dense braid lift along the block transposition's braid word."""
     space, field = x.space, x.space.field
     n = space.dim
+    lifts = {}
     pairs = []
     for (u, v), a in _s_terms(x).items():
         for (u2, v2), b in _s_terms(y).items():
             if not v or not u2:
                 pairs.append(((u + u2, v + v2), a * b))
                 continue
-            m = block_braiding(space, len(v), len(u2))
+            key = (len(v), len(u2))
+            if key not in lifts:
+                lifts[key] = braid_lift(space, block_word(*key), sum(key))
+            m = lifts[key]
             j = word_index(v + u2, n)
             for i in range(m.rows):
                 if m[i, j]:

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import block_word
 
 from quadlie.braided import BraidedSpace, all_words, mat_tensor, word_index
-from quadlie.fields import QQ
+from quadlie.classify import conjugate
+from quadlie.fields import GF, QQ
 from quadlie.linalg import Mat
 from quadlie.table import default_gamma, row_instance
 from quadlie.tensoralg import (
@@ -13,6 +15,7 @@ from quadlie.tensoralg import (
     block_braiding,
     braided_mul_split,
     coproduct,
+    crossing,
     delta_component,
     delta_component_matrix,
     en_space,
@@ -57,23 +60,37 @@ def test_block_braiding_row8_column():
 
 
 def test_block_braiding_matches_braid_word_route():
-    # independent route: compose adjacent braidings along the standard
-    # word for the block transposition and compare with the recursion
+    # independent route: compose the dense adjacent braidings along the
+    # block transposition's braid word, for every m + n <= 5 on each table
+    # row at its default gamma and on one seeded dense conjugate of it
     from quadlie.nichols import braid_lift
 
-    def block_word(m, n):
-        if m == 0 or n == 0:
-            return []
-        if m == 1:
-            return list(range(n, 0, -1))
-        return block_word(m - 1, n) + list(range(m + n - 1, m - 1, -1))
+    for field in (QQ, GF(5), GF(7)):
+        rng = random.Random(f"block:{field!r}")
+        for row in range(1, 9):
+            q = row_instance(row, field, default_gamma(row, field))
+            while True:  # no zero entry in alpha, so that the conjugate is dense
+                alpha = Mat.from_rows(field, [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(2)] for _ in range(2)])
+                if alpha.rank() == 2:
+                    break
+            for sp in (q.space, conjugate(q, alpha).space):
+                for m in range(6):
+                    for n in range(6 - m):
+                        word = block_word(m, n)
+                        assert block_braiding(sp, m, n) == braid_lift(sp, word, m + n), (field, row, m, n)
 
-    for row in (1, 4, 8):
-        sp = row_instance(row, QQ, default_gamma(row, QQ)).space
-        for m in range(3):
-            for n in range(3):
-                word = block_word(m, n)
-                assert block_braiding(sp, m, n) == braid_lift(sp, word, m + n)
+
+def test_crossing_rejects_a_letter_outside_the_space():
+    # without the check, the slot action would read the index of (1, 3) on
+    # two letters as that of another word, or as no word at all
+    sp = row_instance(4, QQ, 2).space
+    for m, w in [(1, (1, 3)), (1, (0, 2)), (2, (3, 1, 1))]:
+        with pytest.raises(ValueError, match="outside 1..2"):
+            crossing(sp, m, w)
+    with pytest.raises(ValueError, match="outside 1..2"):
+        coproduct(TensorElem.word(sp, (1, 3)))
+    with pytest.raises(ValueError, match="no block of 3 letters"):
+        crossing(sp, 3, (1, 2))
 
 
 def test_braided_mul_unit_laws():

@@ -430,6 +430,17 @@ def _intersect(s1: Subspace, s2: Subspace) -> Subspace:
     return Subspace(field, s1.ambient_dim, vecs)
 
 
+def _rank2_conclusions(space: BraidedSpace, split, beta: Mat) -> bool:
+    """The forced conclusions on a rank-two bracket beta of a two-dimensional
+    space whose minimal polynomial splits as split: dim Im(c+Id) = 2, and
+    Ker beta is the direct sum of Im(c+Id) and Ker beta meet Im h(c)."""
+    im_c1 = column_space(space.c + Mat.identity(space.field, 4))
+    kb = kernel(beta)
+    inter = _intersect(kb, column_space(h_of_c(space, split)))
+    joint = Subspace(space.field, 4, [list(v) for v in im_c1.basis + inter.basis])
+    return im_c1.dim == 2 and im_c1.dim + inter.dim == kb.dim and joint == kb
+
+
 @dataclass
 class SurveyReport:
     braidings_tried: int = 0
@@ -541,16 +552,7 @@ def random_survey(field: Field, seed: int = 0, max_brackets_per_braiding: int = 
                     }
                 )
                 continue
-            eye = Mat.identity(field, 4)
-            im_c1 = column_space(space.c + eye)
-            ok = im_c1.dim == 2
-            kb = kernel(mat)
-            im_h = column_space(h_of_c(space, split))
-            inter = _intersect(kb, im_h)
-            ok = ok and all(kb.contains(v) for v in im_c1.basis)
-            ok = ok and im_c1.dim + inter.dim == kb.dim
-            joint = Subspace(field, 4, [list(v) for v in im_c1.basis + inter.basis])
-            ok = ok and joint == kb
+            ok = _rank2_conclusions(space, split, mat)
             if not ok:
                 report.rank2_conclusions_hold = False
             report.rank2_instances.append(

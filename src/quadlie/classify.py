@@ -16,6 +16,7 @@ from itertools import product
 from .braided import BraidedSpace, mat_tensor, split_minpoly
 from .brackets import QuadraticLieAlgebra, verify_lifted
 from .fields import CheckFailed
+from .jsonio import mat_to_json, scalar_to_json
 from .linalg import Mat, column_space
 from .table import row_instance
 
@@ -51,8 +52,6 @@ class CanonicalFormResult:
     gamma_square_class_note: bool
 
     def as_dict(self):
-        from .jsonio import mat_to_json, scalar_to_json
-
         return {
             "row": self.row,
             "gamma": None if self.gamma is None else scalar_to_json(self.gamma),

@@ -22,7 +22,7 @@ from .jsonio import (
     InputError,
     field_from_json,
     load_input,
-    scalar_from_json,
+    scalar_from_arg,
     tensor_elem_to_json,
 )
 from .table import table_emit
@@ -41,14 +41,12 @@ def _read_input(path):
         return json.load(fh)
 
 
-def _emit(report, fmt, out=None):
-    if out is None:
-        out = sys.stdout
+def _emit(report, fmt):
     if fmt == "json":
-        out.write(json.dumps(report, sort_keys=True, indent=2))
-        out.write("\n")
+        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2))
+        sys.stdout.write("\n")
     else:
-        _emit_text(report, out)
+        _emit_text(report, sys.stdout)
 
 
 def _text(v):
@@ -182,14 +180,7 @@ def cmd_nichols_check(args):
 
 def cmd_table(args):
     field = field_from_json(args.field)
-    gamma = None
-    if args.gamma is not None:
-        raw = args.gamma
-        try:
-            raw = int(raw)
-        except ValueError:
-            pass
-        gamma = scalar_from_json(field, raw)
+    gamma = None if args.gamma is None else scalar_from_arg(field, args.gamma)
     rows = table_emit(field, gamma)
     return {"field": args.field, "rows": [r.as_dict() for r in rows]}, True
 

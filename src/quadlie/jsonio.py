@@ -8,6 +8,11 @@ elements as integers in [0, p).  Matrices are row-major lists of rows.
 jsonschema, as the oracle).  It differs from an ECMA-262 reading of the
 schema in one way, on purpose: a float is never an integer here, so
 ``2.0`` is rejected as a dim or a scalar.
+
+The schema's two patterns, matched against the whole string, are the only
+grammar of field and scalar literals: ``field_from_json`` and
+``scalar_from_json`` hold every literal to them, and so do the command
+line's ``--field`` and ``--gamma`` (through ``scalar_from_arg``).
 """
 
 from __future__ import annotations
@@ -28,6 +33,13 @@ from .linalg import Mat
 MAX_DIM = 6
 
 
+# the schema's patterns, matched against the whole string
+_SCALAR = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
+_FIELD = re.compile(r"^(Q|GF\(?[0-9]+\)?)$")
+# a command-line scalar read as a JSON integer
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 class InputError(ValueError):
     """Malformed input document; message carries a JSON-pointer path."""
 
@@ -41,21 +53,21 @@ def scalar_to_json(s):
 
 
 def scalar_from_json(field: Field, obj) -> Scalar:
-    if isinstance(obj, int):
+    if type(obj) is int:  # not a bool
         if not field.is_rationals and not 0 <= obj < field.p:
             raise InputError(f"prime-field scalars must lie in [0, {field.p}), got {obj}")
         return field(obj)
-    if isinstance(obj, str):
-        if not field.is_rationals:
-            raise InputError(f"prime-field scalars must be integers, got {obj!r}")
-        try:
-            if "/" in obj:
-                num, den = obj.split("/", 1)
-                return field(Fraction(int(num), int(den)))
-            return field(int(obj))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad rational literal {obj!r}") from exc
-    raise InputError(f"bad scalar {obj!r}")
+    if not isinstance(obj, str) or not _SCALAR.fullmatch(obj):
+        raise InputError(f"bad scalar {obj!r}")
+    if not field.is_rationals:
+        raise InputError(f"prime-field scalars must be integers, got {obj!r}")
+    return field(Fraction(obj))
+
+
+def scalar_from_arg(field: Field, text: str) -> Scalar:
+    """A command-line scalar: digits with an optional sign are that
+    integer, anything else is read as a JSON string."""
+    return scalar_from_json(field, int(text) if _INTEGER.fullmatch(text) else text)
 
 
 def field_to_json(f: Field) -> str:
@@ -63,18 +75,14 @@ def field_to_json(f: Field) -> str:
 
 
 def field_from_json(s) -> Field:
-    if not isinstance(s, str):
+    if not isinstance(s, str) or not _FIELD.fullmatch(s):
         raise InputError(f"bad field {s!r}")
-    t = s.strip()
-    if t == "Q":
+    if s == "Q":
         return Field()
-    if t.startswith("GF"):
-        digits = t[2:].strip("()")
-        try:
-            return Field(int(digits))
-        except ValueError as exc:
-            raise InputError(f"bad field {s!r}: {exc}") from exc
-    raise InputError(f"bad field {s!r}")
+    try:
+        return Field(int(s[2:].strip("()")))
+    except ValueError as exc:  # not a prime below 2**64
+        raise InputError(f"bad field {s!r}: {exc}") from exc
 
 
 def mat_to_json(m: Mat):
@@ -115,9 +123,6 @@ def tensor_elem_to_json(t):
     return [{"word": list(w), "coeff": scalar_to_json(c)} for w, c in t.sorted_terms()]
 
 
-# the schema's patterns, matched against the whole string
-_SCALAR = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
-_FIELD = re.compile(r"^(Q|GF\(?[0-9]+\)?)$")
 _SPACE_KEYS = frozenset(("field", "dim", "c"))
 _ALGEBRA_KEYS = frozenset(("space", "beta"))
 

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 from .braided import BraidedSpace, split_minpoly
 from .brackets import QuadraticLieAlgebra, verify_lifted
+from .envelope import relation_span_equal, uq_relations
 from .fields import Field
+from .jsonio import mat_to_json, scalar_to_json
 from .linalg import Mat, Poly
 from .tensoralg import sorted_terms
 
@@ -165,8 +167,6 @@ class TableRow:
     gamma_constraint: str
 
     def as_dict(self):
-        from .jsonio import mat_to_json, scalar_to_json
-
         n = self.algebra.space.dim
         return {
             "row": self.row,
@@ -198,8 +198,6 @@ def table_emit(field: Field, gamma=None) -> list:
 
     A failed verification is a build-breaking bug, so it raises.
     """
-    from .envelope import relation_span_equal, uq_relations
-
     out = []
     for row in ROW_INDICES:
         if GAMMA_RULES[row] is None:

@@ -21,7 +21,13 @@ from quadlie.appendix import (
     udu_check,
     udu_identity_holds,
 )
-from quadlie.braided import BraidedSpace, braid_relation_holds, lift_rows, split_minpoly
+from quadlie.braided import (
+    BraidedSpace,
+    braid_relation_holds,
+    diagonal_braiding,
+    lift_rows,
+    split_minpoly,
+)
 from quadlie.brackets import QuadraticLieAlgebra, _e2bar_integral, axiom_check, solve_linear_bracket_space, verify_lifted
 from quadlie.classify import canonical_form, conjugate
 from quadlie.fields import GF, QQ
@@ -244,6 +250,28 @@ def test_survey_splits_minpoly_only_for_rank_two_finds(monkeypatch):
     rep = random_survey(GF(3), seed=0, max_brackets_per_braiding=20)
     assert rep.rank2_found == 0 and rep.verified > 0
     assert calls == []
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=str)
+def test_rank2_conclusions_on_controls(field):
+    # the survey finds no rank-two bracket over GF(3), GF(5) or GF(7), so
+    # the check runs here on hand-made cases: with q11 = -1 and every other
+    # q_ij = 1 the minimal polynomial is X^2 - 1 and
+    # Im(c + Id) = <x2 x2, x1 x2 + x2 x1>
+    def space(q11):
+        c = diagonal_braiding(2, [[q11, 1], [1, 1]])
+        return BraidedSpace(field, 2, Mat.from_rows(field, c))
+
+    def holds(sp, b):
+        split = appendix._split_or_none(sp)
+        assert split is not None
+        return appendix._rank2_conclusions(sp, split, Mat.from_rows(field, b))
+
+    sign = space(-1)
+    assert holds(sign, [[1, 0, 0, 0], [0, 1, -1, 0]])  # Ker b = Im(c + Id)
+    assert not holds(sign, [[0, 0, 0, 1], [0, 1, -1, 0]])  # x2 x2 is not in Ker b
+    # on the flip dim Im(c + Id) = 3
+    assert not holds(space(1), [[1, 0, 0, 0], [0, 1, -1, 0]])
 
 
 def _dense_int_product(a, b, p):

@@ -229,9 +229,17 @@ def test_cli_table_prime_field_and_fraction_gamma(capsys):
     assert code == 0
     rows = json.loads(out)["rows"]
     assert len(rows) == 8 and rows[2]["gamma"] == 3
+    # the field is echoed as written, in any spelling the schema allows
+    code, bare, _ = _run(capsys, ["table", "--field", "GF7", "--gamma", "3"])
+    assert code == 0 and bare == out.replace('"GF(7)"', '"GF7"', 1)
     code, out, _ = _run(capsys, ["table", "--gamma", "1/4"])
     assert code == 0
     assert json.loads(out)["rows"][2]["gamma"] == "1/4"
+    # argparse reads "--gamma -3/2" as an option, so a negative fraction is
+    # written with "="
+    code, out, _ = _run(capsys, ["table", "--gamma=-3/2"])
+    assert code == 0
+    assert json.loads(out)["rows"][2]["gamma"] == "-3/2"
 
 
 def test_cli_search_dim1(capsys):
@@ -270,17 +278,53 @@ def test_cli_input_path_directory_exit_2(capsys, tmp_path, command):
 
 @pytest.mark.parametrize(
     "field, scalar, pointer",
-    [("Q\n", "-3/2\n", "/field"), ("Q", "-3/2\n", "/c/0/0")],
-    ids=["field", "scalar"],
+    [
+        ("Q\n", "-3/2\n", "/field"),
+        ("Q", "-3/2\n", "/c/0/0"),
+        (" Q ", 1, "/field"),
+        ("GF((5))", 1, "/field"),
+        ("GF(5)\n", 1, "/field"),
+        ("GF(3) ", 1, "/field"),
+        ("Q", "1_0", "/c/0/0"),
+        ("Q", " 1/ 2", "/c/0/0"),
+        ("Q", "\u0663", "/c/0/0"),
+        ("Q", True, "/c/0/0"),
+    ],
+    ids=[
+        "field",
+        "scalar",
+        "padded-Q",
+        "doubled-parens",
+        "GF-newline",
+        "GF-space",
+        "underscore",
+        "padded-fraction",
+        "Arabic-Indic-digit",
+        "bool",
+    ],
 )
 def test_cli_trailing_newline_exit_2(capsys, field, scalar, pointer):
     # a pattern matches the whole string: "$" does not also match before a
-    # final newline, as it does in Python's re.match
+    # final newline, as it does in Python's re.match; the command line's
+    # --field and --gamma and the converters hold a literal to the same
+    # patterns as a document
     doc = {"field": field, "dim": 1, "c": [[scalar]]}
     code, out, err = _run(capsys, ["verify", "--input", "-"], json.dumps(doc))
     assert code == 2
     assert out == ""
     assert err.startswith(f"input error: at {pointer}: ")
+    if pointer == "/field":
+        with pytest.raises(InputError):
+            field_from_json(field)
+        argvs = [["table", "--field", field], ["search", "--field", field, "--scope", "dim1_rigidity"]]
+    else:
+        with pytest.raises(InputError):
+            scalar_from_json(QQ, scalar)
+        argvs = [["table", f"--gamma={scalar}"]]
+    for argv in argvs:
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("input error: "), argv
 
 
 def test_cli_oversized_modulus_exit_2(capsys):
@@ -353,6 +397,12 @@ _PINNED = {
         None,
         0,
         '{\n  "field": "GF(5)",\n  "ok": true,\n  "scope": "dim1_rigidity"\n}\n',
+    ),
+    "dim1_rigidity_bare_modulus": (
+        ["search", "--scope", "dim1_rigidity", "--field", "GF5"],
+        None,
+        0,
+        '{\n  "field": "GF5",\n  "ok": true,\n  "scope": "dim1_rigidity"\n}\n',
     ),
     "verify_text": (
         ["verify", "--input", "-", "--format", "text"],

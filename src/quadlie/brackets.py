@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain
 
 from .braided import (
@@ -22,14 +21,13 @@ from .braided import (
     factor_parts,
     h_of_c,
     join_parts,
-    lift_columns,
-    lift_rows,
     per_space,
+    slot_pattern,
     sparse_columns,
     vec_tensor,
 )
 from .fields import CheckFailed, Field
-from .linalg import HypothesisViolated, Mat, SparseEchelon, Subspace, column_space, integral, null_space, raw_product, solve
+from .linalg import HypothesisViolated, Mat, SparseEchelon, Subspace, column_space, integral, null_space, solve
 
 
 class BasisMismatch(CheckFailed, ValueError):
@@ -375,38 +373,37 @@ def linear_axiom_rows(c, n, p=None):
     left out.
 
     Each group is a generator that builds its rows as they are read, so a
-    reader that stops early builds no more, and c1 c2 or c2 c1 is formed
-    only when its group is first read.
+    reader that stops early builds no more, and the columns of c1 c2 or
+    c2 c1 are formed, through ``apply_at``, only when its group is first
+    read.
 
-    The slot lifts of b are taken of the matrix of its coordinate labels,
-    so they say which coordinate of b sits at each entry of b1 and b2.
+    The lifts of b to a slot are read from the ``slot_pattern`` of b's
+    shape, whose entry labels are b's coordinates: it says which
+    coordinate of b sits at each entry of b1 and b2.
     """
     n2, n3 = n * n, n**3
     # c = C / d with C integral (d = 1 over GF(p)); the rows below are d
     # times antisymmetry and d^2 times the compatibilities, in C
     flat, d = integral([x for row in c for x in row])
     c = [flat[o : o + n2] for o in range(0, n2 * n2, n2)]
-    labels = [[r * n2 + k + 1 for k in range(n2)] for r in range(n)]  # nonzero, so the lifts keep them
-    # the lifts of c and of b to a slot, each made once, when first read
-    c_at = cache(lambda slot: lift_rows(c, slot, 3, n, 2, 2))
-    b_at = cache(lambda slot: lift_columns(labels, slot, 3, n, 2, 1))
+    cols = sparse_columns(c)
 
     def compatibility(near, far):
         """Rows of c b_near - b_far c_near c_far, b_near and b_far the lifts
         of b to the given slots: entry (o, m) has sum_j c[o][j] b_near[j][m]
         minus sum_K b_far[o][K] (c_near c_far)[K][m]."""
-        cc = raw_product(c_at(near), c_at(far), p)
-        near_cols = b_at(near)
+        cc = [apply_at(cols, near, n, apply_at(cols, far, n, {m: 1}, p), p) for m in range(n3)]
+        near_cols = slot_pattern(n, near, 3, n, n2)
         far_rows = [[] for _ in range(n2)]
-        for k, col in enumerate(b_at(far)):
-            for o, u in col:
-                far_rows[o].append((k, u - 1))
+        for k, col in enumerate(slot_pattern(n, far, 3, n, n2)):
+            for o, e in col:
+                far_rows[o].append((k, e))
         for o in range(n2):
             for m in range(n3):
-                row = {u - 1: d * c[o][j] for j, u in near_cols[m]}
-                for k, u in far_rows[o]:
-                    if y := cc[k][m]:
-                        row[u] = row.get(u, 0) - y
+                row = {e: d * c[o][j] for j, e in near_cols[m]}
+                for k, e in far_rows[o]:
+                    if y := cc[m].get(k):
+                        row[e] = row.get(e, 0) - y
                 yield row
 
     antisym = ({r * n2 + k: c[k][j] + d * (k == j) for k in range(n2)} for r in range(n) for j in range(n2))

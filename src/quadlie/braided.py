@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import wraps
+from functools import cache, wraps
 
 from .fields import CheckFailed, Field, Scalar
 from .linalg import Mat, Poly, Subspace, eval_poly_at, integral, kernel, minimal_polynomial, null_space
@@ -121,11 +121,11 @@ def sparse_columns(op):
 def lift_columns(op, slot, total, n, in_factors, out_factors=None):
     """Sparse columns of a map on V^(x)l lifted to V^(x)total at a slot.
 
-    op is a list of rows of raw values of a map from l to m
-    factors acting from the given 1-based slot; the lifted map is
-    Id^(slot-1) (x) op (x) Id^(total-slot-l+1).  Returns, for each input
+    op is a list of rows of raw values (a falsy entry is a zero) of a map
+    from l to m factors acting from the given 1-based slot; the lifted map
+    is Id^(slot-1) (x) op (x) Id^(total-slot-l+1).  Returns, for each input
     basis index of V^(x)total, the list of (output index, entry) over the
-    nonzero entries of op.
+    nonzero entries of op, placed by the ``slot_pattern`` of op's shape.
     """
     l = in_factors
     rows, cols = len(op), len(op[0])
@@ -136,23 +136,8 @@ def lift_columns(op, slot, total, n, in_factors, out_factors=None):
         raise ValueError("operator shape does not match the declared factor counts")
     if slot < 1 or slot + l - 1 > total:
         raise IndexOutOfRange(f"slot {slot} with {l} factors does not fit in {total}")
-    lo, op_cols = n ** (slot - 1), sparse_columns(op)
-    out = []
-    for k in range(n**total):  # split as in apply_at
-        h, i = divmod(k // lo, cols)
-        out.append([(k % lo + lo * (o + rows * h), v) for o, v in op_cols[i]])
-    return out
-
-
-def lift_rows(op, slot, total, n, in_factors, out_factors=None):
-    """The lift of ``lift_columns`` as dense rows, zero where it is empty."""
-    cols = lift_columns(op, slot, total, n, in_factors, out_factors)
-    height = len(op) * len(cols) // len(op[0])
-    out = [[0] * len(cols) for _ in range(height)]
-    for k, col in enumerate(cols):
-        for o, v in col:
-            out[o][k] = v
-    return out
+    flat = [x for row in op for x in row]
+    return [[(o, flat[e]) for o, e in col if flat[e]] for col in slot_pattern(n, slot, total, rows, cols)]
 
 
 def lift_to_slot(op: Mat, slot: int, total: int, n: int, in_factors: int, out_factors: int | None = None) -> Mat:
@@ -160,9 +145,28 @@ def lift_to_slot(op: Mat, slot: int, total: int, n: int, in_factors: int, out_fa
 
     The lifted map is Id^(slot-1) (x) op (x) Id^(total-slot-l+1); its input
     has ``total`` factors, its output total - l + m where op maps l factors
-    to m.
+    to m.  The dense view of ``lift_columns``.
     """
-    return Mat(op.field, lift_rows(op.a, slot, total, n, in_factors, out_factors))
+    cols = lift_columns(op.a, slot, total, n, in_factors, out_factors)
+    out = [[0] * len(cols) for _ in range(op.rows * len(cols) // op.cols)]
+    for k, col in enumerate(cols):
+        for o, v in col:
+            out[o][k] = v
+    return Mat(op.field, out)
+
+
+@cache
+def slot_pattern(n, slot, total, height, width):
+    """Where each entry of an operator with height rows and width columns
+    lands in its lift to V^(x)total at a slot: for each input basis index,
+    the (output index, e) of the entry e = r width + i (row r, column i)
+    that the lift holds there.  It is the image of each basis vector under
+    ``apply_at`` of the matrix of entry labels e + 1, so it holds no
+    operator's values and is computed once per shape."""
+    labels = sparse_columns([[r * width + i + 1 for i in range(width)] for r in range(height)])
+    return tuple(
+        tuple((o, e - 1) for o, e in apply_at(labels, slot, n, {k: 1}, None, height).items()) for k in range(n**total)
+    )
 
 
 def apply_at(cols, slot, n, vec, p=None, height=None):
@@ -210,11 +214,13 @@ def braid_relation_holds(c, p=None) -> bool:
 def joint_minus_one_rows(c, n):
     """The rows of c (x) Id + Id above those of Id (x) c + Id on V^(x)3,
     from c's raw entries: their null space is the joint (-1)-eigenspace."""
-    rows = []
+    n3, rows = n**3, []
     for slot in (1, 2):
-        for i, row in enumerate(lift_rows(c, slot, 3, n, 2, 2)):
-            row[i] += 1
-            rows.append(row)
+        block = [[int(o == k) for k in range(n3)] for o in range(n3)]
+        for k, col in enumerate(lift_columns(c, slot, 3, n, 2, 2)):
+            for o, v in col:
+                block[o][k] += v
+        rows += block
     return rows
 
 

@@ -290,8 +290,16 @@ def main(argv=None):
     except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # outside the try: an error while writing the report is not an input error
-    _emit(report, args.format)
+    # a try of its own: an error while writing the report is not an input error
+    try:
+        _emit(report, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: the verdict stands, and what is still
+        # buffered goes to devnull, so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from quadlie import appendix, cli
 from quadlie.appendix import (
     BranchReport,
-    _intersect,
     _rank1_case_shapes,
     _rank2_case_shapes,
     case_families,
@@ -25,7 +25,6 @@ from quadlie.braided import (
     BraidedSpace,
     braid_relation_holds,
     diagonal_braiding,
-    lift_rows,
     split_minpoly,
 )
 from quadlie.brackets import QuadraticLieAlgebra, _e2bar_integral, axiom_check, solve_linear_bracket_space, verify_lifted
@@ -149,16 +148,6 @@ def test_survey_determinism():
     )
 
 
-def test_intersect_subspaces():
-    s1 = Subspace(QQ, 3, [(1, 0, 0), (0, 1, 0)])
-    s2 = Subspace(QQ, 3, [(0, 1, 1), (1, 0, -1)])
-    inter = _intersect(s1, s2)
-    assert inter.dim == 1
-    assert inter.contains((1, 1, 0))
-    zero = _intersect(s1, Subspace.zero(QQ, 3))
-    assert zero.dim == 0
-
-
 def test_integer_fast_path_matches_generic(dense_yang_baxter_oracle, dense_lifted_oracle):
     # the enumeration kernels (raw slot lifts, bracket lifts, joint
     # eigenspace, braid relation, axiom checks) must agree with the dense
@@ -174,13 +163,13 @@ def test_integer_fast_path_matches_generic(dense_yang_baxter_oracle, dense_lifte
         cmat = Mat.from_rows(F, [list(r) for r in c_rows])
         sp = BraidedSpace(F, 2, cmat, check=False)
         assert braid_relation_holds(c_rows, 5) == dense_yang_baxter_oracle(sp)
-        assert lift_rows(c_rows, 1, 3, 2, 2, 2) == mat_tensor(F, cmat, eye).a
-        assert lift_rows(c_rows, 2, 3, 2, 2, 2) == mat_tensor(F, eye, cmat).a
+        assert lift_to_slot(cmat, 1, 3, 2, 2, 2).a == mat_tensor(F, cmat, eye).a
+        assert lift_to_slot(cmat, 2, 3, 2, 2, 2).a == mat_tensor(F, eye, cmat).a
         assert len(_e2bar_integral(sp)) == sp.e2bar().dim
         b_rows = tuple(tuple(rng.randrange(5) for _ in range(4)) for _ in range(2))
         q = QuadraticLieAlgebra(sp, Mat.from_rows(F, [list(r) for r in b_rows]))
-        assert lift_rows(b_rows, 1, 3, 2, 2, 1) == lift_to_slot(q.beta, 1, 3, 2, 2, 1).a == mat_tensor(F, q.beta, eye).a
-        assert lift_rows(b_rows, 2, 3, 2, 2, 1) == lift_to_slot(q.beta, 2, 3, 2, 2, 1).a == mat_tensor(F, eye, q.beta).a
+        assert lift_to_slot(q.beta, 1, 3, 2, 2, 1).a == mat_tensor(F, q.beta, eye).a
+        assert lift_to_slot(q.beta, 2, 3, 2, 2, 1).a == mat_tensor(F, eye, q.beta).a
 
     # axiom agreement, on braidings that do satisfy the braid relation:
     # the canonical rows with both genuine and random brackets
@@ -263,15 +252,33 @@ def test_rank2_conclusions_on_controls(field):
         return BraidedSpace(field, 2, Mat.from_rows(field, c))
 
     def holds(sp, b):
-        split = appendix._split_or_none(sp)
-        assert split is not None
-        return appendix._rank2_conclusions(sp, split, Mat.from_rows(field, b))
+        assert appendix._split_or_none(sp) is not None
+        return appendix._rank2_conclusions(sp, Mat.from_rows(field, b))
 
     sign = space(-1)
     assert holds(sign, [[1, 0, 0, 0], [0, 1, -1, 0]])  # Ker b = Im(c + Id)
     assert not holds(sign, [[0, 0, 0, 1], [0, 1, -1, 0]])  # x2 x2 is not in Ker b
     # on the flip dim Im(c + Id) = 3
     assert not holds(space(1), [[1, 0, 0, 0], [0, 1, -1, 0]])
+
+
+def test_template_equations_and_e2bar_bases_pinned():
+    # the slot lifts behind the appendix's Yang-Baxter equations and the
+    # joint (-1)-eigenspaces, against the SHA-256 of their values recorded
+    # before the lifts were read from the cached shape patterns
+    from quadlie.table import default_gamma
+
+    templates = (appendix._RANK2_TEMPLATE, appendix._RANK1_TEMPLATE, appendix._CORNER_TEMPLATE)
+    equations = [appendix._yang_baxter_equations(t) for t in templates]
+    bases = [
+        row_instance(row, field, default_gamma(row, field)).space.e2bar().basis
+        for field in (QQ, GF(5), GF(7))
+        for row in range(1, 9)
+    ]
+    assert [len(e) for e in equations] == [38, 14, 16]
+    assert sum(map(len, bases)) == 12
+    blob = json.dumps([equations, bases], default=str).encode()
+    assert hashlib.sha256(blob).hexdigest() == "a562b31316dc00699a48f7d1df9bb0222ef96435ba9cca10261183ced360a6de"
 
 
 def _dense_int_product(a, b, p):

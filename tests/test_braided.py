@@ -241,7 +241,7 @@ def test_raw_lift_matches_mat_lift(n):
     # Mat lift and against Id (x) op (x) Id built by mat_tensor
     import random
 
-    from quadlie.braided import lift_columns, lift_rows, mat_tensor
+    from quadlie.braided import lift_columns, mat_tensor
 
     rng = random.Random(n)
     field = GF(7)
@@ -252,11 +252,10 @@ def test_raw_lift_matches_mat_lift(n):
                 op_raw = [[rng.randrange(7) if rng.random() < 0.4 else 0 for _ in range(n**l)] for _ in range(n**m)]
                 op = Mat.from_rows(field, op_raw)
                 for slot in range(1, total - l + 2):
-                    lifted = lift_rows(op_raw, slot, total, n, l, m)
-                    assert lifted == lift_to_slot(op, slot, total, n, l, m).a
                     lo = Mat.identity(field, n ** (slot - 1))
                     hi = Mat.identity(field, n ** (total - slot - l + 1))
-                    assert lifted == mat_tensor(field, mat_tensor(field, lo, op), hi).a
+                    lifted = mat_tensor(field, mat_tensor(field, lo, op), hi).a
+                    assert lift_to_slot(op, slot, total, n, l, m).a == lifted
                     cols = lift_columns(op_raw, slot, total, n, l, m)
                     assert [sorted(col) for col in cols] == [
                         [(o, row[k]) for o, row in enumerate(lifted) if row[k]] for k in range(len(cols))
@@ -332,8 +331,9 @@ def test_apply_columns_matches_dense_lift(n, field):
 
 def test_slot_actions_build_no_lifted_columns(monkeypatch):
     # the braid relation, the Nichols ranks and Jacobi act at a slot through
-    # apply_at alone: with lift_columns raising in every module that holds
-    # it, they give the results they give without the stub
+    # apply_at alone: with lift_columns and slot_pattern raising in every
+    # module that holds them, they give the results they give without the
+    # stubs
     import importlib
     import math
     import pkgutil
@@ -374,10 +374,11 @@ def test_slot_actions_build_no_lifted_columns(monkeypatch):
     holders = []
     for info in pkgutil.iter_modules(quadlie.__path__):
         module = importlib.import_module(f"quadlie.{info.name}")
-        if hasattr(module, "lift_columns"):
-            monkeypatch.setattr(module, "lift_columns", stub)
-            holders.append(info.name)
-    assert {"braided", "brackets", "appendix"} <= set(holders)
+        for name in ("lift_columns", "slot_pattern"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, stub)
+                holders.append(f"{info.name}.{name}")
+    assert {"braided.lift_columns", "braided.slot_pattern", "brackets.slot_pattern", "appendix.lift_columns"} <= set(holders)
     assert results() == expected
 
 

@@ -847,13 +847,16 @@ sys.exit(f"loaded {loaded}" if loaded else code)
 """
 
 
-def test_cli_runs_without_jsonschema():
+def _subprocess_env():
+    """The environment of a child interpreter that imports this package."""
     src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
+
+def test_cli_runs_without_jsonschema():
     def verify(doc):
         argv = [sys.executable, "-c", _WITHOUT_JSONSCHEMA, "verify", "--input", "-"]
-        return subprocess.run(argv, input=json.dumps(doc), capture_output=True, text=True, env=env, timeout=60)
+        return subprocess.run(argv, input=json.dumps(doc), capture_output=True, text=True, env=_subprocess_env(), timeout=60)
 
     ok = verify(algebra_to_json(row_instance(3, QQ, 2)))
     assert (ok.returncode, ok.stderr) == (0, "")
@@ -861,3 +864,34 @@ def test_cli_runs_without_jsonschema():
     bad = verify({"field": "Q", "dim": 2})
     assert bad.returncode == 2 and bad.stdout == ""
     assert bad.stderr.startswith("input error: at /: ")
+
+
+#: A braiding that fails the Yang-Baxter equation: verify's verdict is 1.
+_NOT_YANG_BAXTER = {"field": "Q", "dim": 2, "c": [[1, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 2]]}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "argv, doc, code",
+    [(["table"], None, 0), (["verify", "--input", "-"], _NOT_YANG_BAXTER, 1)],
+    ids=["table", "verify"],
+)
+def test_closed_reader_keeps_the_verdict(argv, doc, code, fmt):
+    # the read end of the stdout pipe is closed before the command starts,
+    # so every write of the report fails: the command still exits with its
+    # verdict, and writes nothing to stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadlie.cli", *argv, "--format", fmt],
+            input="" if doc is None else json.dumps(doc),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_subprocess_env(),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, "")

@@ -8,7 +8,9 @@ rank-two analysis, and a survey that harvests verified rank-two brackets
 and checks the forced conclusion Ker b = Im(c + Id) on each.
 
 Enumeration hot paths run on plain integer residues: each braiding's
-candidates are tested by one ``brackets.axiom_check`` of its space.
+candidates are tested by one ``brackets.axiom_check`` of its space.  The
+rank-two candidates are counted by linear algebra instead, and only those
+that pass the linear axioms are tested.
 The braidings of each shape family are solved for, not searched: the
 Yang-Baxter equation (and, for the rank-two family, the rank of c + Id)
 is written once as integer polynomials in the shape's parameters, which
@@ -20,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from itertools import combinations, compress, product
+from itertools import chain, combinations, product
 from math import prod
 
 from .braided import (
@@ -32,18 +34,19 @@ from .braided import (
     per_space,
     split_minpoly,
 )
-from .brackets import axiom_check, bracket_combination, solve_linear_bracket_space
+from .brackets import _linear_echelon, axiom_check, bracket_combination, diagonal_bracket_basis, solve_linear_bracket_space
 from .fields import Field
-from .linalg import Mat, SparseEchelon, column_space, kernel, null_space, raw_product
+from .linalg import Mat, column_space, kernel, null_space, raw_product
 from .table import GAMMA_RULES, gamma_allowed, row_instance
 
 
 #: Largest p accepted by the exhaustive case families (p^8 braiding shapes
-#: per family, solved for by backtracking; GF(7) takes about 25 s).
+#: per family, solved for by backtracking, and the rank-two candidates
+#: counted by linear algebra; GF(7) takes about 3.5 s).
 CASE_FAMILIES_MAX_P = 7
 
 #: Largest p accepted by the survey (p^6 corner shapes and p^4 diagonal
-#: braidings, each diagonal one solved for its linear bracket space).
+#: braidings, each diagonal one's linear bracket space in closed form).
 SURVEY_MAX_P = 11
 
 #: Largest sample count of the trace identity check (about 0.2 ms a sample).
@@ -263,8 +266,10 @@ def _sweep(field, shapes, reports, candidates, shard=0, nshards=1):
     """Count the candidate brackets of the braiding shapes into reports.
 
     A shape that passes the Yang-Baxter filter is a braiding c, and
-    candidates(c) maps the branches that count c to their candidate
-    brackets.  A candidate that passes the axioms is a solution when -1 is
+    candidates(c, space), for its braided space, maps the branches that
+    count c to (count, betas): the number of the branch's candidate
+    brackets, and those of them that can pass the axioms, each of which is
+    tested.  A candidate that passes the axioms is a solution when -1 is
     a simple root of the minimal polynomial of c, which is split once per
     braiding, at its first axiom survivor.  Only the shard-th of nshards
     contiguous blocks of the shapes is swept, so the reports of the shards,
@@ -277,14 +282,20 @@ def _sweep(field, shapes, reports, candidates, shard=0, nshards=1):
             continue
         space = BraidedSpace(field, 2, Mat(field, c), check=False)
         holds = axiom_check(space)
-        for name, betas in candidates(c).items():
+        for name, (count, betas) in candidates(c, space).items():
             rep = reports[name]
             rep.braidings += 1
+            rep.candidates += count
             for beta in betas:
-                rep.candidates += 1
                 if holds(beta) and _split_or_none(space) is not None:
                     rep.solutions.append({"c": [list(r) for r in c], "beta": [list(r) for r in beta]})
     return reports
+
+
+def _every_candidate(branches):
+    """The candidates of a sweep that tests each of its brackets: (count,
+    betas) per branch of {name: betas}."""
+    return {name: (len(betas), betas) for name, betas in branches.items()}
 
 
 _RANK2_TEMPLATE = (
@@ -311,36 +322,94 @@ def _rank2_case_shapes(p):
 _RANK2_BRANCHES = {"case_1": (1, 0), "case_2_1": (0, 3), "case_2_2_1": (1, 1), "case_2_2_2": (1, 2), "case_residual": (1, 3)}
 
 
+def _pulled_back_null_space(space, lk):
+    """A basis of the coefficient vectors (a_1, ..., a_n) whose bracket, of
+    rows a_t K for K the rows lk, passes the linear axioms: the rows of the
+    space's linear echelon, pulled back from the bracket's coordinates to
+    the coefficients."""
+    n, n2 = space.dim, space.dim**2
+    rows = [
+        [sum(row.get(t * n2 + j, 0) * k[j] for j in range(n2)) for t in range(n) for k in lk]
+        for row in _linear_echelon(space).rows.values()
+    ]
+    return null_space(space.field, rows, n * len(lk))
+
+
+def _scalings(r, conds, p):
+    """The number of lambda in GF(p) with lambda r[j] = x for each (j, x) in
+    conds: at most one where r is nonzero on conds, else none or all."""
+    for j, x in conds:
+        if r[j]:
+            lam = x * pow(r[j], -1, p) % p
+            return int(all(lam * r[k] % p == y for k, y in conds))
+    return 0 if any(x for _, x in conds) else p
+
+
+def _independent(u, v, p):
+    """Whether two vectors of GF(p)^3 are linearly independent."""
+    return any((u[i] * v[j] - u[j] * v[i]) % p for i, j in ((0, 1), (0, 2), (1, 2)))
+
+
 def rank2_case_families(field: Field, shard: int = 0, nshards: int = 1) -> dict:
     """Exhaustively empty the eliminated rank-two branches over GF(p).
 
-    Scale-normalized representatives cover every rank-two bracket, so the
-    five branch sweeps jointly prove the dim Im(c+Id) = 1 sub-case has no
-    verified structure at all over this field.
+    A bracket passes antisymmetry iff its rows lie in the left kernel of
+    c + Id, which has a basis k_1, k_2, k_3 here; so it is
+    (r1, r2) = (sum a1_s k_s, sum a2_s k_s), of rank two iff a1 and a2 are
+    independent.  The deciding entries hold all of r2, which is nonzero
+    then, so scaled by its first nonzero deciding entry every rank-two
+    bracket is a candidate of exactly one branch, and the five branch
+    sweeps jointly prove the dim Im(c+Id) = 1 sub-case has no verified
+    structure at all over this field.
+
+    The candidates are counted, not enumerated: a branch fixes its
+    deciding entries before its own to 0 and its own to 1, which are
+    separate affine conditions on a1 and on a2.  So its count is the sum,
+    over each a1 != 0 that meets its conditions, of |S| minus the number
+    of lambda with lambda a1 in S, S the affine set of a2.  Only the
+    candidates that pass the linear axioms can be solutions: they are the
+    independent points of ``_pulled_back_null_space``, each sorted into
+    its branch and tested.  Over GF(3), GF(5) and GF(7) that null space is
+    {0} on every braiding (54, 202 and 494 of them), so no candidate is
+    left to test there.
     """
     field.require_enumerable(CASE_FAMILIES_MAX_P, "exhaustive case families")
     p = field.p
     coeffs = list(product(range(p), repeat=3))
-    independent = []  # [i][j]: coefficient tuples i, j independent; built at the first survivor
+    # per branch, its (column, value) conditions on r1 and on r2
+    deciding = list(_RANK2_BRANCHES.values())
+    conditions = [
+        [[(j, int(d == b)) for d, (i, j) in enumerate(deciding[: b + 1]) if i == t] for t in (0, 1)]
+        for b in range(len(deciding))
+    ]
 
-    def candidates(c):
-        # the brackets with both rows in the left kernel of c + Id, a
-        # basis, so rank(r1, r2) is the rank of their coefficients
-        if not independent:
-            independent.extend([SparseEchelon(field, (a, b)).rank == 2 for b in coeffs] for a in coeffs)
+    def candidates(c, space):
         ck1 = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(c)]
         lk = null_space(field, zip(*ck1), 4)
-        rows = [[sum(s * k[j] for s, k in zip(combo, lk)) % p for j in range(4)] for combo in coeffs]
-        branches = {name: [] for name in _RANK2_BRANCHES}
-        for r1, ok1 in zip(rows, independent):
-            for r2 in compress(rows, ok1):
-                beta = (r1, r2)
-                for name, (i, j) in _RANK2_BRANCHES.items():
-                    if x := beta[i][j]:
-                        if x == 1:
-                            branches[name].append(beta)
-                        break
-        return branches
+        rows = {a: [sum(s * k[j] for s, k in zip(a, lk)) % p for j in range(4)] for a in coeffs}
+        out = {}
+        for name, (on_r1, on_r2) in zip(_RANK2_BRANCHES, conditions):
+            size = sum(all(r[j] == x for j, x in on_r2) for r in rows.values())
+            count = sum(
+                size - _scalings(r, on_r2, p) for a, r in rows.items() if any(a) and all(r[j] == x for j, x in on_r1)
+            )
+            out[name] = (count, [])
+        # the candidates that pass the linear axioms, in the order of (a1, a2)
+        basis = _pulled_back_null_space(space, lk)
+        points = {
+            tuple(sum(s * v[t] for s, v in zip(combo, basis)) % p for t in range(6))
+            for combo in product(range(p), repeat=len(basis))
+        }
+        for a in sorted(points):
+            if not _independent(a[:3], a[3:], p):
+                continue
+            beta = (rows[a[:3]], rows[a[3:]])
+            for name, (i, j) in _RANK2_BRANCHES.items():
+                if x := beta[i][j]:
+                    if x == 1:
+                        out[name][1].append(beta)
+                    break
+        return out
 
     reports = {name: BranchReport() for name in _RANK2_BRANCHES}
     return _sweep(field, _rank2_case_shapes(p), reports, candidates, shard, nshards)
@@ -368,13 +437,13 @@ def rank1_eliminated_branches(field: Field, shard: int = 0, nshards: int = 1) ->
     p = field.p
     zero = (0, 0, 0, 0)
 
-    def candidates(c):
+    def candidates(c, space):
         if c[3][3] != 1:
-            return {
+            return _every_candidate({
                 "case_2_1_1": [((0, 0, b12, 1), zero) for b12 in range(p)],
                 "case_2_1_2": [((0, 1, b12, b22), zero) for b12 in range(p) for b22 in range(p)],
-            }
-        return {"case_2_2_1_1": [((0, b, p - b, 1), zero) for b in range(1, p)]}
+            })
+        return _every_candidate({"case_2_2_1_1": [((0, b, p - b, 1), zero) for b in range(1, p)]})
 
     reports = {name: BranchReport() for name in ("case_2_1_1", "case_2_1_2", "case_2_2_1_1")}
     return _sweep(field, _rank1_case_shapes(p), reports, candidates, shard, nshards)
@@ -441,11 +510,12 @@ class SurveyReport:
 
 
 def _diagonal_braidings(field):
-    """All braidings c(x_i (x) x_j) = q_ij x_j (x) x_i over a prime field,
-    in the order of (q11, q21, q12, q22).  These satisfy Yang-Baxter
-    identically."""
+    """(rows, q) of all braidings c(x_i (x) x_j) = q_ij x_j (x) x_i over a
+    prime field, in the order of (q11, q21, q12, q22).  These satisfy
+    Yang-Baxter identically."""
     for q11, q21, q12, q22 in product(range(field.p), repeat=4):
-        yield diagonal_braiding(2, [[q11, q12], [q21, q22]])
+        q = [[q11, q12], [q21, q22]]
+        yield diagonal_braiding(2, q), q
 
 
 _CORNER_TEMPLATE = (
@@ -463,29 +533,27 @@ def _corner_braidings(field):
 
 
 def _survey_braidings(field):
-    """The survey's braidings, each once, in sweep order: the diagonal
-    ones, the Yang-Baxter corner shapes, then the table rows."""
-    braidings = []
+    """The survey's braidings, each once, in sweep order, as (rows, q): the
+    diagonal ones with their q, then the Yang-Baxter corner shapes and the
+    table rows, with q None.  A generator, which keeps only the keys of the
+    braidings it has given."""
     seen = set()
 
-    def add(rows):
+    def others():
+        yield from _corner_braidings(field)
+        for row in range(1, 9):
+            if GAMMA_RULES[row] is None:
+                yield row_instance(row, field).space.c.a
+            else:
+                for g in range(field.p):
+                    if gamma_allowed(row, field, g):
+                        yield row_instance(row, field, g).space.c.a
+
+    for rows, q in chain(_diagonal_braidings(field), ((rows, None) for rows in others())):
         key = tuple(tuple(x % field.p for x in r) for r in rows)
         if key not in seen:
             seen.add(key)
-            braidings.append([list(r) for r in key])
-
-    for rows in _diagonal_braidings(field):
-        add(rows)
-    for rows in _corner_braidings(field):
-        add(rows)
-    for row in range(1, 9):
-        if GAMMA_RULES[row] is None:
-            add(row_instance(row, field).space.c.a)
-        else:
-            for g in range(field.p):
-                if gamma_allowed(row, field, g):
-                    add(row_instance(row, field, g).space.c.a)
-    return braidings
+            yield [list(r) for r in key], q
 
 
 def random_survey(field: Field, seed: int = 0, max_brackets_per_braiding: int = 200) -> SurveyReport:
@@ -497,11 +565,15 @@ def random_survey(field: Field, seed: int = 0, max_brackets_per_braiding: int = 
     _require_at_least(max_brackets_per_braiding, 1, "the survey: brackets per braiding")
     rng = random.Random(seed)
     report = SurveyReport()
-    for rows in _survey_braidings(field):
+    for rows, q in _survey_braidings(field):
         report.braidings_tried += 1
-        # Yang-Baxter already guaranteed or solved for by _survey_braidings.
-        space = BraidedSpace(field, 2, Mat.from_rows(field, rows), check=False)
-        basis = solve_linear_bracket_space(space)
+        # Yang-Baxter already guaranteed or solved for by _survey_braidings,
+        # whose rows hold residues
+        space = BraidedSpace(field, 2, Mat(field, rows), check=False)
+        if q is None:
+            basis = solve_linear_bracket_space(space)
+        else:
+            basis = [Mat(field, b) for b in diagonal_bracket_basis(q, field.p)]
         if not basis:
             continue
         holds = axiom_check(space)

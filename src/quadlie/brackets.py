@@ -451,6 +451,49 @@ def solve_linear_bracket_space(space: BraidedSpace):
     return [Mat(field, [v[r * n**2 : (r + 1) * n**2] for r in range(n)]) for v in kernel.basis]
 
 
+def diagonal_bracket_basis(q, p=None):
+    """The basis of ``solve_linear_bracket_space`` for the diagonal braiding
+    c(x_i (x) x_j) = q[i][j] x_j (x) x_i, in closed form, as raw bracket
+    rows (exact values over Q, p None; residues over GF(p)).
+
+    Write b_k^ij for the coefficient of x_k in b(x_i (x) x_j).  On
+    x_i x_j x_l the left compatibility reads
+    sum_k b_k^ij (q_kl - q_il q_jl) x_l x_k = 0, and the right one is its
+    mirror, so b_k^ij is zero unless q_kl = q_il q_jl and q_lk = q_li q_lj
+    for every l.  Antisymmetry reads b_k^ij = -q_ij b_k^ji: for i < j the
+    pair is free iff q_ij q_ji = 1, with 1 at x_j x_i and -q_ij at x_i x_j,
+    and b_k^ii is free iff q_ii = -1.  The vectors have disjoint supports,
+    so ordered by their lowest coordinate, where each is 1, they are the
+    reduced echelon basis.
+    """
+    n = len(q)
+
+    def equal(x, y):
+        return x == y if p is None else (x - y) % p == 0
+
+    def neg(x):
+        return -x if p is None else -x % p
+
+    vectors = []
+    for i in range(n):
+        for j in range(i, n):
+            if i == j:
+                free = equal(q[i][i], -1)
+            else:
+                free = equal(q[i][j] * q[j][i], 1)
+            if not free:
+                continue
+            for k in range(n):
+                if all(equal(q[k][l], q[i][l] * q[j][l]) and equal(q[l][k], q[l][i] * q[l][j]) for l in range(n)):
+                    # x_i (x) x_j is the basis word i + n j of V (x) V
+                    vec = {k * n * n + j + n * i: 1}
+                    if i != j:
+                        vec[k * n * n + i + n * j] = neg(q[i][j])
+                    vectors.append(vec)
+    vectors.sort(key=min)
+    return [[[v.get(r * n * n + w, 0) for w in range(n * n)] for r in range(n)] for v in vectors]
+
+
 def random_verified_brackets(space: BraidedSpace, count: int, seed: int, max_tries: int = 10000):
     """Deterministically sample verified brackets on a prime-field space.
 

@@ -3,7 +3,7 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +30,7 @@ from quadlie.braided import (
 from quadlie.brackets import QuadraticLieAlgebra, _e2bar_integral, axiom_check, solve_linear_bracket_space, verify_lifted
 from quadlie.classify import canonical_form, conjugate
 from quadlie.fields import GF, QQ
-from quadlie.linalg import Mat, SparseEchelon, Subspace, raw_product
+from quadlie.linalg import Mat, SparseEchelon, Subspace, null_space, raw_product
 from quadlie.table import GAMMA_RULES, gamma_allowed, gamma_canonical, row_instance
 
 from conftest import dense_verify_lifted
@@ -375,7 +375,7 @@ def test_solver_points_match_brute_force(family, p):
     blocks = []
     for shard in range(3):
         swept = []
-        appendix._sweep(GF(p), points(p), {}, lambda c: swept.append(c) or {}, shard, 3)
+        appendix._sweep(GF(p), points(p), {}, lambda c, space: swept.append(c) or {}, shard, 3)
         assert len(swept) == len(expect) * (shard + 1) // 3 - len(expect) * shard // 3
         blocks.append(swept)
     assert [c for block in blocks for c in block] == expect
@@ -525,6 +525,166 @@ def test_int_axioms_match_verify_lifted(p):
     assert any(found) and not all(found)
 
 
+# ---------------------------------------------------------------------------
+# the rank-two candidates: counted and solved, against the pair loop
+# ---------------------------------------------------------------------------
+
+def _left_kernel(c, field):
+    """A basis of the left kernel of c + Id, as the sweep takes it."""
+    return null_space(field, zip(*[[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(c)]), 4)
+
+
+def _kernel_rows(c, field):
+    """{a: sum a_s k_s} over the coefficient tuples a, in product order,
+    for the basis k_1, k_2, k_3 of the left kernel of c + Id."""
+    p = field.p
+    lk = _left_kernel(c, field)
+    return {a: [sum(s * k[j] for s, k in zip(a, lk)) % p for j in range(4)] for a in product(range(p), repeat=3)}
+
+
+def _pair_loop_rank2(field):
+    """The rank-two sweep that enumerates its candidates, the oracle of
+    rank2_case_families: every independent pair of left-kernel rows (of all
+    p^6), sorted into its branch by the first nonzero deciding entry if
+    that entry is 1, and each pair kept tested against the axioms."""
+    coeffs = list(product(range(field.p), repeat=3))
+    independent = [[SparseEchelon(field, (a, b)).rank == 2 for b in coeffs] for a in coeffs]
+
+    def candidates(c, space):
+        rows = list(_kernel_rows(c, field).values())
+        branches = {name: [] for name in appendix._RANK2_BRANCHES}
+        for r1, ok1 in zip(rows, independent):
+            for r2 in compress(rows, ok1):
+                beta = (r1, r2)
+                for name, (i, j) in appendix._RANK2_BRANCHES.items():
+                    if x := beta[i][j]:
+                        if x == 1:
+                            branches[name].append(beta)
+                        break
+        return appendix._every_candidate(branches)
+
+    reports = {name: BranchReport() for name in appendix._RANK2_BRANCHES}
+    return appendix._sweep(field, _rank2_case_shapes(field.p), reports, candidates)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_rank2_counts_and_survivors_match_the_pair_loop(p):
+    # braidings, candidate counts and solutions, in order, per branch
+    field = GF(p)
+    assert rank2_case_families(field) == _pair_loop_rank2(field)
+
+
+def test_rank2_survivor_path_tests_the_pair_loop_candidates(monkeypatch):
+    # positive control of the survivor path, which the rank-two family never
+    # takes: with the pulled-back null space replaced by all of GF(3)^6, the
+    # pairs it keeps, sorts into branches and tests are the pair loop's
+    # candidates, in the same order, and the reports are the same
+    field = GF(3)
+    tested = []
+
+    def recording(space):
+        holds = axiom_check(space)
+
+        def check(beta):
+            tested.append((tuple(map(tuple, space.c.a)), tuple(map(tuple, beta))))
+            return holds(beta)
+
+        return check
+
+    monkeypatch.setattr(appendix, "axiom_check", recording)
+    expect_reports = _pair_loop_rank2(field)
+    expect, tested[:] = tested[:], []
+    monkeypatch.setattr(appendix, "_pulled_back_null_space", lambda space, lk: [[int(i == j) for j in range(6)] for i in range(6)])
+    assert rank2_case_families(field) == expect_reports
+    assert tested == expect
+    assert len(expect) == sum(rep.candidates for rep in expect_reports.values()) > 0
+
+
+@pytest.mark.parametrize("p, braidings", [(3, 54), (5, 202), (7, 494)])
+def test_rank2_pulled_back_null_space_is_zero(p, braidings):
+    # no bracket (a1 K, a2 K) but zero passes the linear axioms on any
+    # braiding of the rank-two family, so no candidate survives to be tested
+    field = GF(p)
+    shapes = [c for c in _rank2_case_shapes(p) if braid_relation_holds(c, p)]
+    assert len(shapes) == braidings
+    for c in shapes:
+        space = BraidedSpace(field, 2, Mat(field, c), check=False)
+        assert appendix._pulled_back_null_space(space, _left_kernel(c, field)) == [], c
+
+
+def _spaces_with_linear_brackets(p):
+    """The table rows and the survey braidings over GF(p) whose linear
+    bracket space is not zero."""
+    field = GF(p)
+    spaces = [q.space for q in _table_instances(field)]
+    spaces += [BraidedSpace(field, 2, Mat(field, rows), check=False) for rows, _ in appendix._survey_braidings(field)]
+    return [sp for sp in spaces if solve_linear_bracket_space(sp)]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_pulled_back_null_space_maps_onto_the_linear_bracket_space(p):
+    # positive control of the survivor path, where the rank-two family
+    # gives {0}: on spaces with linear brackets, the null space of the
+    # pulled-back rows, without the independence filter, maps onto the span
+    # of solve_linear_bracket_space, whatever the dimension of the kernel
+    field = GF(p)
+    spaces = _spaces_with_linear_brackets(p)
+    kernel_dims = set()
+    for sp in spaces:
+        lk = _left_kernel(sp.c.a, field)
+        m = len(lk)
+        images = [
+            [sum(a[t * m + s] * k[j] for s, k in enumerate(lk)) % p for t in range(2) for j in range(4)]
+            for a in appendix._pulled_back_null_space(sp, lk)
+        ]
+        solver = [[x for row in b.a for x in row] for b in solve_linear_bracket_space(sp)]
+        assert Subspace(field, 8, images) == Subspace(field, 8, solver), sp.c
+        kernel_dims.add(m)
+    assert len(spaces) > 10 and kernel_dims == {1, 2}
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_rank2_branches_cover_every_rank_two_bracket(p):
+    # the docstring's coverage claim: scaled by its first nonzero deciding
+    # entry, every rank-two bracket is a candidate of one branch.  The pairs
+    # whose five deciding entries all vanish have r2 = 0, so none of them is
+    # independent; each is tested, and none independent passes
+    field = GF(p)
+    zero_pairs = 0
+    for c in _rank2_case_shapes(p):
+        if not braid_relation_holds(c, p):
+            continue
+        holds = axiom_check(BraidedSpace(field, 2, Mat(field, c), check=False))
+        rows = _kernel_rows(c, field)
+        # the deciding entries are r1[3] and all of r2
+        assert sorted(appendix._RANK2_BRANCHES.values()) == [(0, 3), (1, 0), (1, 1), (1, 2), (1, 3)]
+        first = [a for a, r in rows.items() if r[3] == 0]
+        second = [a for a, r in rows.items() if not any(r)]
+        for a1, a2 in product(first, second):
+            beta = (rows[a1], rows[a2])
+            zero_pairs += 1
+            assert not (appendix._independent(a1, a2, p) and holds(beta)), (c, beta)
+            assert SparseEchelon(field, beta).rank < 2
+    assert zero_pairs
+
+
+def test_every_rank_two_bracket_fails_gf3():
+    # over GF(3) the claim without the branches: every independent pair of
+    # left-kernel rows, normalized or not, fails the axioms
+    field, p = GF(3), 3
+    tested = 0
+    for c in _rank2_case_shapes(p):
+        if not braid_relation_holds(c, p):
+            continue
+        holds = axiom_check(BraidedSpace(field, 2, Mat(field, c), check=False))
+        rows = _kernel_rows(c, field)
+        for a1, a2 in product(rows, repeat=2):
+            if appendix._independent(a1, a2, p):
+                tested += 1
+                assert not holds((rows[a1], rows[a2])), c
+    assert tested == 54 * 26 * 24
+
+
 def test_int_axioms_match_four_product_oracle(monkeypatch, four_product_axioms):
     # every candidate the GF(3) enumerations reach, plus per Yang-Baxter
     # survivor seeded random brackets and random points of its linear
@@ -559,7 +719,9 @@ def test_int_axioms_match_four_product_oracle(monkeypatch, four_product_axioms):
         return check
 
     monkeypatch.setattr(appendix, "axiom_check", checked)
-    reports = {**rank2_case_families(field), **rank1_eliminated_branches(field)}
+    # rank2_case_families tests only the candidates that pass the linear
+    # axioms, so the pair loop, its oracle, tests every rank-two candidate
+    reports = {**_pair_loop_rank2(field), **rank1_eliminated_branches(field)}
     assert seen["candidates"] == sum(rep.candidates for rep in reports.values()) == 19002
     # the eliminated branches hold no solution; some points of the linear
     # spaces pass, so the agreement covers both answers
@@ -599,11 +761,11 @@ def _positive_control_sweep(p, shard=0, nshards=1):
     field = GF(p)
     zero = (0, 0, 0, 0)
 
-    def unit_corner(c):
-        return {"unit": [((0, 1, b, 0), zero) for b in range(p)]}
+    def unit_corner(c, space):
+        return appendix._every_candidate({"unit": [((0, 1, b, 0), zero) for b in range(p)]})
 
-    def moved_corner(c):
-        return {"antisymmetric": [((0, 1, p - 1, 0), zero)], "corner": [((0, 0, 0, 1), zero)]}
+    def moved_corner(c, space):
+        return appendix._every_candidate({"antisymmetric": [((0, 1, p - 1, 0), zero)], "corner": [((0, 0, 0, 1), zero)]})
 
     moved = (c for c in _solved(_MOVED_CORNER_TEMPLATE, p) if c[0][0])
     return {

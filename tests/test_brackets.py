@@ -1,5 +1,7 @@
 import math
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,6 +15,7 @@ from quadlie.brackets import (
     bracket_combination,
     check_dim1_rigidity,
     derived_antisym_plus,
+    diagonal_bracket_basis,
     dim1_instance,
     dim1_nonzero_brackets,
     image_subalgebra,
@@ -349,8 +352,8 @@ def test_bracket_space_matches_unit_bracket_oracle(unit_bracket_oracle):
     from quadlie.appendix import _survey_braidings
 
     rng = random.Random(4)
-    spaces = [_raw_space(GF(3), rows) for rows in _survey_braidings(GF(3))]
-    spaces += [_raw_space(GF(5), rows) for rows in rng.sample(_survey_braidings(GF(5)), 200)]
+    spaces = [_raw_space(GF(3), rows) for rows, _ in _survey_braidings(GF(3))]
+    spaces += [_raw_space(GF(5), rows) for rows, _ in rng.sample(list(_survey_braidings(GF(5))), 200)]
     for q in all_rows():
         spaces.append(q.space)
         for _ in range(3):
@@ -375,6 +378,113 @@ def test_bracket_space_matches_unit_bracket_oracle(unit_bracket_oracle):
     assert {0, 1, 2, 9} <= dims
 
 
+def _diagonal_space(field, q):
+    return BraidedSpace(field, len(q), Mat(field, diagonal_braiding(len(q), q)), check=False)
+
+
+def _solver_basis(field, q):
+    return [b.a for b in solve_linear_bracket_space(_diagonal_space(field, q))]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_diagonal_closed_form_equals_solver_on_two_letters(p):
+    # every two-letter diagonal braiding over GF(p), zero q_ij included:
+    # the closed form is the solver's canonical basis, vector for vector
+    field = GF(p)
+    dims = set()
+    for q11, q21, q12, q22 in product(range(p), repeat=4):
+        q = [[q11, q12], [q21, q22]]
+        basis = diagonal_bracket_basis(q, p)
+        assert basis == _solver_basis(field, q), q
+        dims.add(len(basis))
+    assert {0, 1, 2} <= dims
+
+
+def test_diagonal_closed_form_equals_solver_on_three_letters_gf3():
+    # the 512 invertible diagonal braidings on three letters over GF(3)
+    field = GF(3)
+    dims = set()
+    for qs in product((1, 2), repeat=9):
+        q = [list(qs[0:3]), list(qs[3:6]), list(qs[6:9])]
+        basis = diagonal_bracket_basis(q, 3)
+        assert basis == _solver_basis(field, q), q
+        dims.add(len(basis))
+    assert dims == {0, 2, 3, 4, 6, 7, 9}
+
+
+def test_diagonal_closed_form_equals_solver_over_q():
+    # seeded q over Q on two and three letters, with inverse pairs
+    # q_ji = 1 / q_ij planted so that the spaces are not all zero
+    rng = random.Random(26)
+    dims = set()
+    for _ in range(200):
+        n = rng.choice((2, 3))
+        q = [[rng.choice((1, -1, 0, Fraction(rng.randint(-4, 4), rng.randint(1, 4)))) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(i):
+                if q[i][j] and rng.random() < 0.7:
+                    q[j][i] = 1 / Fraction(q[i][j])
+        basis = diagonal_bracket_basis(q)
+        assert basis == _solver_basis(QQ, q), q
+        dims.add(len(basis))
+    assert len(dims) >= 4
+
+
+def _lie_brackets_gf3():
+    """Every antisymmetric bracket on F_3^3 that satisfies the classical
+    Jacobi identity, by brute force over its 3^9 values [x_j, x_i], i < j,
+    as n x n^2 rows: row k, column i + 3 j holds the x_k coefficient of
+    [x_i, x_j]."""
+    p, n = 3, 3
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    found = set()
+    for values in product(range(p), repeat=len(pairs) * n):
+        table = {}
+        for t, (i, j) in enumerate(pairs):
+            v = values[t * n : (t + 1) * n]
+            table[j, i] = v
+            table[i, j] = tuple(-x % p for x in v)
+        for i in range(n):
+            table[i, i] = (0,) * n
+
+        def br(u, v):
+            out = [0] * n
+            for i, x in enumerate(u):
+                for j, y in enumerate(v):
+                    if x and y:
+                        for k, z in enumerate(table[i, j]):
+                            out[k] = (out[k] + x * y * z) % p
+            return out
+
+        unit = [[int(i == k) for k in range(n)] for i in range(n)]
+        if all(
+            not any((a + b + c) % p for a, b, c in zip(br(x, br(y, z)), br(y, br(z, x)), br(z, br(x, y))))
+            for x, y, z in product(unit, repeat=3)
+        ):
+            found.add(tuple(tuple(table[i, j][k] for j in range(n) for i in range(n)) for k in range(n)))
+    return found
+
+
+def test_flip_closed_form_brackets_are_the_lie_brackets_gf3():
+    # positive control of the closed form and of axiom_check on three
+    # letters: under the flip the axioms say that b is a Lie bracket, so the
+    # verified points of its 9-dimensional space are the Lie brackets on
+    # F_3^3 found by brute force, sl_2 (rank three) among them
+    field, p = GF(3), 3
+    q = [[1] * 3 for _ in range(3)]
+    basis = diagonal_bracket_basis(q, p)
+    assert len(basis) == 9
+    holds = axiom_check(_diagonal_space(field, q))
+    mats = [Mat(field, b) for b in basis]
+    verified = set()
+    for coeffs in product(range(p), repeat=9):
+        beta = bracket_combination(coeffs, mats, p)
+        if holds(beta):
+            verified.add(tuple(map(tuple, beta)))
+    assert verified == _lie_brackets_gf3()
+    assert any(Mat(field, b).rank() == 3 for b in verified)
+
+
 def test_linear_echelon_equals_the_echelon_of_every_axiom_row(monkeypatch):
     # the space's echelon stops reading rows at rank n^3; it must equal the
     # echelon of every row of linear_axiom_rows, on spaces that stop early
@@ -386,7 +496,7 @@ def test_linear_echelon_equals_the_echelon_of_every_axiom_row(monkeypatch):
     from quadlie.linalg import SparseEchelon
 
     spaces = [_raw_space(GF(3), c) for c in chain(_rank2_case_shapes(3), _rank1_case_shapes(3))]
-    spaces += [_raw_space(GF(5), rows) for rows in _survey_braidings(GF(5))]
+    spaces += [_raw_space(GF(5), rows) for rows, _ in _survey_braidings(GF(5))]
     tables = [q.space for field in (QQ, GF(3)) for q in all_rows(field)]
     # three letters, diagonal over GF(3); all ones is the flip, whose
     # brackets are the ordinary Lie brackets

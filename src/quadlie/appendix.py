@@ -262,7 +262,7 @@ class BranchReport:
     solutions: list = dc_field(default_factory=list)
 
 
-def _sweep(field, shapes, reports, candidates, shard=0, nshards=1):
+def _sweep(field, shapes, reports, candidates):
     """Count the candidate brackets of the braiding shapes into reports.
 
     A shape that passes the Yang-Baxter filter is a braiding c, and
@@ -271,13 +271,10 @@ def _sweep(field, shapes, reports, candidates, shard=0, nshards=1):
     brackets, and those of them that can pass the axioms, each of which is
     tested.  A candidate that passes the axioms is a solution when -1 is
     a simple root of the minimal polynomial of c, which is split once per
-    braiding, at its first axiom survivor.  Only the shard-th of nshards
-    contiguous blocks of the shapes is swept, so the reports of the shards,
-    merged in shard order, are the report of the whole sweep.
+    braiding, at its first axiom survivor.
     """
     p = field.p
-    shapes = list(shapes)
-    for c in shapes[len(shapes) * shard // nshards : len(shapes) * (shard + 1) // nshards]:
+    for c in shapes:
         if not _IntBraiding.yang_baxter(c, p):
             continue
         space = BraidedSpace(field, 2, Mat(field, c), check=False)
@@ -350,7 +347,7 @@ def _independent(u, v, p):
     return any((u[i] * v[j] - u[j] * v[i]) % p for i, j in ((0, 1), (0, 2), (1, 2)))
 
 
-def rank2_case_families(field: Field, shard: int = 0, nshards: int = 1) -> dict:
+def rank2_case_families(field: Field) -> dict:
     """Exhaustively empty the eliminated rank-two branches over GF(p).
 
     A bracket passes antisymmetry iff its rows lie in the left kernel of
@@ -412,7 +409,7 @@ def rank2_case_families(field: Field, shard: int = 0, nshards: int = 1) -> dict:
         return out
 
     reports = {name: BranchReport() for name in _RANK2_BRANCHES}
-    return _sweep(field, _rank2_case_shapes(p), reports, candidates, shard, nshards)
+    return _sweep(field, _rank2_case_shapes(p), reports, candidates)
 
 
 _RANK1_TEMPLATE = (
@@ -429,7 +426,7 @@ def _rank1_case_shapes(p):
     return _template_points(_RANK1_TEMPLATE, _yang_baxter_equations(_RANK1_TEMPLATE), p)
 
 
-def rank1_eliminated_branches(field: Field, shard: int = 0, nshards: int = 1) -> dict:
+def rank1_eliminated_branches(field: Field) -> dict:
     """The classification proof's eliminated rank-one branches over GF(p):
     zero corner entry with either a moved diagonal, or the antisymmetric
     bracket pair coinciding with a unit diagonal entry."""
@@ -446,42 +443,12 @@ def rank1_eliminated_branches(field: Field, shard: int = 0, nshards: int = 1) ->
         return _every_candidate({"case_2_2_1_1": [((0, b, p - b, 1), zero) for b in range(1, p)]})
 
     reports = {name: BranchReport() for name in ("case_2_1_1", "case_2_1_2", "case_2_2_1_1")}
-    return _sweep(field, _rank1_case_shapes(p), reports, candidates, shard, nshards)
+    return _sweep(field, _rank1_case_shapes(p), reports, candidates)
 
 
-def _shard_worker(args):
-    family, p, shard, nshards = args
-    return family(Field(p), shard, nshards)
-
-
-def _merge_reports(parts):
-    out = {}
-    for part in parts:
-        for name, rep in part.items():
-            acc = out.setdefault(name, BranchReport())
-            acc.braidings += rep.braidings
-            acc.candidates += rep.candidates
-            acc.solutions.extend(rep.solutions)
-    return out
-
-
-def case_families(field: Field, jobs: int = 1) -> dict:
-    """All eliminated case families (rank-two and rank-one) over GF(p).
-
-    Each family's braidings split into contiguous blocks, one per worker,
-    and the shard reports merge in shard order, so the report does not
-    depend on the job count.
-    """
-    field.require_enumerable(CASE_FAMILIES_MAX_P, "exhaustive case families")
-    families = (rank2_case_families, rank1_eliminated_branches)
-    if jobs <= 1:
-        parts = [family(field) for family in families]
-    else:
-        from multiprocessing import Pool
-
-        with Pool(jobs) as pool:
-            parts = pool.map(_shard_worker, [(family, field.p, s, jobs) for family in families for s in range(jobs)])
-    return _merge_reports(parts)
+def case_families(field: Field) -> dict:
+    """All eliminated case families (rank-two and rank-one) over GF(p)."""
+    return {**rank2_case_families(field), **rank1_eliminated_branches(field)}
 
 
 # ---------------------------------------------------------------------------

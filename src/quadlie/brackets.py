@@ -211,28 +211,32 @@ def verify_qbracket(q: RestrictedBracket) -> QBracketReport:
     """Check the restricted-bracket axioms on explicit bases.
 
     The two induced braidings between the primitive space and V are the
-    composites c1 c2 and c2 c1 restricted to the relevant subspaces.
+    composites c1 c2 and c2 c1 restricted to the relevant subspaces,
+    applied to each vector through ``apply_at``.
     """
     space = q.space
     space.field.require_odd_char()
     if q.e2_basis != space.e2():
         raise BasisMismatch("expected the canonical echelon basis of the degree-two primitives")
-    field = space.field
+    field, n, p = space.field, space.dim, space.field.p
     e2 = q.e2_basis
-    c1 = space.braiding_at(1, 3)
-    c2 = space.braiding_at(2, 3)
-    c12, c21 = c1 @ c2, c2 @ c1
-    eye = Mat.identity(field, space.dim).a
+    cols = sparse_columns(space.c.a)
+    eye = Mat.identity(field, n).a
     images = [(e, q.beta_bar.apply(e2.coords(e))) for e in e2.basis]
+
+    def braid(first, second, z):
+        """c_first c_second z, for z a vector of V^(x)3."""
+        w = apply_at(cols, first, n, apply_at(cols, second, n, {k: x for k, x in enumerate(z) if x}, p), p)
+        return [w.get(k, 0) for k in range(n**3)]
 
     # c (bbar e (x) x) = (Id (x) bbar) c1 c2 (e (x) x) on E2 (x) V, and
     # c (x (x) bbar e) = (bbar (x) Id) c2 c1 (x (x) e) on V (x) E2
     bracket = all(
-        list(space.c.apply(vec_tensor(field, be, x))) == _bbar_on(q, c12.apply(vec_tensor(field, e, x)), 2)
+        list(space.c.apply(vec_tensor(field, be, x))) == _bbar_on(q, braid(1, 2, vec_tensor(field, e, x)), 2)
         for e, be in images
         for x in eye
     ) and all(
-        list(space.c.apply(vec_tensor(field, x, be))) == _bbar_on(q, c21.apply(vec_tensor(field, x, e)), 1)
+        list(space.c.apply(vec_tensor(field, x, be))) == _bbar_on(q, braid(2, 1, vec_tensor(field, x, e)), 1)
         for e, be in images
         for x in eye
     )

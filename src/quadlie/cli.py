@@ -191,7 +191,7 @@ def _search_udu(field, args):
 
 
 def _search_case_families(field, args):
-    reports = appendix.case_families(field, jobs=args.jobs)
+    reports = appendix.case_families(field)
     ok = not any(rep.solutions for rep in reports.values())
     return {"branches": {name: asdict(rep) for name, rep in reports.items()}, "all_empty": ok}, ok
 
@@ -217,9 +217,6 @@ SCOPES = {
 
 def cmd_search(args):
     field = field_from_json(args.field)
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.jobs <= cpus:
-        raise InputError(f"--jobs must lie between 1 and the CPU count {cpus}, got {args.jobs}")
     report, ok = SCOPES[args.scope](field, args)
     report["scope"] = args.scope
     return report, ok
@@ -274,7 +271,6 @@ def build_parser():
     p.add_argument("--scope", required=True, choices=SCOPES)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_search)
 
     return ap

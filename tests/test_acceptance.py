@@ -273,7 +273,7 @@ def test_criterion_10_appendix_suite():
         assert udu_identity_holds(QQ, [1, 2, 3, 4])
         assert udu_check(QQ, 100, seed=101)
         assert udu_check(GF(5), 100, seed=102)
-        reports = case_families(GF(3), jobs=1)
+        reports = case_families(GF(3))
         assert len(reports) == 8
         for name, rep in reports.items():
             assert rep.candidates > 0, name

@@ -2,7 +2,6 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from functools import lru_cache
 from itertools import compress, product
 
 import pytest
@@ -93,28 +92,11 @@ def test_rank1_eliminated_branches_empty_gf3():
         assert rep.solutions == [], name
 
 
-def test_case_families_sharding_is_deterministic():
-    single = rank1_eliminated_branches(GF(3))
-    parts = [rank1_eliminated_branches(GF(3), shard, 3) for shard in range(3)]
-    for name in single:
-        assert single[name].candidates == sum(p[name].candidates for p in parts)
-        assert single[name].braidings == sum(p[name].braidings for p in parts)
-
-
 def test_case_families_wrapper():
-    reports = case_families(GF(3), jobs=1)
+    reports = case_families(GF(3))
     assert len(reports) == 8
     assert all(not rep.solutions for rep in reports.values())
-
-
-def test_case_families_parallel_matches_serial():
-    serial = case_families(GF(3), jobs=1)
-    parallel = case_families(GF(3), jobs=2)
-    assert set(serial) == set(parallel)
-    for name in serial:
-        assert serial[name].braidings == parallel[name].braidings
-        assert serial[name].candidates == parallel[name].candidates
-        assert serial[name].solutions == parallel[name].solutions
+    assert reports == {**rank2_case_families(GF(3)), **rank1_eliminated_branches(GF(3))}
 
 
 def test_appendix_checks_dispatcher(capsys):
@@ -367,18 +349,14 @@ def _brute_force(family, p, values=None):
 
 @pytest.mark.parametrize("family, p", [("rank1", 3), ("rank2", 3), ("corner", 3), ("corner", 5)])
 def test_solver_points_match_brute_force(family, p):
-    # every shape of the family's template, in order, and each of three
-    # shards of the sweep on its own: the contiguous blocks of those shapes
+    # every shape of the family's template, in order, and the sweep visits
+    # exactly those shapes, in that order
     _, points, _ = _FAMILIES[family]
     expect = [c for _, c in _brute_force(family, p)]
     assert list(points(p)) == expect
-    blocks = []
-    for shard in range(3):
-        swept = []
-        appendix._sweep(GF(p), points(p), {}, lambda c, space: swept.append(c) or {}, shard, 3)
-        assert len(swept) == len(expect) * (shard + 1) // 3 - len(expect) * shard // 3
-        blocks.append(swept)
-    assert [c for block in blocks for c in block] == expect
+    swept = []
+    appendix._sweep(GF(p), points(p), {}, lambda c, space: swept.append(c) or {})
+    assert swept == expect
 
 
 @pytest.mark.parametrize("family", ["rank1", "rank2"])
@@ -754,10 +732,9 @@ _MOVED_CORNER_TEMPLATE = (
 )
 
 
-@lru_cache(maxsize=None)
-def _positive_control_sweep(p, shard=0, nshards=1):
-    """The reports of one shard of the sweep of the rank-one branches that
-    are not eliminated, over GF(p)."""
+def _positive_control_sweep(p):
+    """The reports of the sweep of the rank-one branches that are not
+    eliminated, over GF(p)."""
     field = GF(p)
     zero = (0, 0, 0, 0)
 
@@ -769,8 +746,8 @@ def _positive_control_sweep(p, shard=0, nshards=1):
 
     moved = (c for c in _solved(_MOVED_CORNER_TEMPLATE, p) if c[0][0])
     return {
-        **appendix._sweep(field, _solved(_UNIT_CORNER_TEMPLATE, p), {"unit": BranchReport()}, unit_corner, shard, nshards),
-        **appendix._sweep(field, moved, {"antisymmetric": BranchReport(), "corner": BranchReport()}, moved_corner, shard, nshards),
+        **appendix._sweep(field, _solved(_UNIT_CORNER_TEMPLATE, p), {"unit": BranchReport()}, unit_corner),
+        **appendix._sweep(field, moved, {"antisymmetric": BranchReport(), "corner": BranchReport()}, moved_corner),
     }
 
 
@@ -806,14 +783,3 @@ def test_sweep_finds_every_canonical_row_on_branches_not_eliminated():
 
 def test_sweep_finds_every_canonical_row_on_branches_not_eliminated_gf5():
     assert _positive_control(5) == {"unit": 28, "antisymmetric": 44, "corner": 25}
-
-
-@pytest.mark.parametrize("p", [3, 5])
-def test_sharded_sweep_equals_serial_when_solutions_exist(p):
-    # the shard reports of the positive control, merged in shard order, are
-    # the serial reports, solution order included
-    serial = _positive_control_sweep(p)
-    assert all(rep.solutions for rep in serial.values())
-    for nshards in (2, 3, 7):
-        parts = [_positive_control_sweep(p, shard, nshards) for shard in range(nshards)]
-        assert appendix._merge_reports(parts) == serial, nshards

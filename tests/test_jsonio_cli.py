@@ -1,7 +1,6 @@
 import collections
 import io
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -457,17 +456,14 @@ def test_cli_text_format(capsys):
     assert "yang_baxter" in out and "True" in out
 
 
-@pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
-def test_cli_search_jobs_out_of_range_exit_2(capsys, monkeypatch, jobs):
-    # rejected before any worker process exists
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was created")
-
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    code, out, err = _run(capsys, ["search", "--field", "GF(3)", "--scope", "case_families", "--jobs", str(jobs)])
-    assert code == 2
+def test_cli_search_refuses_removed_jobs_flag(capsys):
+    # a removed option is refused with a usage error, never silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--field", "GF(3)", "--scope", "case_families", "--jobs", "2"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
     assert out == ""
-    assert "input error" in err and "--jobs" in err
+    assert err.startswith("usage: quadlie") and "unrecognized arguments: --jobs 2" in err
 
 
 @pytest.mark.parametrize(

@@ -456,6 +456,17 @@ def test_cli_text_format(capsys):
     assert "yang_baxter" in out and "True" in out
 
 
+@pytest.mark.parametrize("jobs", [0, -1, 3])
+def test_cli_search_jobs_out_of_range_exit_2(capsys, jobs):
+    # --jobs is removed, so every value, in range or not, is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--field", "GF(3)", "--scope", "case_families", "--jobs", str(jobs)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: quadlie") and f"unrecognized arguments: --jobs {jobs}" in err
+
+
 def test_cli_search_refuses_removed_jobs_flag(capsys):
     # a removed option is refused with a usage error, never silently ignored
     with pytest.raises(SystemExit) as exc:

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from functools import cache
 
 from . import appendix, classify, envelope, nichols
 from .braided import require_words, split_minpoly
@@ -222,7 +223,11 @@ def cmd_search(args):
     return report, ok
 
 
+@cache
 def build_parser():
+    """The command-line parser, built on the first call and shared by every
+    ``main()`` call in the process.  Each subcommand binds its ``cmd_*``
+    function as ``func`` when the parser is built."""
     ap = argparse.ArgumentParser(
         prog="quadlie",
         description="Exact verification and classification of quadratic Lie algebras on braided vector spaces.",

@@ -1,4 +1,6 @@
+import argparse
 import collections
+import gc
 import io
 import json
 import os
@@ -902,3 +904,81 @@ def test_closed_reader_keeps_the_verdict(argv, doc, code, fmt):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (code, "")
+
+
+#: One call of every subcommand, interleaved with a usage error, help, an
+#: input error and a failed check: (argv, stdin document or None).
+_INTERLEAVED = [
+    (["verify", "--input", "-"], _ROW1),
+    (["search", "--field", "GF(3)", "--scope", "case_families", "--jobs", "2"], None),
+    (["classify", "--input", "-"], _ROW3_SHEARED),
+    (["--help"], None),
+    (["envelope", "--degree", "3", "--input", "-"], _ROW1),
+    (["verify", "--input", "-"], {"field": "Q", "dim": 2}),
+    (["primitives", "--degree", "3", "--input", "-", "--format", "text"], _ROW1),
+    (["verify", "--input", "-"], _NON_BRAID),
+    (["nichols-check", "--degree", "3", "--input", "-"], _ROW1),
+    (["envelope", "--help"], None),
+    (["table", "--field", "GF(5)"], None),
+    (["search", "--field", "GF(5)", "--scope", "dim1_rigidity"], None),
+    ([], None),
+]
+
+
+def _outcome(capsys, argv, doc):
+    """(exit code, stdout, stderr) of one main() call, a SystemExit included."""
+    try:
+        return _run(capsys, argv, None if doc is None else json.dumps(doc))
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return exc.code, out.out, out.err
+
+
+def test_shared_parser_answers_as_a_fresh_one(capsys, monkeypatch):
+    # main() reuses one parser per process; every call, after errors and
+    # help included, answers as a parser built for it alone would
+    assert cli.build_parser() is cli.build_parser()
+    shared = [_outcome(capsys, argv, doc) for _ in range(2) for argv, doc in _INTERLEAVED]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [_outcome(capsys, argv, doc) for _ in range(2) for argv, doc in _INTERLEAVED]
+    assert shared == fresh
+    # not vacuous: every exit code the command line has was seen
+    assert [code for code, _, _ in fresh[: len(_INTERLEAVED)]] == [0, 2, 0, 0, 0, 2, 0, 1, 0, 0, 0, 0, 2]
+
+
+def test_main_leaves_no_parser_garbage():
+    # the parser outlives each call, so no call leaves one to the cyclic collector
+    main(["table", "--field", "GF(5)"])
+    gc.collect()
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(20):
+            main(["table", "--field", "GF(5)"])
+        gc.collect()
+        parsers = [obj for obj in gc.garbage if isinstance(obj, argparse.ArgumentParser)]
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert parsers == []
+
+
+_PARSER_AT_IMPORT = """
+import contextlib, io
+import quadlie.cli
+before = quadlie.cli.build_parser.cache_info().currsize
+with contextlib.redirect_stdout(io.StringIO()):
+    code = quadlie.cli.main(["table"])
+print(code, before, quadlie.cli.build_parser.cache_info().currsize)
+"""
+
+
+def test_parser_is_built_on_first_main_call():
+    # importing the command line builds no parser; the first main() call does
+    proc = subprocess.run(
+        [sys.executable, "-c", _PARSER_AT_IMPORT], capture_output=True, text=True, env=_subprocess_env(), timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0 1\n", "")
